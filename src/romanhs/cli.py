@@ -9,22 +9,28 @@ repeated invocation is byte identical:
     vertex sets  <label>={<vertex tokens>} size=<int>
 
 Tokens are listed in ascending dense id order. With --json each solution
-becomes one JSON object per line with the same ordering; the objects
-round-trip through pair_from_json and assignment_from_json. Statistics
-go to standard error as key=value lines. Exit codes: 0 when the command
-completed (decision answers are printed, not encoded), 1 for usage or
-input errors, 2 when a size guard refused the computation.
+becomes one JSON object per line with the same ordering; the library
+reads pair and assignment objects back through pair_from_json and
+assignment_from_json, while --map-solution files hold assign/preset
+lines only. Statistics go to standard error as key=value lines.
+
+Exit codes: 0 when the command completed (decision answers are printed,
+not encoded), 1 for usage or input errors, 2 when a size guard refused
+the computation, 130 when interrupted (Ctrl-C). When the reader of
+standard output goes away (``rhs-tool enum-rhs big.hg | head -1``) the
+command stops, prints nothing more, not even its statistics, and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import multiprocessing
+import os
 import re
 import sys
+from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .characterize import (
     is_minimal_rdf_theorem,
@@ -32,6 +38,7 @@ from .characterize import (
     is_minimal_rhs_theorem,
     is_po_minimal_rdf_theorem,
 )
+# the printed solution grammar lives in core; its names stay importable here
 from .core import (
     BoundedRdInstance,
     Correspondence,
@@ -41,32 +48,41 @@ from .core import (
     HypergraphFile,
     RhsPair,
     RomanAssignment,
+    assignment_from_json,
+    assignment_to_json,
+    format_assignment,
+    format_pair,
+    format_vertex_set,
     is_rdf,
     is_rhf,
     is_rhs,
+    pair_from_json,
+    pair_to_json,
     parse_graph_text,
     parse_hypergraph_text,
+    parse_solution_text,
     serialize_graph_file,
     serialize_hypergraph_file,
+    set_to_json,
     weight_pair,
 )
 from .enumeration import (
-    BRUTE_ENUM_RHF_LIMIT,
-    BRUTE_ENUM_RHS_LIMIT,
+    EnumerationStats,
     brute_enumerate_minimal_rhf,
     brute_enumerate_minimal_rhs,
     enumerate_minimal_rhs,
     gen_random,
     gen_tight,
-    minimal_pair_for_r2,
 )
 from .errors import GuardRefused, InputError
 from .extend import (
+    ExtAnswer,
     ext_ds_split,
     ext_rhf_general,
     ext_rhf_surjective,
     ext_rhs,
     bounded_ext_rd,
+    split_partition,
 )
 from .optimize import (
     _rvc_decide_counted,
@@ -80,6 +96,7 @@ from .optimize import (
     rvc_enumerate,
 )
 from .reduce import (
+    ReductionOutput,
     ds_split_to_rhs,
     is_hypergraph_rdf,
     rd_to_rhf,
@@ -93,98 +110,24 @@ from .reduce import (
 EMPTY_PAIR = RhsPair(frozenset(), frozenset())
 
 
-# ---------------------------------------------------------------------------
-# Solution formatting
+class _Printer(NamedTuple):
+    """One line renderer per solution kind."""
+
+    pair: Callable[[Hypergraph, RhsPair], str]
+    assignment: Callable[[Sequence[str], Sequence[int]], str]
+    vertex_set: Callable[[Sequence[str], Sequence[int], str], str]
 
 
-def format_pair(h: Hypergraph, pair: RhsPair) -> str:
-    r1 = ",".join(h.edge_tokens[i] for i in sorted(pair.r1))
-    r2 = ",".join(h.vertex_tokens[x] for x in sorted(pair.r2))
-    return f"R1={{{r1}}} R2={{{r2}}} w={weight_pair(pair)}"
-
-
-def format_assignment(tokens: Sequence[str], f: Sequence[int]) -> str:
-    cells = "".join(
-        f"{tokens[v]}={val} " for v, val in enumerate(f) if val
-    )
-    return f"f: {cells}w={sum(f)}"
-
-
-def format_vertex_set(
-    tokens: Sequence[str], chosen: Sequence[int], label: str
-) -> str:
-    body = ",".join(tokens[v] for v in sorted(chosen))
-    return f"{label}={{{body}}} size={len(set(chosen))}"
-
-
-def pair_to_json(h: Hypergraph, pair: RhsPair) -> str:
-    return json.dumps(
-        {
-            "r1": [h.edge_tokens[i] for i in sorted(pair.r1)],
-            "r2": [h.vertex_tokens[x] for x in sorted(pair.r2)],
-            "w": weight_pair(pair),
-        },
-        sort_keys=True,
-    )
-
-
-def pair_from_json(h: Hypergraph, line: str) -> RhsPair:
-    obj = _load_json_object(line)
-    pair = RhsPair.from_tokens(h, obj.get("r1", []), obj.get("r2", []))
-    if obj.get("w") != weight_pair(pair):
-        raise InputError("json pair carries the wrong weight")
-    return pair
-
-
-def assignment_to_json(tokens: Sequence[str], f: Sequence[int]) -> str:
-    return json.dumps(
-        {
-            "ones": [tokens[v] for v, val in enumerate(f) if val == 1],
-            "twos": [tokens[v] for v, val in enumerate(f) if val == 2],
-            "w": sum(f),
-        },
-        sort_keys=True,
-    )
-
-
-def assignment_from_json(
-    tokens: Sequence[str], line: str
-) -> RomanAssignment:
-    obj = _load_json_object(line)
-    ids = {t: v for v, t in enumerate(tokens)}
-    vals = [0] * len(tokens)
-    for level, key in ((1, "ones"), (2, "twos")):
-        for t in obj.get(key, []):
-            if t not in ids:
-                raise InputError(f"unknown token {t!r} in json solution")
-            vals[ids[t]] = level
-    if obj.get("w") != sum(vals):
-        raise InputError("json assignment carries the wrong weight")
-    return tuple(vals)
-
-
-def set_to_json(
-    tokens: Sequence[str], chosen: Sequence[int]
-) -> str:
-    picked = sorted(set(chosen))
-    return json.dumps(
-        {"set": [tokens[v] for v in picked], "size": len(picked)},
-        sort_keys=True,
-    )
-
-
-def _load_json_object(line: str) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad json solution: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InputError("json solution must be one object")
-    return obj
+_TEXT = _Printer(format_pair, format_assignment, format_vertex_set)
+_JSON = _Printer(
+    pair_to_json,
+    assignment_to_json,
+    lambda tokens, chosen, label: set_to_json(tokens, chosen),
+)
 
 
 # ---------------------------------------------------------------------------
-# Option and solution-file parsing
+# Option and file handling
 
 _PAIR_OPTION = re.compile(r"R1=(?P<r1>[^;]*);R2=(?P<r2>.*)\Z")
 
@@ -212,68 +155,12 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_solution_text(
-    text: str,
-) -> tuple[dict[str, int], list[str], list[str]]:
-    """assign/preset1/preset2 lines of a bare solution file."""
-    assigns: dict[str, int] = {}
-    p1: list[str] = []
-    p2: list[str] = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
-        if kind == "assign":
-            if len(args) != 2 or args[1] not in ("0", "1", "2"):
-                raise InputError(
-                    f"assign line needs vertex and 0|1|2 (line {no})"
-                )
-            if args[0] in assigns:
-                raise InputError(
-                    f"duplicate assign for {args[0]!r} (line {no})"
-                )
-            assigns[args[0]] = int(args[1])
-        elif kind == "preset1":
-            p1.extend(args)
-        elif kind == "preset2":
-            p2.extend(args)
-        else:
-            raise InputError(
-                f"unknown directive {kind!r} in solution file (line {no})"
-            )
-    return assigns, p1, p2
+def _hypergraph(path: str) -> HypergraphFile:
+    return parse_hypergraph_text(_read_text(path))
 
 
-def _solution_pair(h: Hypergraph, text: str) -> RhsPair:
-    assigns, p1, p2 = _parse_solution_text(text)
-    if assigns:
-        raise InputError("this reduction maps pair solutions, not assign lines")
-    return RhsPair.from_tokens(h, p1, p2)
-
-
-def _solution_assignment(
-    tokens: Sequence[str], text: str
-) -> RomanAssignment:
-    assigns, p1, p2 = _parse_solution_text(text)
-    if p1 or p2:
-        raise InputError("this reduction maps assignments, not preset lines")
-    ids = {t: v for v, t in enumerate(tokens)}
-    vals = [0] * len(tokens)
-    for t, val in assigns.items():
-        if t not in ids:
-            raise InputError(f"unknown token {t!r} in solution file")
-        vals[ids[t]] = val
-    return tuple(vals)
-
-
-# ---------------------------------------------------------------------------
-# Shared handler pieces
-
-
-def _stat(key: str, value: int) -> None:
-    print(f"{key}={value}", file=sys.stderr)
+def _graph(path: str) -> GraphFile:
+    return parse_graph_text(_read_text(path))
 
 
 def _require_tau(hf: HypergraphFile, what: str) -> Correspondence:
@@ -282,121 +169,76 @@ def _require_tau(hf: HypergraphFile, what: str) -> Correspondence:
     return hf.tau
 
 
-def _pair_line(h: Hypergraph, pair: RhsPair, as_json: bool) -> str:
-    return pair_to_json(h, pair) if as_json else format_pair(h, pair)
+def _flush_stdout() -> None:
+    # stdout is None in a process started with its descriptor closed
+    if sys.stdout is not None:
+        sys.stdout.flush()
 
 
-def _assignment_line(
-    tokens: Sequence[str], f: Sequence[int], as_json: bool
-) -> str:
-    if as_json:
-        return assignment_to_json(tokens, f)
-    return format_assignment(tokens, f)
+def _stats(**counters: int) -> None:
+    """key=value lines on stderr, once stdout has taken everything before.
 
-
-def _set_line(
-    tokens: Sequence[str], chosen: Sequence[int], label: str, as_json: bool
-) -> str:
-    if as_json:
-        return set_to_json(tokens, chosen)
-    return format_vertex_set(tokens, chosen, label)
-
-
-def _print_pair(h: Hypergraph, pair: RhsPair, as_json: bool) -> None:
-    print(_pair_line(h, pair, as_json))
-
-
-def _print_assignment(
-    tokens: Sequence[str], f: Sequence[int], as_json: bool
-) -> None:
-    print(_assignment_line(tokens, f, as_json))
-
-
-def _print_set(
-    tokens: Sequence[str], chosen: Sequence[int], label: str, as_json: bool
-) -> None:
-    print(_set_line(tokens, chosen, label, as_json))
-
-
-def _split_partition(g: Graph) -> tuple[list[int], list[int]]:
-    """Degree-based clique/independent partition attempt.
-
-    The m vertices of largest degree form a clique exactly when the graph
-    is split, for m the last position i with degree >= i-1; the downstream
-    validation rejects every other graph.
+    Flushing first means a reader that closed stdout early stops the run
+    before any statistics of the cut-short output are printed.
     """
-    deg = [g.neighbors_mask(v).bit_count() for v in range(g.n_vertices)]
-    order = sorted(range(g.n_vertices), key=lambda v: (-deg[v], v))
-    m = 0
-    for i, v in enumerate(order, 1):
-        if deg[v] >= i - 1:
-            m = i
-    return order[:m], order[m:]
+    _flush_stdout()
+    for key, value in counters.items():
+        print(f"{key}={value}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each takes the parsed options and the printer that
+# --json selected, and returns the exit code
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind in ("min-rdf", "po-min-rdf"):
-        gf = parse_graph_text(_read_text(args.file))
-        checker = (
-            is_minimal_rdf_theorem
-            if kind == "min-rdf"
-            else is_po_minimal_rdf_theorem
-        )
-        ok = checker(gf.graph, gf.assignment)
-        print(f"minimal: {str(ok).lower()}")
-        return 0
-    hf = parse_hypergraph_text(_read_text(args.file))
+def _answer(label: str, ok: bool) -> int:
+    print(f"{label}: {str(ok).lower()}")
+    return 0
+
+
+def _cmd_check(args: argparse.Namespace, show: _Printer) -> int:
+    if args.kind in ("min-rdf", "po-min-rdf"):
+        gf = _graph(args.file)
+        if args.kind == "min-rdf":
+            return _answer("minimal", is_minimal_rdf_theorem(gf.graph, gf.assignment))
+        return _answer("minimal", is_po_minimal_rdf_theorem(gf.graph, gf.assignment))
+    hf = _hypergraph(args.file)
     h = hf.hypergraph
-    if kind == "min-rhs":
-        pair = (
-            parse_pair_option(h, args.pair)
-            if args.pair is not None
-            else hf.preset
-        )
-        print(f"minimal: {str(is_minimal_rhs_theorem(h, pair)).lower()}")
-        return 0
-    if kind == "min-rhf":
+    if args.kind == "min-rhf":
         tau = _require_tau(hf, "check min-rhf")
-        ok = is_minimal_rhf_theorem(h, tau, hf.assignment)
-        print(f"minimal: {str(ok).lower()}")
-        return 0
+        return _answer("minimal", is_minimal_rhf_theorem(h, tau, hf.assignment))
+    pair = hf.preset if args.pair is None else parse_pair_option(h, args.pair)
+    if args.kind == "min-rhs":
+        return _answer("minimal", is_minimal_rhs_theorem(h, pair))
     # witness: plain validity of whatever solution the input carries
-    if args.pair is not None or hf.preset != EMPTY_PAIR:
-        pair = (
-            parse_pair_option(h, args.pair)
-            if args.pair is not None
-            else hf.preset
-        )
-        ok = is_rhs(h, pair)
-    elif hf.tau is not None:
-        ok = is_rhf(h, hf.tau, hf.assignment)
-    else:
+    if args.pair is not None or pair != EMPTY_PAIR:
+        return _answer("valid", is_rhs(h, pair))
+    if hf.tau is None:
         raise InputError(
             "witness check needs a pair (option or preset lines) "
             "or tau plus assign lines"
         )
-    print(f"valid: {str(ok).lower()}")
-    return 0
+    return _answer("valid", is_rhf(h, hf.tau, hf.assignment))
 
 
-def _cmd_ext_rhs(args: argparse.Namespace) -> int:
-    hf = parse_hypergraph_text(_read_text(args.file))
-    ans = ext_rhs(hf.hypergraph, hf.preset)
+def _decision(ans: ExtAnswer, line: Callable[[Any], str]) -> int:
+    """Print yes and the witness line, or no."""
     if ans.decision:
         print("yes")
-        _print_pair(hf.hypergraph, ans.witness, args.json)
+        print(line(ans.witness))
     else:
         print("no")
     return 0
 
 
-def _cmd_ext_rhf(args: argparse.Namespace) -> int:
-    hf = parse_hypergraph_text(_read_text(args.file))
+def _cmd_ext_rhs(args: argparse.Namespace, show: _Printer) -> int:
+    hf = _hypergraph(args.file)
+    ans = ext_rhs(hf.hypergraph, hf.preset)
+    return _decision(ans, partial(show.pair, hf.hypergraph))
+
+
+def _cmd_ext_rhf(args: argparse.Namespace, show: _Printer) -> int:
+    hf = _hypergraph(args.file)
     tau = _require_tau(hf, "ext-rhf")
     if args.general:
         ans = ext_rhf_general(
@@ -404,341 +246,269 @@ def _cmd_ext_rhf(args: argparse.Namespace) -> int:
         )
     else:
         ans = ext_rhf_surjective(hf.hypergraph, tau, hf.assignment)
-    if ans.decision:
-        print("yes")
-        _print_assignment(
-            hf.hypergraph.vertex_tokens, ans.witness, args.json
-        )
-    else:
-        print("no")
-    return 0
+    return _decision(ans, partial(show.assignment, hf.hypergraph.vertex_tokens))
 
 
-def _cmd_ext_rd_bounded(args: argparse.Namespace) -> int:
-    gf = parse_graph_text(_read_text(args.file))
-    inst = BoundedRdInstance.build(gf.graph, gf.assignment, gf.upper)
-    ans = bounded_ext_rd(inst)
-    if ans.decision:
-        print("yes")
-        _print_assignment(gf.graph.vertex_tokens, ans.witness, args.json)
-    else:
-        print("no")
-    return 0
+def _cmd_ext_rd_bounded(args: argparse.Namespace, show: _Printer) -> int:
+    gf = _graph(args.file)
+    ans = bounded_ext_rd(BoundedRdInstance.build(gf.graph, gf.assignment, gf.upper))
+    return _decision(ans, partial(show.assignment, gf.graph.vertex_tokens))
 
 
-def _cmd_ext_ds_split(args: argparse.Namespace) -> int:
-    gf = parse_graph_text(_read_text(args.file))
+def _cmd_ext_ds_split(args: argparse.Namespace, show: _Printer) -> int:
+    gf = _graph(args.file)
+    g = gf.graph
     u = [v for v, val in enumerate(gf.assignment) if val]
-    ans = ext_ds_split(gf.graph, _split_partition(gf.graph), u)
-    if ans.decision:
-        print("yes")
-        _print_set(gf.graph.vertex_tokens, sorted(ans.witness), "D", args.json)
-    else:
-        print("no")
+    ans = ext_ds_split(g, split_partition(g), u)
+    return _decision(ans, lambda dom: show.vertex_set(g.vertex_tokens, dom, "D"))
+
+
+def _print_enumeration(
+    h: Hypergraph,
+    show: _Printer,
+    run: Callable[[Callable[[RhsPair], None]], EnumerationStats],
+) -> int:
+    """Stream the pairs a search emits, then its counters."""
+    line = show.pair
+    stats = run(lambda pair: print(line(h, pair)))
+    _stats(emitted=stats.emitted, nodes=stats.nodes, max_gap=stats.max_gap)
     return 0
 
 
-def _cmd_enum_rhs(args: argparse.Namespace) -> int:
-    hf = parse_hypergraph_text(_read_text(args.file))
-    h = hf.hypergraph
-
-    def sink(pair: RhsPair) -> None:
-        _print_pair(h, pair, args.json)
-
-    stats = enumerate_minimal_rhs(h, weight_cap=args.cap, sink=sink)
-    _stat("emitted", stats.emitted)
-    _stat("nodes", stats.nodes)
-    _stat("max_gap", stats.max_gap)
-    return 0
+def _cmd_enum_rhs(args: argparse.Namespace, show: _Printer) -> int:
+    h = _hypergraph(args.file).hypergraph
+    return _print_enumeration(h, show, partial(enumerate_minimal_rhs, h, args.cap))
 
 
-def _cmd_min_rhs(args: argparse.Namespace) -> int:
-    hf = parse_hypergraph_text(_read_text(args.file))
-    h = hf.hypergraph
+def _cmd_min_rhs(args: argparse.Namespace, show: _Printer) -> int:
+    h = _hypergraph(args.file).hypergraph
     if args.method == "exact":
         res = exact_min_rhs(h)
-        _print_pair(h, res.witness, args.json)
-        _stat("nodes", res.nodes)
+        print(show.pair(h, res.witness))
+        _stats(nodes=res.nodes)
     elif args.method == "greedy":
-        pair, _ = greedy_rhs(h)
-        _print_pair(h, pair, args.json)
+        print(show.pair(h, greedy_rhs(h)[0]))
     else:
         pairs = brute_enumerate_minimal_rhs(h)
-        best = min(
-            pairs,
-            key=lambda p: (
-                weight_pair(p),
-                tuple(sorted(p.r1)),
-                tuple(sorted(p.r2)),
-            ),
-        )
-        _print_pair(h, best, args.json)
-        _stat("solutions", len(pairs))
+        best = min(pairs, key=lambda p: (weight_pair(p), sorted(p.r1), sorted(p.r2)))
+        print(show.pair(h, best))
+        _stats(solutions=len(pairs))
     return 0
 
 
-def _cmd_min_rhf(args: argparse.Namespace) -> int:
-    hf = parse_hypergraph_text(_read_text(args.file))
+def _cmd_min_rhf(args: argparse.Namespace, show: _Printer) -> int:
+    hf = _hypergraph(args.file)
     h = hf.hypergraph
     tau = _require_tau(hf, "min-rhf")
     if args.method == "exact":
         res = exact_min_rhf(h, tau)
-        _print_assignment(h.vertex_tokens, res.witness, args.json)
-        _stat("nodes", res.nodes)
+        print(show.assignment(h.vertex_tokens, res.witness))
+        _stats(nodes=res.nodes)
     elif args.method == "greedy":
-        f, _ = greedy_rhf(h, tau)
-        _print_assignment(h.vertex_tokens, f, args.json)
+        print(show.assignment(h.vertex_tokens, greedy_rhf(h, tau)[0]))
     else:
         fs = brute_enumerate_minimal_rhf(h, tau)
         if not fs:
             raise InputError("the instance admits no Roman hitting function")
-        best = min(fs, key=lambda f: (sum(f), f))
-        _print_assignment(h.vertex_tokens, best, args.json)
-        _stat("solutions", len(fs))
+        print(show.assignment(h.vertex_tokens, min(fs, key=lambda f: (sum(f), f))))
+        _stats(solutions=len(fs))
     return 0
 
 
-def _cmd_rvc(args: argparse.Namespace) -> int:
-    gf = parse_graph_text(_read_text(args.file))
-    g = gf.graph
+def _cmd_rvc(args: argparse.Namespace, show: _Printer) -> int:
+    g = _graph(args.file).graph
     if args.mode == "decide":
         ans, nodes = _rvc_decide_counted(g, args.k)
         print("yes" if ans else "no")
-        _stat("nodes", nodes)
+        _stats(nodes=nodes)
         return 0
-    h = edge_hypergraph(g)
+    run = partial(rvc_enumerate, g, args.k)
+    return _print_enumeration(edge_hypergraph(g), show, run)
 
-    def sink(pair: RhsPair) -> None:
-        _print_pair(h, pair, args.json)
 
-    stats = rvc_enumerate(g, args.k, sink=sink)
-    _stat("emitted", stats.emitted)
-    _stat("nodes", stats.nodes)
-    _stat("max_gap", stats.max_gap)
+def _cmd_rec(args: argparse.Namespace, show: _Printer) -> int:
+    g = _graph(args.file).graph
+    print(show.pair(incidence_hypergraph(g), rec_min(g).witness))
     return 0
 
 
-def _cmd_rec(args: argparse.Namespace) -> int:
-    gf = parse_graph_text(_read_text(args.file))
-    res = rec_min(gf.graph)
-    _print_pair(incidence_hypergraph(gf.graph), res.witness, args.json)
-    return 0
-
-
-def _cmd_reduce(args: argparse.Namespace) -> int:
-    name = args.name
-    sol_text = (
-        _read_text(args.map_solution)
-        if args.map_solution is not None
-        else None
-    )
-    src_text = _read_text(args.file)
-
-    if name == "rd-to-rhf":
-        gf = parse_graph_text(src_text)
-        ro = rd_to_rhf(gf.graph)
-        h2, tau2 = ro.instance
-        out = serialize_hypergraph_file(
-            HypergraphFile(h2, tau2, (0,) * h2.n_vertices, EMPTY_PAIR)
-        )
-        mapped = None
-        if sol_text is not None:
-            f2 = _solution_assignment(h2.vertex_tokens, sol_text)
-            if not is_rhf(h2, tau2, f2):
-                raise InputError("solution is not an rhf of the target")
-            f = ro.backward(f2)
-            mapped = _assignment_line(gf.graph.vertex_tokens, f, args.json)
-    elif name == "rhf-to-rhs":
-        hf = parse_hypergraph_text(src_text)
-        tau = _require_tau(hf, "reduce rhf-to-rhs")
-        ro = rhf_to_rhs(hf.hypergraph, tau)
-        h2 = ro.instance
-        out = serialize_hypergraph_file(
-            HypergraphFile(h2, None, (0,) * h2.n_vertices, EMPTY_PAIR)
-        )
-        mapped = None
-        if sol_text is not None:
-            f = ro.backward(_solution_pair(h2, sol_text))
-            mapped = _assignment_line(
-                hf.hypergraph.vertex_tokens, f, args.json
-            )
-    elif name == "rhs-to-rhf":
-        hf = parse_hypergraph_text(src_text)
-        if args.k is None:
-            raise InputError("reduce rhs-to-rhf needs -k")
-        ro = rhs_to_rhf(hf.hypergraph, args.k)
-        h2, tau2 = ro.instance
-        out = serialize_hypergraph_file(
-            HypergraphFile(h2, tau2, (0,) * h2.n_vertices, EMPTY_PAIR)
-        )
-        mapped = None
-        if sol_text is not None:
-            pair = ro.backward(
-                _solution_assignment(h2.vertex_tokens, sol_text)
-            )
-            mapped = _pair_line(hf.hypergraph, pair, args.json)
-    elif name == "rhf-to-rd":
-        hf = parse_hypergraph_text(src_text)
-        tau = _require_tau(hf, "reduce rhf-to-rd")
-        ro = rhf_to_rd_gadget(hf.hypergraph, tau)
-        g2 = ro.instance
-        out = serialize_graph_file(
-            GraphFile(g2, (0,) * g2.n_vertices, (2,) * g2.n_vertices)
-        )
-        mapped = None
-        if sol_text is not None:
-            f = ro.backward(_solution_assignment(g2.vertex_tokens, sol_text))
-            mapped = _assignment_line(
-                hf.hypergraph.vertex_tokens, f, args.json
-            )
-    elif name == "vc-to-rvc":
-        gf = parse_graph_text(src_text)
-        ro = vc_to_rvc(gf.graph)
-        g2 = ro.instance
-        out = serialize_graph_file(
-            GraphFile(g2, (0,) * g2.n_vertices, (2,) * g2.n_vertices)
-        )
-        mapped = None
-        if sol_text is not None:
-            cover = ro.backward(
-                _solution_pair(edge_hypergraph(g2), sol_text)
-            )
-            mapped = _set_line(
-                gf.graph.vertex_tokens, sorted(cover), "C", args.json
-            )
-    elif name == "ds-split-to-rhs":
-        gf = parse_graph_text(src_text)
-        ro = ds_split_to_rhs(gf.graph, _split_partition(gf.graph))
-        h2 = ro.instance
-        out = serialize_hypergraph_file(
-            HypergraphFile(h2, None, (0,) * h2.n_vertices, EMPTY_PAIR)
-        )
-        mapped = None
-        if sol_text is not None:
-            dom = ro.backward(_solution_pair(h2, sol_text))
-            mapped = _set_line(
-                gf.graph.vertex_tokens, sorted(dom), "D", args.json
-            )
-    elif name == "two-section":
-        hf = parse_hypergraph_text(src_text)
-        g2 = two_section(hf.hypergraph)
-        out = serialize_graph_file(
-            GraphFile(g2, (0,) * g2.n_vertices, (2,) * g2.n_vertices)
-        )
-        ro = None
-        mapped = None
-        if sol_text is not None:
-            f = _solution_assignment(g2.vertex_tokens, sol_text)
-            if not is_rdf(g2, f):
-                raise InputError("solution is not an rdf of the target")
-            assert is_hypergraph_rdf(hf.hypergraph, f)
-            mapped = _assignment_line(
-                hf.hypergraph.vertex_tokens, f, args.json
-            )
-    else:
-        raise InputError(f"unknown reduction {name!r}")
-
-    _write_text(args.out, out)
-    print(f"offset={ro.offset if ro is not None else 0}")
-    if mapped is not None:
-        print(mapped)
-    return 0
-
-
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace, show: _Printer) -> int:
     if args.family == "tight":
-        h = gen_tight(args.n)
-        hf = HypergraphFile(h, None, (0,) * h.n_vertices, EMPTY_PAIR)
-    else:
-        hf = gen_random(
-            args.nv,
-            args.ne,
-            args.density,
-            args.seed,
-            with_tau=args.with_tau,
-            with_preset=args.with_preset,
-        )
+        print(_instance_text(gen_tight(args.n)), end="")
+        return 0
+    hf = gen_random(
+        args.nv,
+        args.ne,
+        args.density,
+        args.seed,
+        with_tau=args.with_tau,
+        with_preset=args.with_preset,
+    )
     print(serialize_hypergraph_file(hf), end="")
     return 0
 
 
-def _oracle_rhs_part(
-    payload: tuple[Hypergraph, int, int],
-) -> list[RhsPair]:
-    h, part, jobs = payload
-    out = []
-    for r2m in range(part, 1 << h.n_vertices, jobs):
-        pair = minimal_pair_for_r2(h, r2m)
-        if pair is not None:
-            out.append(pair)
-    return out
-
-
-def _assignment_at(idx: int, n: int) -> RomanAssignment:
-    vals = []
-    for _ in range(n):
-        idx, r = divmod(idx, 3)
-        vals.append(r)
-    return tuple(vals)
-
-
-def _oracle_rhf_part(
-    payload: tuple[Hypergraph, Correspondence, int, int],
-) -> list[RomanAssignment]:
-    h, tau, part, jobs = payload
-    out = []
-    for idx in range(part, 3**h.n_vertices, jobs):
-        f = _assignment_at(idx, h.n_vertices)
-        if is_minimal_rhf_theorem(h, tau, f):
-            out.append(f)
-    return out
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    hf = parse_hypergraph_text(_read_text(args.file))
+def _cmd_oracle(args: argparse.Namespace, show: _Printer) -> int:
+    hf = _hypergraph(args.file)
     h = hf.hypergraph
     jobs = args.jobs
     if jobs < 1:
         raise InputError("job count must be at least 1")
     if args.kind == "rhs":
-        if jobs == 1:
-            pairs = brute_enumerate_minimal_rhs(h)
-        else:
-            size = h.n_vertices + h.n_edges
-            if size > BRUTE_ENUM_RHS_LIMIT:
-                raise GuardRefused(
-                    f"brute enumeration is limited to "
-                    f"{BRUTE_ENUM_RHS_LIMIT} vertices plus edges, got {size}"
-                )
-            with multiprocessing.Pool(jobs) as pool:
-                parts = pool.map(
-                    _oracle_rhs_part, [(h, p, jobs) for p in range(jobs)]
-                )
-            pairs = sorted(
-                (p for chunk in parts for p in chunk),
-                key=lambda p: p.r2_mask(),
-            )
-        for pair in pairs:
-            _print_pair(h, pair, args.json)
-        _stat("solutions", len(pairs))
-        return 0
-    tau = _require_tau(hf, "oracle rhf")
-    if jobs == 1:
-        fs = brute_enumerate_minimal_rhf(h, tau)
+        scan, inputs = brute_enumerate_minimal_rhs, (h,)
+        order, line = RhsPair.r2_mask, partial(show.pair, h)
     else:
-        if h.n_vertices > BRUTE_ENUM_RHF_LIMIT:
-            raise GuardRefused(
-                f"brute rhf enumeration is limited to "
-                f"{BRUTE_ENUM_RHF_LIMIT} vertices, got {h.n_vertices}"
-            )
+        scan, inputs = brute_enumerate_minimal_rhf, (h, _require_tau(hf, "oracle rhf"))
+        order, line = None, partial(show.assignment, h.vertex_tokens)
+    if jobs == 1:
+        found = scan(*inputs)
+    else:
+        # imported here: only the parallel oracle needs it, and its import
+        # costs every other subcommand several milliseconds
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(
-                _oracle_rhf_part, [(h, tau, p, jobs) for p in range(jobs)]
-            )
-        fs = sorted(f for chunk in parts for f in chunk)
-    for f in fs:
-        _print_assignment(h.vertex_tokens, f, args.json)
-    _stat("solutions", len(fs))
+            parts = pool.starmap(scan, [(*inputs, p, jobs) for p in range(jobs)])
+        # every part comes in scan order, so sorting restores the order of
+        # the single scan
+        found = sorted(chain.from_iterable(parts), key=order)
+    for sol in found:
+        print(line(sol))
+    _stats(solutions=len(found))
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Reductions
+
+
+def _instance_text(instance: Graph | Hypergraph | tuple) -> str:
+    """The file of a bare instance: a graph, a hypergraph, or a hypergraph
+    with its correspondence."""
+    if isinstance(instance, Graph):
+        n = instance.n_vertices
+        return serialize_graph_file(GraphFile(instance, (0,) * n, (2,) * n))
+    h, tau = instance if isinstance(instance, tuple) else (instance, None)
+    return serialize_hypergraph_file(
+        HypergraphFile(h, tau, (0,) * h.n_vertices, EMPTY_PAIR)
+    )
+
+
+def _read_pair(h: Hypergraph, text: str) -> RhsPair:
+    sol = parse_solution_text(text)
+    if sol.assign:
+        raise InputError("this reduction maps pair solutions, not assign lines")
+    return sol.pair(h)
+
+
+def _read_assignment(space: Hypergraph | Graph, text: str) -> RomanAssignment:
+    sol = parse_solution_text(text)
+    if sol.preset1 or sol.preset2:
+        raise InputError("this reduction maps assignments, not preset lines")
+    return sol.assignment(space)
+
+
+def _require_k(k: int | None) -> int:
+    if k is None:
+        raise InputError("reduce rhs-to-rhf needs -k")
+    return k
+
+
+def _two_section(hf: HypergraphFile, k: int | None) -> ReductionOutput:
+    h = hf.hypergraph
+
+    def backward(f: RomanAssignment) -> RomanAssignment:
+        # an rdf of the 2-section dominates the hypergraph as it stands
+        assert is_hypergraph_rdf(h, f)
+        return f
+
+    return ReductionOutput(two_section(h), None, backward, 0)
+
+
+class _Reduction(NamedTuple):
+    """One `reduce NAME`: whether the source file is a graph file (else a
+    hypergraph file); the builder of the target from the source and -k;
+    the reader of a target solution file; a validity test the target
+    solution must pass before the backward mapper gets it, where that
+    mapper does not test it itself; and how the mapped solution prints on
+    the source: "pair", "assignment", or the label of a vertex set."""
+
+    graph_source: bool
+    build: Callable[[Any, int | None], ReductionOutput]
+    read: Callable[[Any, str], Any]
+    valid: Callable[[Any, Any], bool] | None
+    prints: str
+
+
+_REDUCTIONS = {
+    "rd-to-rhf": _Reduction(
+        True,
+        lambda gf, k: rd_to_rhf(gf.graph),
+        lambda target, text: _read_assignment(target[0], text),
+        lambda target, f: is_rhf(*target, f),
+        "assignment",
+    ),
+    "rhf-to-rhs": _Reduction(
+        False,
+        lambda hf, k: rhf_to_rhs(hf.hypergraph, _require_tau(hf, "reduce rhf-to-rhs")),
+        _read_pair,
+        None,
+        "assignment",
+    ),
+    "rhs-to-rhf": _Reduction(
+        False,
+        lambda hf, k: rhs_to_rhf(hf.hypergraph, _require_k(k)),
+        lambda target, text: _read_assignment(target[0], text),
+        None,
+        "pair",
+    ),
+    "rhf-to-rd": _Reduction(
+        False,
+        lambda hf, k: rhf_to_rd_gadget(hf.hypergraph, _require_tau(hf, "reduce rhf-to-rd")),
+        _read_assignment,
+        None,
+        "assignment",
+    ),
+    "vc-to-rvc": _Reduction(
+        True,
+        lambda gf, k: vc_to_rvc(gf.graph),
+        lambda g2, text: _read_pair(edge_hypergraph(g2), text),
+        None,
+        "C",
+    ),
+    "ds-split-to-rhs": _Reduction(
+        True,
+        lambda gf, k: ds_split_to_rhs(gf.graph, split_partition(gf.graph)),
+        _read_pair,
+        None,
+        "D",
+    ),
+    "two-section": _Reduction(False, _two_section, _read_assignment, is_rdf, "assignment"),
+}
+
+
+def _cmd_reduce(args: argparse.Namespace, show: _Printer) -> int:
+    red = _REDUCTIONS[args.name]
+    sol_text = None if args.map_solution is None else _read_text(args.map_solution)
+    src = _graph(args.file) if red.graph_source else _hypergraph(args.file)
+    space = src.graph if red.graph_source else src.hypergraph
+    ro = red.build(src, args.k)
+    mapped = None
+    if sol_text is not None:
+        sol = red.read(ro.instance, sol_text)
+        if red.valid is not None and not red.valid(ro.instance, sol):
+            raise InputError("solution does not solve the target instance")
+        sol = ro.backward(sol)
+        if red.prints == "pair":
+            mapped = show.pair(space, sol)
+        elif red.prints == "assignment":
+            mapped = show.assignment(space.vertex_tokens, sol)
+        else:
+            mapped = show.vertex_set(space.vertex_tokens, sol, red.prints)
+    _write_text(args.out, _instance_text(ro.instance))
+    print(f"offset={ro.offset}")
+    if mapped is not None:
+        print(mapped)
     return 0
 
 
@@ -759,104 +529,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Roman hitting sets, functions, and their relatives.",
     )
     sub = top.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
+    with_json = []
 
-    p = sub.add_parser("check", help="minimality or validity of a solution")
-    p.add_argument(
-        "kind",
-        choices=["min-rhs", "min-rhf", "min-rdf", "po-min-rdf", "witness"],
-    )
-    p.add_argument("file")
+    def command(name, func, help, *positionals, json=True):
+        """A subcommand; a positional is a name or a (name, choices) pair."""
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            dest, choices = (arg, None) if isinstance(arg, str) else arg
+            p.add_argument(dest, choices=choices)
+        p.set_defaults(func=func)
+        if json:
+            with_json.append(p)
+        return p
+
+    kinds = ["min-rhs", "min-rhf", "min-rdf", "po-min-rdf", "witness"]
+    p = command("check", _cmd_check, "minimality or validity of a solution",
+                ("kind", kinds), "file", json=False)
     p.add_argument("--pair", help='pair solution, e.g. "R1=1,2;R2=c"')
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("ext-rhs", help="minimal rhs extension of the preset")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ext_rhs)
-
-    p = sub.add_parser("ext-rhf", help="minimal rhf extension of the assignment")
-    p.add_argument("file")
+    command("ext-rhs", _cmd_ext_rhs, "minimal rhs extension of the preset", "file")
+    p = command("ext-rhf", _cmd_ext_rhf, "minimal rhf extension of the assignment", "file")
     p.add_argument("--general", action="store_true")
-    p.add_argument(
-        "--strategy", choices=["sweep", "witness"], default="sweep"
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ext_rhf)
-
-    p = sub.add_parser(
-        "ext-rd-bounded", help="minimal rdf between assign and upper"
-    )
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ext_rd_bounded)
-
-    p = sub.add_parser(
-        "ext-ds-split",
-        help="minimal dominating set above the assigned vertices",
-    )
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ext_ds_split)
-
-    p = sub.add_parser("enum-rhs", help="every minimal rhs, one per line")
-    p.add_argument("file")
+    p.add_argument("--strategy", choices=["sweep", "witness"], default="sweep")
+    command("ext-rd-bounded", _cmd_ext_rd_bounded,
+            "minimal rdf between assign and upper", "file")
+    command("ext-ds-split", _cmd_ext_ds_split,
+            "minimal dominating set above the assigned vertices", "file")
+    p = command("enum-rhs", _cmd_enum_rhs, "every minimal rhs, one per line", "file")
     p.add_argument("--cap", type=int, default=None, help="weight cap")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_enum_rhs)
-
-    p = sub.add_parser("min-rhs", help="minimum weight rhs")
-    p.add_argument("file")
-    p.add_argument(
-        "--method", choices=["exact", "greedy", "brute"], default="exact"
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_min_rhs)
-
-    p = sub.add_parser("min-rhf", help="minimum weight rhf")
-    p.add_argument("file")
-    p.add_argument(
-        "--method", choices=["exact", "greedy", "brute"], default="exact"
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_min_rhf)
-
-    p = sub.add_parser("rvc", help="Roman vertex cover")
-    p.add_argument("mode", choices=["decide", "enum"])
-    p.add_argument("file")
+    methods = ["exact", "greedy", "brute"]
+    p = command("min-rhs", _cmd_min_rhs, "minimum weight rhs", "file")
+    p.add_argument("--method", choices=methods, default="exact")
+    p = command("min-rhf", _cmd_min_rhf, "minimum weight rhf", "file")
+    p.add_argument("--method", choices=methods, default="exact")
+    p = command("rvc", _cmd_rvc, "Roman vertex cover", ("mode", ["decide", "enum"]), "file")
     p.add_argument("-k", type=int, required=True, help="weight budget")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_rvc)
-
-    p = sub.add_parser("rec", help="minimum Roman edge cover")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_rec)
-
-    p = sub.add_parser("reduce", help="translate an instance")
-    p.add_argument(
-        "name",
-        choices=[
-            "rd-to-rhf",
-            "rhf-to-rhs",
-            "rhs-to-rhf",
-            "rhf-to-rd",
-            "vc-to-rvc",
-            "ds-split-to-rhs",
-            "two-section",
-        ],
-    )
-    p.add_argument("file")
-    p.add_argument("out")
+    command("rec", _cmd_rec, "minimum Roman edge cover", "file")
+    p = command("reduce", _cmd_reduce, "translate an instance",
+                ("name", list(_REDUCTIONS)), "file", "out")
     p.add_argument("-k", type=int, default=None, help="budget (rhs-to-rhf)")
-    p.add_argument(
-        "--map-solution",
-        metavar="SOLFILE",
-        help="map a target solution back to the source instance",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("gen", help="write a generated instance to stdout")
+    p.add_argument("--map-solution", metavar="SOLFILE",
+                   help="map a target solution back to the source instance")
+    p = command("gen", _cmd_gen, "write a generated instance to stdout", json=False)
     fam = p.add_subparsers(dest="family", required=True, parser_class=_Parser)
     pt = fam.add_parser("tight", help="n disjoint 2-element edges")
     pt.add_argument("n", type=int)
@@ -867,29 +580,35 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, required=True)
     pr.add_argument("--with-tau", action="store_true")
     pr.add_argument("--with-preset", action="store_true")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("oracle", help="brute-force enumeration oracle")
-    p.add_argument("kind", choices=["rhs", "rhf"])
-    p.add_argument("file")
+    p = command("oracle", _cmd_oracle, "brute-force enumeration oracle",
+                ("kind", ["rhs", "rhf"]), "file")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_oracle)
-
+    # --json goes last, where each subcommand's help has always listed it
+    for p in with_json:
+        p.add_argument("--json", action="store_true")
     return top
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args, _JSON if getattr(args, "json", False) else _TEXT)
+        _flush_stdout()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GuardRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout. Point the descriptor at the null device
+        # so the interpreter's final flush of what is still buffered does
+        # not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

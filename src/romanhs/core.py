@@ -22,6 +22,7 @@ ints used as bitsets. All public containers are immutable.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -448,6 +449,7 @@ def closed_neighborhood_hypergraph(g: Graph) -> tuple[Hypergraph, Correspondence
 #   assign <tok> <0|1|2>         (missing vertices default to 0)
 #   preset1 <etok> ...           (pre-solution R1 part)
 #   preset2 <tok> ...            (pre-solution R2 part)
+# Bare solution files hold only the assign, preset1 and preset2 lines.
 # Graph files:
 #   vertex <tok> ...
 #   gedge <tok> <tok>
@@ -480,15 +482,72 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _read_value(store: dict[str, int], kind: str, args: list[str], no: int) -> None:
+    """One ``assign`` or ``upper`` line: a vertex token and 0, 1 or 2."""
+    if len(args) != 2 or args[1] not in ("0", "1", "2"):
+        raise InputError(f"{kind} line needs vertex and 0|1|2 (line {no})")
+    if args[0] in store:
+        raise InputError(f"duplicate {kind} for {args[0]!r} (line {no})")
+    store[args[0]] = int(args[1])
+
+
+def _values(
+    space: Hypergraph | Graph, pairs: Mapping[str, int], default: int
+) -> RomanAssignment:
+    f = [default] * space.n_vertices
+    for t, v in pairs.items():
+        f[space.vertex_id(t)] = v
+    return tuple(f)
+
+
+@dataclass
+class SolutionLines:
+    """The ``assign``, ``preset1`` and ``preset2`` lines of a file, as tokens.
+
+    Hypergraph files carry them next to the instance; a bare solution file
+    (``rhs-tool reduce --map-solution``) holds nothing else.
+    """
+
+    assign: dict[str, int] = field(default_factory=dict)
+    preset1: list[str] = field(default_factory=list)
+    preset2: list[str] = field(default_factory=list)
+
+    def take(self, kind: str, args: list[str], no: int) -> bool:
+        """Record one line if it is a solution directive; say whether it was."""
+        if kind == "assign":
+            _read_value(self.assign, kind, args, no)
+        elif kind == "preset1":
+            self.preset1.extend(args)
+        elif kind == "preset2":
+            self.preset2.extend(args)
+        else:
+            return False
+        return True
+
+    def assignment(self, space: Hypergraph | Graph) -> RomanAssignment:
+        """The assigned values over the vertices of space, zero elsewhere."""
+        return _values(space, self.assign, 0)
+
+    def pair(self, h: Hypergraph) -> RhsPair:
+        return RhsPair.from_tokens(h, self.preset1, self.preset2)
+
+
+def parse_solution_text(text: str) -> SolutionLines:
+    """A bare solution file: assign, preset1 and preset2 lines only."""
+    sol = SolutionLines()
+    for no, parts in _content_lines(text):
+        if not sol.take(parts[0], parts[1:], no):
+            raise InputError(f"unknown directive {parts[0]!r} (line {no})")
+    return sol
+
+
 def parse_hypergraph_text(text: str) -> HypergraphFile:
     vertices: list[str] = []
     vseen: set[str] = set()
     edges: list[tuple[str, list[str]]] = []
     eseen: set[str] = set()
     tau_pairs: dict[str, str] = {}
-    assign_pairs: dict[str, int] = {}
-    preset1: list[str] = []
-    preset2: list[str] = []
+    sol = SolutionLines()
 
     for no, parts in _content_lines(text):
         kind, args = parts[0], parts[1:]
@@ -513,26 +572,12 @@ def parse_hypergraph_text(text: str) -> HypergraphFile:
             if args[0] in tau_pairs:
                 raise InputError(f"duplicate tau for {args[0]!r} (line {no})")
             tau_pairs[args[0]] = args[1]
-        elif kind == "assign":
-            if len(args) != 2 or args[1] not in ("0", "1", "2"):
-                raise InputError(f"assign line needs vertex and 0|1|2 (line {no})")
-            if args[0] in assign_pairs:
-                raise InputError(f"duplicate assign for {args[0]!r} (line {no})")
-            assign_pairs[args[0]] = int(args[1])
-        elif kind == "preset1":
-            preset1.extend(args)
-        elif kind == "preset2":
-            preset2.extend(args)
-        else:
+        elif not sol.take(kind, args, no):
             raise InputError(f"unknown directive {kind!r} (line {no})")
 
     h = Hypergraph.build(vertices, edges)
     tau = Correspondence.from_tokens(h, tau_pairs) if tau_pairs else None
-    f = [0] * h.n_vertices
-    for t, v in assign_pairs.items():
-        f[h.vertex_id(t)] = v
-    preset = RhsPair.from_tokens(h, preset1, preset2)
-    return HypergraphFile(h, tau, tuple(f), preset)
+    return HypergraphFile(h, tau, sol.assignment(h), sol.pair(h))
 
 
 def parse_graph_text(text: str) -> GraphFile:
@@ -556,23 +601,12 @@ def parse_graph_text(text: str) -> GraphFile:
                 raise InputError(f"gedge line needs two vertices (line {no})")
             edges.append((args[0], args[1]))
         elif kind in ("assign", "upper"):
-            store = assign_pairs if kind == "assign" else upper_pairs
-            if len(args) != 2 or args[1] not in ("0", "1", "2"):
-                raise InputError(f"{kind} line needs vertex and 0|1|2 (line {no})")
-            if args[0] in store:
-                raise InputError(f"duplicate {kind} for {args[0]!r} (line {no})")
-            store[args[0]] = int(args[1])
+            _read_value(assign_pairs if kind == "assign" else upper_pairs, kind, args, no)
         else:
             raise InputError(f"unknown directive {kind!r} (line {no})")
 
     g = Graph.build(vertices, edges)
-    f = [0] * g.n_vertices
-    up = [2] * g.n_vertices
-    for t, v in assign_pairs.items():
-        f[g.vertex_id(t)] = v
-    for t, v in upper_pairs.items():
-        up[g.vertex_id(t)] = v
-    return GraphFile(g, tuple(f), tuple(up))
+    return GraphFile(g, _values(g, assign_pairs, 0), _values(g, upper_pairs, 2))
 
 
 def serialize_hypergraph_file(hf: HypergraphFile) -> str:
@@ -610,3 +644,101 @@ def serialize_graph_file(gf: GraphFile) -> str:
         if v != 2:
             lines.append(f"upper {g.vertex_tokens[x]} {v}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Printed solutions
+#
+# One line per solution, tokens in ascending dense id order:
+#   pairs        R1={<edge tokens>} R2={<vertex tokens>} w=<int>
+#   assignments  f: <tok>=<val> ... w=<int>   (zeros omitted)
+#   vertex sets  <label>={<vertex tokens>} size=<int>
+# or, as JSON, one object per line with sorted keys; pair and assignment
+# objects read back through pair_from_json and assignment_from_json.
+# ---------------------------------------------------------------------------
+
+
+def format_pair(h: Hypergraph, pair: RhsPair) -> str:
+    r1 = ",".join(h.edge_tokens[i] for i in sorted(pair.r1))
+    r2 = ",".join(h.vertex_tokens[x] for x in sorted(pair.r2))
+    return f"R1={{{r1}}} R2={{{r2}}} w={weight_pair(pair)}"
+
+
+def format_assignment(tokens: Sequence[str], f: Sequence[int]) -> str:
+    cells = "".join(
+        f"{tokens[v]}={val} " for v, val in enumerate(f) if val
+    )
+    return f"f: {cells}w={sum(f)}"
+
+
+def format_vertex_set(
+    tokens: Sequence[str], chosen: Sequence[int], label: str
+) -> str:
+    body = ",".join(tokens[v] for v in sorted(chosen))
+    return f"{label}={{{body}}} size={len(set(chosen))}"
+
+
+def pair_to_json(h: Hypergraph, pair: RhsPair) -> str:
+    return json.dumps(
+        {
+            "r1": [h.edge_tokens[i] for i in sorted(pair.r1)],
+            "r2": [h.vertex_tokens[x] for x in sorted(pair.r2)],
+            "w": weight_pair(pair),
+        },
+        sort_keys=True,
+    )
+
+
+def pair_from_json(h: Hypergraph, line: str) -> RhsPair:
+    obj = _load_json_object(line)
+    pair = RhsPair.from_tokens(h, obj.get("r1", []), obj.get("r2", []))
+    if obj.get("w") != weight_pair(pair):
+        raise InputError("json pair carries the wrong weight")
+    return pair
+
+
+def assignment_to_json(tokens: Sequence[str], f: Sequence[int]) -> str:
+    return json.dumps(
+        {
+            "ones": [tokens[v] for v, val in enumerate(f) if val == 1],
+            "twos": [tokens[v] for v, val in enumerate(f) if val == 2],
+            "w": sum(f),
+        },
+        sort_keys=True,
+    )
+
+
+def assignment_from_json(
+    tokens: Sequence[str], line: str
+) -> RomanAssignment:
+    obj = _load_json_object(line)
+    ids = {t: v for v, t in enumerate(tokens)}
+    vals = [0] * len(tokens)
+    for level, key in ((1, "ones"), (2, "twos")):
+        for t in obj.get(key, []):
+            if t not in ids:
+                raise InputError(f"unknown token {t!r} in json solution")
+            vals[ids[t]] = level
+    if obj.get("w") != sum(vals):
+        raise InputError("json assignment carries the wrong weight")
+    return tuple(vals)
+
+
+def set_to_json(
+    tokens: Sequence[str], chosen: Sequence[int]
+) -> str:
+    picked = sorted(set(chosen))
+    return json.dumps(
+        {"set": [tokens[v] for v in picked], "size": len(picked)},
+        sort_keys=True,
+    )
+
+
+def _load_json_object(line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad json solution: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InputError("json solution must be one object")
+    return obj

@@ -372,16 +372,22 @@ def minimal_pair_for_r2(h: Hypergraph, r2_mask: int) -> RhsPair | None:
     return RhsPair.from_masks(r1m, r2_mask)
 
 
-def brute_enumerate_minimal_rhs(h: Hypergraph) -> list[RhsPair]:
-    """All minimal rhs by scanning the 2-sets; small instances only."""
-    size = h.n_vertices + h.n_edges
-    if size > BRUTE_ENUM_RHS_LIMIT:
+def brute_enumerate_minimal_rhs(
+    h: Hypergraph, part: int = 0, stride: int = 1
+) -> list[RhsPair]:
+    """All minimal rhs by scanning the 2-sets; small instances only.
+
+    The scan visits 2^|X| vertex masks, so the guard bounds |X|. With a
+    stride only the masks part, part + stride, ... are scanned: the
+    stride parts of one instance together give the full result.
+    """
+    if h.n_vertices > BRUTE_ENUM_RHS_LIMIT:
         raise GuardRefused(
             f"brute enumeration is limited to {BRUTE_ENUM_RHS_LIMIT} "
-            f"vertices plus edges, got {size}"
+            f"vertices, got {h.n_vertices}"
         )
     out = []
-    for r2m in range(1 << h.n_vertices):
+    for r2m in range(part, 1 << h.n_vertices, stride):
         pair = minimal_pair_for_r2(h, r2m)
         if pair is not None:
             out.append(pair)
@@ -389,18 +395,23 @@ def brute_enumerate_minimal_rhs(h: Hypergraph) -> list[RhsPair]:
 
 
 def brute_enumerate_minimal_rhf(
-    h: Hypergraph, tau: Correspondence
+    h: Hypergraph, tau: Correspondence, part: int = 0, stride: int = 1
 ) -> list[RomanAssignment]:
-    """All minimal rhf by scanning every assignment; small instances only."""
+    """All minimal rhf by scanning every assignment; small instances only.
+
+    Assignments come in lexicographic order; with a stride only every
+    stride-th of them, starting at index part, is scanned.
+    """
     if h.n_vertices > BRUTE_ENUM_RHF_LIMIT:
         raise GuardRefused(
             f"brute rhf enumeration is limited to {BRUTE_ENUM_RHF_LIMIT} "
             f"vertices, got {h.n_vertices}"
         )
     tau.validate(h)
+    candidates = itertools.product((0, 1, 2), repeat=h.n_vertices)
     return [
         f
-        for f in itertools.product((0, 1, 2), repeat=h.n_vertices)
+        for f in itertools.islice(candidates, part, None, stride)
         if is_minimal_rhf_theorem(h, tau, f)
     ]
 

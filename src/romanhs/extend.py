@@ -386,6 +386,22 @@ def is_minimal_dominating_set(g: Graph, d: Iterable[VertexId]) -> bool:
     return True
 
 
+def split_partition(g: Graph) -> tuple[list[int], list[int]]:
+    """Degree-based clique/independent partition attempt.
+
+    The m vertices of largest degree form a clique exactly when the graph
+    is split, for m the last position i with degree >= i-1; the
+    validation in split_hypergraph rejects every other graph.
+    """
+    deg = [g.neighbors_mask(v).bit_count() for v in range(g.n_vertices)]
+    order = sorted(range(g.n_vertices), key=lambda v: (-deg[v], v))
+    m = 0
+    for i, v in enumerate(order, 1):
+        if deg[v] >= i - 1:
+            m = i
+    return order[:m], order[m:]
+
+
 def _validate_split(
     g: Graph, clique: set[int], indep: set[int]
 ) -> None:

@@ -306,8 +306,14 @@ def rvc_enumerate(
     """Emit every minimal Roman vertex cover of weight at most k once.
 
     Runs the minimal-pair enumerator on the edge hypergraph with the
-    weight cap, so the polynomial-delay guarantee carries over. R1
-    indices in emitted pairs are graph edge indices.
+    weight cap. R1 indices in emitted pairs are graph edge indices. The
+    cap only prunes: the search expands a subset of the nodes of the
+    uncapped enumeration, so that enumeration's node count bounds the
+    total work and every gap between emissions. The linear delay of the
+    uncapped run does not carry over, because an expanded subtree may
+    hold no cover light enough; on a 12-vertex, 18-edge graph with k = 12
+    two emissions lie 75 expanded nodes apart, past the uncapped bound
+    2(|X| + |I|) + 2 = 62.
     """
     if k < 0:
         raise InputError("the weight budget must be nonnegative")

@@ -1,11 +1,15 @@
 """Command line behavior: grammar, exit codes, determinism, JSON."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import romanhs
+import romanhs.cli
 from romanhs.cli import (
     assignment_from_json,
     format_assignment,
@@ -28,6 +32,7 @@ from romanhs.characterize import (
 from romanhs.enumeration import (
     brute_enumerate_minimal_rhf,
     brute_enumerate_minimal_rhs,
+    enumerate_minimal_rhs,
 )
 from romanhs.optimize import exact_min_rhs
 
@@ -373,6 +378,53 @@ def test_oracle_guard_refusal(run, write):
     assert code == 2 and "refused:" in err
     code, _, err = run("oracle", "rhs", f, "--jobs", "2")
     assert code == 2
+
+
+def test_oracle_rhs_guard_counts_vertices(run, write):
+    # 12 vertices, 4096 masks to scan; the 14 edges do not add to the work
+    _, text, _ = run(
+        "gen", "random", "12", "14", "0.3", "--seed", "2", "--with-tau"
+    )
+    code, out, err = run("oracle", "rhs", write("r12.hg", text))
+    assert code == 0
+    h = parse_hypergraph_text(text).hypergraph
+    want = []
+    enumerate_minimal_rhs(h, sink=want.append)
+    assert sorted(out.splitlines()) == sorted(format_pair(h, p) for p in want)
+    assert f"solutions={len(want)}" in err
+
+
+def test_closed_pipe_exits_quietly(run, write):
+    _, text, _ = run("gen", "tight", "10")
+    src = str(Path(romanhs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "romanhs.cli", "enum-rhs", write("t10.hg", text)]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first.startswith(b"R1=")
+    assert code == 0
+    assert err == b""
+
+
+def test_no_stdout_at_all(run, monkeypatch):
+    # a process started with stdout closed has sys.stdout set to None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["gen", "tight", "1"]) == 0
+
+
+def test_interrupt_exits_130(run, write, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(romanhs.cli, "enumerate_minimal_rhs", interrupted)
+    code, out, err = run("enum-rhs", write("ex1.hg", EX1))
+    assert code == 130
+    assert out == "" and "Traceback" not in err
 
 
 def test_usage_and_input_errors(run, write):

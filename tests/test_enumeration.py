@@ -125,6 +125,18 @@ def test_brute_rhs_guard():
         brute_enumerate_minimal_rhs(h)
 
 
+def test_brute_parts_cover_the_scan():
+    h = build_ex1()
+    whole = brute_enumerate_minimal_rhs(h)
+    parts = [brute_enumerate_minimal_rhs(h, p, 3) for p in range(3)]
+    assert sorted(sum(parts, []), key=lambda p: p.r2_mask()) == whole
+    h2 = gen_tight(2)
+    tau = Correspondence((0, 0, 1, 1))
+    whole = brute_enumerate_minimal_rhf(h2, tau)
+    parts = [brute_enumerate_minimal_rhf(h2, tau, p, 2) for p in range(2)]
+    assert sorted(sum(parts, [])) == whole
+
+
 def test_brute_rhf_guard_and_small_case():
     h = Hypergraph.build([f"x{i}" for i in range(13)], [("e", ["x0"])])
     with pytest.raises(GuardRefused):

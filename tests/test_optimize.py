@@ -16,6 +16,7 @@ from romanhs.core import (
 )
 from romanhs.enumeration import (
     brute_enumerate_minimal_rhs,
+    enumerate_minimal_rhs,
     gen_tight,
 )
 from romanhs.errors import InputError
@@ -259,6 +260,33 @@ def test_rvc_enumerate_k3_and_edgeless():
     got = []
     rvc_enumerate(Graph.build(["u"], []), 5, got.append)
     assert got == [RhsPair(frozenset(), frozenset())]
+
+
+def _sampled_graph(n: int, m: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    names = [f"v{i}" for i in range(n)]
+    edges = sorted(rng.sample(slots, m))
+    return Graph.build(names, [(names[u], names[v]) for u, v in edges])
+
+
+def test_rvc_enumerate_cap_guarantee():
+    # what holds under the cap: the light minimal covers exactly, found
+    # inside the uncapped search, whose node count bounds every gap
+    for n, m, seed in ((8, 10, 1), (10, 14, 3), (12, 18, 2)):
+        g = _sampled_graph(n, m, seed)
+        every = []
+        uncapped = enumerate_minimal_rhs(edge_hypergraph(g), sink=every.append)
+        for k in range(0, 2 * n + 1, 3):
+            got = []
+            stats = rvc_enumerate(g, k, got.append)
+            assert len(got) == len(set(got)) == stats.emitted
+            assert set(got) == {p for p in every if weight_pair(p) <= k}
+            assert stats.nodes <= uncapped.nodes
+            assert stats.max_gap <= uncapped.nodes
+    # what does not: the uncapped linear delay bound 2(|X|+|I|)+2
+    stats = rvc_enumerate(_sampled_graph(12, 18, 2), 12)
+    assert stats.max_gap == 75 > 2 * (12 + 18) + 2
 
 
 def test_rvc_enumerate_vs_brute():
