@@ -64,6 +64,7 @@ from .core import (
     serialize_graph_file,
     serialize_hypergraph_file,
     set_to_json,
+    validate_assignment,
     weight_pair,
 )
 from .enumeration import (
@@ -416,27 +417,29 @@ def _require_k(k: int | None) -> int:
 
 def _two_section(hf: HypergraphFile, k: int | None) -> ReductionOutput:
     h = hf.hypergraph
+    g2 = two_section(h)
 
     def backward(f: RomanAssignment) -> RomanAssignment:
+        f = validate_assignment(f, g2.n_vertices)
+        if not is_rdf(g2, f):
+            raise InputError("assignment does not dominate the two-section")
         # an rdf of the 2-section dominates the hypergraph as it stands
         assert is_hypergraph_rdf(h, f)
         return f
 
-    return ReductionOutput(two_section(h), None, backward, 0)
+    return ReductionOutput(g2, None, backward, 0)
 
 
 class _Reduction(NamedTuple):
     """One `reduce NAME`: whether the source file is a graph file (else a
     hypergraph file); the builder of the target from the source and -k;
-    the reader of a target solution file; a validity test the target
-    solution must pass before the backward mapper gets it, where that
-    mapper does not test it itself; and how the mapped solution prints on
-    the source: "pair", "assignment", or the label of a vertex set."""
+    the reader of a target solution file, which the backward mapper then
+    validates; and how the mapped solution prints on the source: "pair",
+    "assignment", or the label of a vertex set."""
 
     graph_source: bool
     build: Callable[[Any, int | None], ReductionOutput]
     read: Callable[[Any, str], Any]
-    valid: Callable[[Any, Any], bool] | None
     prints: str
 
 
@@ -445,45 +448,39 @@ _REDUCTIONS = {
         True,
         lambda gf, k: rd_to_rhf(gf.graph),
         lambda target, text: _read_assignment(target[0], text),
-        lambda target, f: is_rhf(*target, f),
         "assignment",
     ),
     "rhf-to-rhs": _Reduction(
         False,
         lambda hf, k: rhf_to_rhs(hf.hypergraph, _require_tau(hf, "reduce rhf-to-rhs")),
         _read_pair,
-        None,
         "assignment",
     ),
     "rhs-to-rhf": _Reduction(
         False,
         lambda hf, k: rhs_to_rhf(hf.hypergraph, _require_k(k)),
         lambda target, text: _read_assignment(target[0], text),
-        None,
         "pair",
     ),
     "rhf-to-rd": _Reduction(
         False,
         lambda hf, k: rhf_to_rd_gadget(hf.hypergraph, _require_tau(hf, "reduce rhf-to-rd")),
         _read_assignment,
-        None,
         "assignment",
     ),
     "vc-to-rvc": _Reduction(
         True,
         lambda gf, k: vc_to_rvc(gf.graph),
         lambda g2, text: _read_pair(edge_hypergraph(g2), text),
-        None,
         "C",
     ),
     "ds-split-to-rhs": _Reduction(
         True,
         lambda gf, k: ds_split_to_rhs(gf.graph, split_partition(gf.graph)),
         _read_pair,
-        None,
         "D",
     ),
-    "two-section": _Reduction(False, _two_section, _read_assignment, is_rdf, "assignment"),
+    "two-section": _Reduction(False, _two_section, _read_assignment, "assignment"),
 }
 
 
@@ -495,10 +492,7 @@ def _cmd_reduce(args: argparse.Namespace, show: _Printer) -> int:
     ro = red.build(src, args.k)
     mapped = None
     if sol_text is not None:
-        sol = red.read(ro.instance, sol_text)
-        if red.valid is not None and not red.valid(ro.instance, sol):
-            raise InputError("solution does not solve the target instance")
-        sol = ro.backward(sol)
+        sol = ro.backward(red.read(ro.instance, sol_text))
         if red.prints == "pair":
             mapped = show.pair(space, sol)
         elif red.prints == "assignment":

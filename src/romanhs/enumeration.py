@@ -8,6 +8,20 @@ prunes subtrees that cannot produce another minimal pair. Every surviving
 leaf emits one minimal pair, each exactly once, and the number of expanded
 nodes between consecutive emissions stays linear in the instance size.
 
+The search runs depth first from an explicit stack, so its depth is not
+bounded by the interpreter's recursion limit, and a node is six ints:
+the live vertices and live edges, the R1 and R2 masks, and two edge masks
+``once`` and ``twice`` holding the edges hit by at least one and at
+least two R2 vertices (plus the outcome of its extension check). An R2 vertex x keeps a private edge exactly when
+``inc[x] & once & ~twice`` is non-empty, so the extension check only
+re-tests the vertices a child adds to R2 and the R2 owners of edges the
+child moves from ``once`` to ``twice``. One pass over the live edges of a
+node applies both reduction rules and builds bit-sliced live-degree masks
+(degree at least 1, 2 and 3), from which the branch rule is chosen. Each
+child is described by what it adds to R2, what it deletes and the drained
+edge it moves to R1, and the children are pushed in reverse so they are
+expanded in rule order.
+
 An optional weight cap turns the enumerator into a bounded-weight lister
 (used for Roman vertex covers); the cap prune uses a lower bound on the
 cost still needed for the live edges.
@@ -18,7 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .characterize import is_minimal_rhf_theorem
 from .core import (
@@ -47,297 +61,205 @@ class EnumerationStats:
     rule_counts: dict[str, int] = field(default_factory=dict)
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
+def _search(
+    h: Hypergraph, cap: int | None, stats: EnumerationStats
+) -> Iterator[tuple[int, int]]:
+    """Yield the (R1, R2) masks of the minimal pairs; fill stats at the end."""
+    members = h.edge_members
+    inc = [h.incidence_mask(x) for x in range(h.n_vertices)]
+    rc = stats.rule_counts
+    nodes = emitted = gap = max_gap = 0
+    # livev, live_e, r1m, r2m, once, twice, and whether every R2 vertex
+    # still has a private edge: tested when the node is pushed, acted on
+    # after its reduction rules, which run (and count) on every node
+    stack = [((1 << h.n_vertices) - 1, (1 << h.n_edges) - 1, 0, 0, 0, 0, True)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        livev, live_e, r1m, r2m, once, twice, private = pop()
+        # one pass over the live edges: drained edges, live-degree masks
+        # d1/d2/d3, members of 2-edges, first live edge of 1, 2, 3 members
+        d1 = d2 = d3 = s2 = drained = 0
+        e1 = e2 = e3 = -1
+        rest = live_e
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            cur = members[i] & livev
+            if not cur:
+                drained |= low
+                continue
+            d3 |= d2 & cur
+            d2 |= d1 & cur
+            d1 |= cur
+            size = cur.bit_count()
+            if size == 1:
+                if e1 < 0:
+                    e1 = i
+            elif size == 2:
+                s2 |= cur
+                if e2 < 0:
+                    e2 = i
+            elif size == 3 and e3 < 0:
+                e3 = i
+        if livev != d1:
+            # vertices out of live edges can never earn a private edge
+            rc["RR1"] = rc.get("RR1", 0) + (livev ^ d1).bit_count()
+            livev = d1
+        if drained:
+            # drained edges can only be satisfied through R1
+            rc["RR2"] = rc.get("RR2", 0) + drained.bit_count()
+            live_e ^= drained
+            r1m |= drained
+        if not private:
+            continue
+        if cap is not None:
+            denom = 2
+            for x in bits(d3):
+                denom = max(denom, (inc[x] & live_e).bit_count())
+            lower = -(-2 * live_e.bit_count() // denom)
+            if r1m.bit_count() + 2 * r2m.bit_count() + lower > cap:
+                continue
+        nodes += 1
+        gap += 1
+        if not live_e:
+            emitted += 1
+            if gap > max_gap:
+                max_gap = gap
+            gap = 0
+            yield r1m, r2m
+            continue
 
-
-class _State:
-    __slots__ = ("livev", "live_e", "r1m", "r2m", "cnt", "sole", "priv")
-
-    def __init__(self, livev, live_e, r1m, r2m, cnt, sole, priv):
-        self.livev = livev
-        self.live_e = live_e
-        self.r1m = r1m
-        self.r2m = r2m
-        self.cnt = cnt
-        self.sole = sole
-        self.priv = priv
-
-    def clone(self) -> "_State":
-        return _State(
-            self.livev,
-            self.live_e,
-            self.r1m,
-            self.r2m,
-            self.cnt.copy(),
-            self.sole.copy(),
-            self.priv.copy(),
-        )
-
-    def mu(self) -> int:
-        return _popcount(self.livev) + _popcount(self.live_e)
-
-
-class _Enumerator:
-    def __init__(self, h: Hypergraph, weight_cap: int | None, sink: Sink | None):
-        self.h = h
-        self.inc = [h.incidence_mask(x) for x in range(h.n_vertices)]
-        self.members = h.edge_members
-        self.cap = weight_cap
-        self.sink = sink
-        self.stats = EnumerationStats()
-        self.gap = 0
-
-    def run(self) -> EnumerationStats:
-        h = self.h
-        root = _State(
-            (1 << h.n_vertices) - 1,
-            (1 << h.n_edges) - 1,
-            0,
-            0,
-            [0] * h.n_edges,
-            [-1] * h.n_edges,
-            [0] * h.n_vertices,
-        )
-        self._node(root)
-        self.stats.max_gap = max(self.stats.max_gap, self.gap)
-        return self.stats
-
-    def _count(self, rule: str) -> None:
-        rc = self.stats.rule_counts
+        # children as (measure drop, R2 additions, deletions, R1 edge)
+        deg1 = d1 & ~d2
+        if e1 >= 0:
+            rule = "BR1"
+            xb = members[e1] & livev
+            kids = ((2, 0, xb, 1 << e1), (2, xb, 0, 0))
+        elif d3:
+            rule = "BR2"
+            xb = d3 & -d3
+            kids = ((4, xb, 0, 0), (1, 0, xb, 0))
+        elif deg1:
+            # the lowest degree-1 vertex in a 2-member edge (BR3), else the
+            # lowest degree-1 vertex, whose edge has three or more (BR4)
+            xb = deg1 & s2 or deg1
+            xb &= -xb
+            i = (inc[xb.bit_length() - 1] & live_e).bit_length() - 1
+            other = members[i] & livev & ~xb
+            if deg1 & s2:
+                rule = "BR3"
+                kids = (
+                    (3, xb, other, 0),
+                    (3, other, xb, 0),
+                    (3, 0, xb | other, 1 << i),
+                )
+            else:
+                rule = "BR4"
+                kids = ((4, xb, other, 0), (1, 0, xb, 0))
+        else:
+            # every free vertex has two live edges; the lexicographically
+            # first pair of twins (equal live incidence), if any
+            first: dict[int, int] = {}
+            twins = None
+            for x in bits(livev):
+                w = first.setdefault(inc[x] & live_e, x)
+                if w != x and (twins is None or w < twins[0]):
+                    twins = (w, x)
+            if twins is not None:
+                rule = "BR5"
+                xb, yb = 1 << twins[0], 1 << twins[1]
+                kids = ((4, xb, yb, 0), (4, yb, xb, 0), (2, 0, xb | yb, 0))
+            elif e2 >= 0:
+                rule = "BR6"
+                cur = members[e2] & livev
+                xb = cur & -cur
+                kids = ((3, xb, 0, 0), (4, cur ^ xb, xb, 0), (3, 0, cur, 1 << e2))
+            elif e3 >= 0:
+                rule = "BR7"
+                cur = members[e3] & livev
+                xb = cur & -cur
+                yb = (cur ^ xb) & -(cur ^ xb)
+                kids = (
+                    (3, xb, 0, 0),
+                    (4, yb, xb, 0),
+                    (5, cur ^ xb ^ yb, xb | yb, 0),
+                    (4, 0, cur, 1 << e3),
+                )
+            else:
+                # remaining shape: every free vertex has two live edges,
+                # every live edge has at least four live members
+                assert livev and d1 == d2 and not d3
+                rule = "BR8"
+                xb = livev & -livev
+                ex = inc[xb.bit_length() - 1] & live_e
+                i = (ex & -ex).bit_length() - 1
+                cur = members[i] & livev & ~xb
+                yb = cur & -cur
+                ey = inc[yb.bit_length() - 1] & live_e
+                k = (ey & ~(1 << i)).bit_length() - 1
+                assert k != (ex & ~(ex & -ex)).bit_length() - 1
+                kids = (
+                    (1, 0, xb, 0),
+                    (4, xb, yb, 0),
+                    (8, xb | yb, members[k] & livev, 0),
+                )
         rc[rule] = rc.get(rule, 0) + 1
+        mu = livev.bit_count() + live_e.bit_count()
+        for comp, add, delete, r1b in reversed(kids):
+            c_once, c_twice, hit = once, twice, 0
+            rest = add
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                ex = inc[low.bit_length() - 1]
+                c_twice |= c_once & ex
+                c_once |= ex
+                hit |= ex
+            c_livev = livev & ~(add | delete)
+            c_live_e = live_e & ~(hit | r1b)
+            assert not r1b or not members[r1b.bit_length() - 1] & c_livev
+            assert c_livev.bit_count() + c_live_e.bit_count() <= mu - comp
+            ok = True
+            if add:
+                # only new R2 vertices and the owners of edges that just
+                # gained a second R2 hit can have lost their private edge
+                suspects = add
+                newly = c_twice & ~twice
+                if newly:
+                    for i in bits(newly):
+                        suspects |= members[i] & r2m
+                priv = c_once & ~c_twice
+                while suspects:
+                    low = suspects & -suspects
+                    suspects ^= low
+                    if not inc[low.bit_length() - 1] & priv:
+                        ok = False
+                        break
+            push((c_livev, c_live_e, r1m | r1b, r2m | add, c_once, c_twice, ok))
+    stats.emitted = emitted
+    stats.nodes = nodes
+    stats.max_gap = max(max_gap, gap)
 
-    # ---- state operations -------------------------------------------------
 
-    def _add_r2(self, st: _State, x: int) -> None:
-        st.livev &= ~(1 << x)
-        st.r2m |= 1 << x
-        for i in bits(self.inc[x]):
-            st.cnt[i] += 1
-            if st.cnt[i] == 1:
-                st.sole[i] = x
-                st.priv[x] += 1
-            elif st.cnt[i] == 2:
-                st.priv[st.sole[i]] -= 1
-                st.sole[i] = -1
-        st.live_e &= ~self.inc[x]
+def _checked_cap(weight_cap: int | None) -> int | None:
+    if weight_cap is not None and weight_cap < 0:
+        raise InputError("weight cap must be nonnegative")
+    return weight_cap
 
-    def _delete(self, st: _State, xs: int) -> None:
-        st.livev &= ~xs
 
-    def _add_r1(self, st: _State, i: int) -> None:
-        # only called once the edge has no live member left
-        assert not self.members[i] & st.livev
-        st.live_e &= ~(1 << i)
-        st.r1m |= 1 << i
+def iter_minimal_rhs(
+    h: Hypergraph, weight_cap: int | None = None
+) -> Iterator[RhsPair]:
+    """Yield every minimal rhs of h exactly once, lazily.
 
-    def _reduce(self, st: _State) -> None:
-        # vertices out of live edges can never earn a private edge
-        for x in bits(st.livev):
-            if not self.inc[x] & st.live_e:
-                st.livev &= ~(1 << x)
-                self._count("RR1")
-        # drained edges can only be satisfied through R1
-        for i in bits(st.live_e):
-            if not self.members[i] & st.livev:
-                self._add_r1(st, i)
-                self._count("RR2")
-
-    # ---- search -----------------------------------------------------------
-
-    def _node(self, st: _State) -> None:
-        self._reduce(st)
-        for x in bits(st.r2m):
-            if st.priv[x] == 0:
-                return
-        if self.cap is not None:
-            live = _popcount(st.live_e)
-            delta = 0
-            for x in bits(st.livev):
-                delta = max(delta, _popcount(self.inc[x] & st.live_e))
-            denom = max(2, delta)
-            lower = (2 * live + denom - 1) // denom
-            weight = _popcount(st.r1m) + 2 * _popcount(st.r2m)
-            if weight + lower > self.cap:
-                return
-        self.stats.nodes += 1
-        self.gap += 1
-        if not st.live_e:
-            self.stats.emitted += 1
-            self.stats.max_gap = max(self.stats.max_gap, self.gap)
-            self.gap = 0
-            if self.sink is not None:
-                self.sink(RhsPair.from_masks(st.r1m, st.r2m))
-            return
-        self._branch(st)
-
-    def _cur(self, st: _State, i: int) -> int:
-        return self.members[i] & st.livev
-
-    def _branch(self, st: _State) -> None:
-        mu = st.mu()
-        live_edges = list(bits(st.live_e))
-        free = list(bits(st.livev))
-        deg = {x: _popcount(self.inc[x] & st.live_e) for x in free}
-
-        def child(comp: int, ops: Callable[[_State], None]) -> None:
-            c = st.clone()
-            ops(c)
-            assert c.mu() <= mu - comp
-            self._node(c)
-
-        for i in live_edges:
-            cur = self._cur(st, i)
-            if _popcount(cur) == 1:
-                self._count("BR1")
-                x = cur.bit_length() - 1
-
-                def a1(c, i=i, x=x):
-                    self._delete(c, 1 << x)
-                    self._add_r1(c, i)
-
-                child(2, a1)
-                child(2, lambda c, x=x: self._add_r2(c, x))
-                return
-        for x in free:
-            if deg[x] >= 3:
-                self._count("BR2")
-                child(4, lambda c, x=x: self._add_r2(c, x))
-                child(1, lambda c, x=x: self._delete(c, 1 << x))
-                return
-        for x in free:
-            if deg[x] == 1:
-                i = (self.inc[x] & st.live_e).bit_length() - 1
-                cur = self._cur(st, i)
-                if _popcount(cur) == 2:
-                    self._count("BR3")
-                    y = (cur & ~(1 << x)).bit_length() - 1
-
-                    def a1(c, x=x, y=y):
-                        self._add_r2(c, x)
-                        self._delete(c, 1 << y)
-
-                    def a2(c, x=x, y=y):
-                        self._add_r2(c, y)
-                        self._delete(c, 1 << x)
-
-                    def a3(c, i=i, x=x, y=y):
-                        self._delete(c, (1 << x) | (1 << y))
-                        self._add_r1(c, i)
-
-                    child(3, a1)
-                    child(3, a2)
-                    child(3, a3)
-                    return
-        for x in free:
-            if deg[x] == 1:
-                i = (self.inc[x] & st.live_e).bit_length() - 1
-                cur = self._cur(st, i)
-                if _popcount(cur) >= 3:
-                    self._count("BR4")
-
-                    def a1(c, i=i, x=x, cur=cur):
-                        self._add_r2(c, x)
-                        self._delete(c, cur & ~(1 << x))
-
-                    child(4, a1)
-                    child(1, lambda c, x=x: self._delete(c, 1 << x))
-                    return
-        for xi, x in enumerate(free):
-            ex = self.inc[x] & st.live_e
-            for y in free[xi + 1 :]:
-                if self.inc[y] & st.live_e == ex:
-                    self._count("BR5")
-
-                    def a1(c, x=x, y=y):
-                        self._add_r2(c, x)
-                        self._delete(c, 1 << y)
-
-                    def a2(c, x=x, y=y):
-                        self._add_r2(c, y)
-                        self._delete(c, 1 << x)
-
-                    child(4, a1)
-                    child(4, a2)
-                    child(
-                        2,
-                        lambda c, x=x, y=y: self._delete(
-                            c, (1 << x) | (1 << y)
-                        ),
-                    )
-                    return
-        for i in live_edges:
-            cur = self._cur(st, i)
-            if _popcount(cur) == 2:
-                self._count("BR6")
-                x = cur & -cur
-                y = cur & ~x
-
-                def a2(c, x=x, y=y):
-                    self._add_r2(c, y.bit_length() - 1)
-                    self._delete(c, x)
-
-                def a3(c, i=i, cur=cur):
-                    self._delete(c, cur)
-                    self._add_r1(c, i)
-
-                child(3, lambda c, x=x: self._add_r2(c, x.bit_length() - 1))
-                child(4, a2)
-                child(3, a3)
-                return
-        for i in live_edges:
-            cur = self._cur(st, i)
-            if _popcount(cur) == 3:
-                self._count("BR7")
-                x, y, z = list(bits(cur))
-
-                def a2(c, x=x, y=y):
-                    self._add_r2(c, y)
-                    self._delete(c, 1 << x)
-
-                def a3(c, x=x, y=y, z=z):
-                    self._add_r2(c, z)
-                    self._delete(c, (1 << x) | (1 << y))
-
-                def a4(c, i=i, cur=cur):
-                    self._delete(c, cur)
-                    self._add_r1(c, i)
-
-                child(3, lambda c, x=x: self._add_r2(c, x))
-                child(4, a2)
-                child(5, a3)
-                child(4, a4)
-                return
-        if free:
-            # remaining shape: every free vertex has two live edges, every
-            # live edge has at least four live members
-            assert all(deg[x] == 2 for x in free)
-            assert all(
-                _popcount(self._cur(st, i)) >= 4 for i in live_edges
-            )
-            self._count("BR8")
-            x = free[0]
-            ex = self.inc[x] & st.live_e
-            i = (ex & -ex).bit_length() - 1
-            y = (self._cur(st, i) & ~(1 << x) & -(self._cur(st, i) & ~(1 << x))).bit_length() - 1
-            ey = self.inc[y] & st.live_e
-            k = (ey & ~(1 << i)).bit_length() - 1
-            assert k != (ex & ~(ex & -ex)).bit_length() - 1
-
-            def a2(c, x=x, y=y):
-                self._add_r2(c, x)
-                self._delete(c, 1 << y)
-
-            def a3(c, x=x, y=y, k=k):
-                self._add_r2(c, x)
-                self._add_r2(c, y)
-                self._delete(c, self._cur(c, k))
-
-            child(1, lambda c, x=x: self._delete(c, 1 << x))
-            child(4, a2)
-            child(8, a3)
-            return
-        raise RuntimeError("no branching rule applies; enumeration is stuck")
+    The order and the weight cap are those of enumerate_minimal_rhs, and
+    the search advances only as far as the consumer reads, so
+    itertools.islice stops it early.
+    """
+    masks = _search(h, _checked_cap(weight_cap), EnumerationStats())
+    return itertools.starmap(RhsPair.from_masks, masks)
 
 
 def enumerate_minimal_rhs(
@@ -351,9 +273,11 @@ def enumerate_minimal_rhs(
     heavier subtrees are pruned; without one the emission order has
     polynomial delay measured in expanded nodes.
     """
-    if weight_cap is not None and weight_cap < 0:
-        raise InputError("weight cap must be nonnegative")
-    return _Enumerator(h, weight_cap, sink).run()
+    stats = EnumerationStats()
+    for r1m, r2m in _search(h, _checked_cap(weight_cap), stats):
+        if sink is not None:
+            sink(RhsPair.from_masks(r1m, r2m))
+    return stats
 
 
 def minimal_pair_for_r2(h: Hypergraph, r2_mask: int) -> RhsPair | None:

@@ -43,17 +43,28 @@ class OptResult:
 
 
 def _greedy_cover(h: Hypergraph) -> frozenset[int]:
-    """Max-coverage greedy hitting set over the distinct edge contents."""
-    live = sorted({m for m in h.edge_members if m})
+    """Max-coverage greedy hitting set over the distinct edge contents.
+
+    Each vertex keeps the number of live edges it would hit; hitting an
+    edge decrements its members' counts, and the pick is the first
+    maximum, so ties go to the smallest vertex id.
+    """
+    live = {m for m in h.edge_members if m}
+    count = [0] * h.n_vertices
+    edges_of: list[list[int]] = [[] for _ in range(h.n_vertices)]
+    for m in live:
+        for x in bits(m):
+            count[x] += 1
+            edges_of[x].append(m)
     chosen = []
     while live:
-        best_x, best_cover = -1, 0
-        for x in range(h.n_vertices):
-            cover = sum(1 for m in live if (m >> x) & 1)
-            if cover > best_cover:
-                best_x, best_cover = x, cover
-        chosen.append(best_x)
-        live = [m for m in live if not (m >> best_x) & 1]
+        best = max(range(h.n_vertices), key=count.__getitem__)
+        chosen.append(best)
+        for m in edges_of[best]:
+            if m in live:
+                live.remove(m)
+                for x in bits(m):
+                    count[x] -= 1
     return frozenset(chosen)
 
 

@@ -63,15 +63,22 @@ def rd_to_rhf(g: Graph) -> ReductionOutput:
 
     An assignment is an rdf of the graph exactly when it is an rhf of
     the target, minimal exactly when minimal there, so both mappers are
-    the identity and the offset is 0.
+    the identity and the offset is 0. The backward mapper refuses an
+    assignment that is not an rhf of the target.
     """
     h, tau = closed_neighborhood_hypergraph(g)
     n = g.n_vertices
 
-    def ident(f: Sequence[int]) -> RomanAssignment:
+    def forward(f: Sequence[int]) -> RomanAssignment:
         return validate_assignment(f, n)
 
-    return ReductionOutput((h, tau), ident, ident, 0)
+    def backward(f: Sequence[int]) -> RomanAssignment:
+        f = validate_assignment(f, n)
+        if not is_rhf(h, tau, f):
+            raise InputError("assignment is not a hitting function")
+        return f
+
+    return ReductionOutput((h, tau), forward, backward, 0)
 
 
 def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:

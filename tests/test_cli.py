@@ -34,6 +34,7 @@ from romanhs.enumeration import (
     brute_enumerate_minimal_rhs,
     enumerate_minimal_rhs,
 )
+from romanhs.errors import InputError
 from romanhs.optimize import exact_min_rhs
 
 EX1 = """\
@@ -338,6 +339,16 @@ def test_reduce_two_section(run, write, tmp_path):
     assert sorted(
         (g2.vertex_tokens[u], g2.vertex_tokens[v]) for u, v in g2.edges
     ) == [("a", "b"), ("a", "c"), ("c", "d")]
+
+
+def test_two_section_backward_validates():
+    # the mapper raises on its own, so the check survives python -O
+    hf = parse_hypergraph_text(EX1)
+    ro = romanhs.cli._two_section(hf, None)
+    assert ro.backward((2, 0, 2, 0)) == (2, 0, 2, 0)
+    for bad in ((0, 0, 0, 0), (2, 0, 0, 0), (2, 0, 2)):
+        with pytest.raises(InputError):
+            ro.backward(bad)
 
 
 def test_gen_random_deterministic(run):

@@ -1,4 +1,8 @@
+import gc
+import itertools
 import random
+import threading
+import types
 
 import pytest
 
@@ -10,12 +14,14 @@ from romanhs.core import (
     RhsPair,
     weight_pair,
 )
+from romanhs import enumeration
 from romanhs.enumeration import (
     brute_enumerate_minimal_rhf,
     brute_enumerate_minimal_rhs,
     enumerate_minimal_rhs,
     gen_random,
     gen_tight,
+    iter_minimal_rhs,
 )
 from romanhs.errors import GuardRefused, InputError
 
@@ -111,6 +117,70 @@ def test_weight_cap_filters_and_agrees():
 def test_weight_cap_rejects_negative():
     with pytest.raises(InputError):
         enumerate_minimal_rhs(build_ex1(), weight_cap=-1)
+
+
+def test_iter_matches_sink_order():
+    rng = random.Random(7)
+    for _ in range(30):
+        h = random_hypergraph(rng, max_v=7, max_e=7)
+        for cap in (None, 3, 6):
+            out, _ = collect(h, weight_cap=cap)
+            assert list(iter_minimal_rhs(h, weight_cap=cap)) == out
+
+
+def test_iter_rejects_negative_cap_at_call():
+    with pytest.raises(InputError):
+        iter_minimal_rhs(build_ex1(), weight_cap=-1)
+
+
+def test_iter_deep_prefix():
+    # 1000 branching levels: far past the interpreter's recursion limit
+    h = gen_tight(1000)
+    masks = []
+    sample = []
+    for k, pair in enumerate(itertools.islice(iter_minimal_rhs(h), 1000)):
+        masks.append((pair.r1_mask(), pair.r2_mask()))
+        if k % 200 == 0:
+            sample.append(pair)
+    assert len(masks) == len(set(masks)) == 1000
+    assert all(is_minimal_rhs_theorem(h, p) for p in sample)
+
+
+class _Enough(Exception):
+    pass
+
+
+def test_deep_sink_stops_the_search():
+    seen = []
+
+    def sink(pair):
+        seen.append(pair)
+        if len(seen) == 1000:
+            raise _Enough
+
+    with pytest.raises(_Enough):
+        enumerate_minimal_rhs(gen_tight(400), sink=sink)
+    assert len(set(seen)) == 1000
+
+
+def _live_searches():
+    gc.collect()
+    return [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, types.GeneratorType)
+        and o.gi_code is enumeration._search.__code__
+    ]
+
+
+def test_early_break_leaves_nothing_running():
+    threads = threading.active_count()
+    before = len(_live_searches())
+    for k, _ in enumerate(iter_minimal_rhs(gen_tight(50))):
+        if k == 10:
+            break
+    assert len(_live_searches()) == before
+    assert threading.active_count() == threads
 
 
 def test_rule_counts_present():

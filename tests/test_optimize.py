@@ -17,6 +17,7 @@ from romanhs.core import (
 from romanhs.enumeration import (
     brute_enumerate_minimal_rhs,
     enumerate_minimal_rhs,
+    gen_random,
     gen_tight,
 )
 from romanhs.errors import InputError
@@ -81,6 +82,29 @@ def test_greedy_empty_edges_to_r1():
     assert pair == RhsPair(frozenset({1}), frozenset({0})) and w == 3
     with pytest.raises(InputError):
         greedy_rhf(h, Correspondence((0,)))
+
+
+def _rescan_cover(h):
+    """The greedy rule by rescanning every vertex against every live edge."""
+    live = sorted({m for m in h.edge_members if m})
+    chosen = []
+    while live:
+        best_x, best_cover = -1, 0
+        for x in range(h.n_vertices):
+            cover = sum(1 for m in live if (m >> x) & 1)
+            if cover > best_cover:
+                best_x, best_cover = x, cover
+        chosen.append(best_x)
+        live = [m for m in live if not (m >> best_x) & 1]
+    return frozenset(chosen)
+
+
+def test_greedy_matches_rescan_rule():
+    rng = random.Random(4242)
+    for _ in range(200):
+        nv, ne = rng.randint(0, 25), rng.randint(0, 30)
+        h = gen_random(nv, ne, rng.choice((0.05, 0.1, 0.2, 0.4)), rng.randrange(10**6)).hypergraph
+        assert greedy_rhs(h)[0].r2 == _rescan_cover(h)
 
 
 def test_greedy_ratio_bound_random():

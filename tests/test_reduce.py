@@ -71,6 +71,21 @@ def test_rd_to_rhf_p3_bijection():
         assert ro.forward(f) == f and ro.backward(f) == f
 
 
+def test_rd_to_rhf_backward_rejects_nonsolution():
+    # the mapper raises on its own, so the check survives python -O
+    g = path_graph(3)
+    ro = rd_to_rhf(g)
+    h, tau = ro.instance
+    for f in all_assignments(3):
+        if is_rhf(h, tau, f):
+            assert ro.backward(f) == f
+        else:
+            with pytest.raises(InputError):
+                ro.backward(f)
+    with pytest.raises(InputError):
+        ro.backward((2, 0))
+
+
 def test_rd_to_rhf_k1():
     g = Graph.build(["v"], [])
     ro = rd_to_rhf(g)
