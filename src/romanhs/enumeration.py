@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 from .characterize import is_minimal_rhf_theorem
 from .core import (

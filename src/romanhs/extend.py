@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .characterize import (
     ExtensionWitness,
@@ -42,7 +42,7 @@ from .errors import GuardRefused, InputError
 # the general solver's sweep is exponential in the count of 0s and 1s
 GENERAL_GUARD = 20
 
-Witness = Union[RhsPair, RomanAssignment, frozenset]
+Witness = RhsPair | RomanAssignment | frozenset
 
 
 @dataclass(frozen=True)

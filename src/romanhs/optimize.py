@@ -3,15 +3,24 @@
 exact_min_rhs is a branch-and-reduce search whose reduction rules commit
 cheap vertices out of R2 (degree at most 2) and force obligatory ones in
 (three or more private singleton edges), so branches only ever touch
-vertices of degree 3 and up. exact_min_rhf rides on the edge-twinning
-reduction. The greedy pair gives the classical logarithmic guarantee,
-and the Roman vertex/edge cover solvers close out the graph variants.
+vertices of degree 3 and up. It runs depth first from an explicit stack
+of four-int nodes (live vertices, live edges, R1, R2). Each node is
+reduced to a fixpoint from one pass over the live edges, which builds
+bit-sliced degree and singleton-edge masks so a whole batch of vertices
+leaves at once. Two lower bounds prune against the best weight so far:
+the covering bound ceil(2d / max(2, maxdeg)) and a greedy packing of
+live edges in which no vertex lies in more than two of them. Because the
+tree does not depend on the incumbent, the witness is always the first
+optimum leaf in depth-first order, whatever the bounds prune.
+exact_min_rhf rides on the edge-twinning reduction. The greedy pair
+gives the classical logarithmic guarantee, and the Roman vertex/edge
+cover solvers close out the graph variants.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, Union
 
 from .core import (
     Correspondence,
@@ -34,7 +43,7 @@ class OptResult:
     """Optimum weight, a witness attaining it, and search effort."""
 
     weight: int
-    witness: Union[RhsPair, RomanAssignment]
+    witness: RhsPair | RomanAssignment
     nodes: int = 0
 
 
@@ -100,119 +109,158 @@ def greedy_rhf(
 # Exact minimum Roman hitting set
 
 
-class _MinRhsSearch:
-    __slots__ = ("members", "inc", "n", "best_w", "best", "nodes")
+def _degree_bound(inc: list[int], livev: int, live_e: int) -> int:
+    """ceil(2d / max(2, maxdeg)) for the d live edges.
 
-    def __init__(self, h: Hypergraph) -> None:
-        self.members = h.edge_members
-        self.inc = tuple(h.incidence_mask(x) for x in range(h.n_vertices))
-        self.n = h.n_vertices
-        self.best_w: int | None = None
-        self.best: tuple[int, int] | None = None
-        self.nodes = 0
+    An R2 vertex hits at most maxdeg live edges at cost 2 and an R1 edge
+    costs 1, so every live edge costs at least 2 / max(2, maxdeg).
+    """
+    delta = 2
+    rest = livev
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        deg = (inc[low.bit_length() - 1] & live_e).bit_count()
+        if deg > delta:
+            delta = deg
+    return -(-2 * live_e.bit_count() // delta)
 
-    def run(self) -> OptResult:
-        self._node((1 << self.n) - 1, (1 << len(self.members)) - 1, 0, 0)
-        assert self.best is not None
-        return OptResult(
-            self.best_w, RhsPair.from_masks(*self.best), self.nodes
-        )
 
-    def _reduce(
-        self, livev: int, live_e: int, r1m: int, r2m: int
-    ) -> tuple[int, int, int, int]:
-        members = self.members
-        inc = self.inc
+def _packing_bound(members: tuple[int, ...], livev: int, live_e: int) -> int:
+    """Size of a greedy packing of live edges, in index order.
+
+    No live vertex lies in more than two packed edges (u1, u2: in at
+    least one, two). An R2 vertex hits at most two packed edges at cost
+    2 and an R1 edge costs 1, so hitting the packed edges alone costs at
+    least the packing size.
+    """
+    u1 = u2 = size = 0
+    rest = live_e
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cur = members[low.bit_length() - 1] & livev
+        if not cur & u2:
+            u2 |= u1 & cur
+            u1 |= cur
+            size += 1
+    return size
+
+
+def _min_rhs_search(h: Hypergraph) -> OptResult:
+    """Depth-first branch and reduce from an explicit stack of int nodes."""
+    members = h.edge_members
+    inc = [h.incidence_mask(x) for x in range(h.n_vertices)]
+    best_w = -1
+    best = (0, 0)
+    nodes = 0
+    # livev, live_e, r1m, r2m
+    stack = [((1 << h.n_vertices) - 1, (1 << h.n_edges) - 1, 0, 0)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        livev, live_e, r1m, r2m = pop()
         while True:
-            drained = 0
-            for i in bits(live_e):
-                if not members[i] & livev:
-                    drained |= 1 << i
-            if drained:
-                r1m |= drained
-                live_e &= ~drained
+            # one pass over the live edges: drained edges, live-degree masks
+            # d1..d4 and the vertices alone in 1, 2, 3+ live edges (s1..s3)
+            d1 = d2 = d3 = d4 = s1 = s2 = s3 = drained = 0
+            rest = live_e
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cur = members[low.bit_length() - 1] & livev
+                if not cur:
+                    drained |= low
+                    continue
+                d4 |= d3 & cur
+                d3 |= d2 & cur
+                d2 |= d1 & cur
+                d1 |= cur
+                if not cur & (cur - 1):
+                    s3 |= s2 & cur
+                    s2 |= s1 & cur
+                    s1 |= cur
+            # drained edges go to R1, vertices of live degree at most 2
+            # leave (R1 does their job at no extra cost); dropping vertices
+            # drains more edges but changes no remaining degree
+            r1m |= drained
+            live_e ^= drained
+            weak = livev & ~d3
+            if weak:
+                livev ^= weak
                 continue
-            x = next(
-                (
-                    x
-                    for x in bits(livev)
-                    if bin(inc[x] & live_e).count("1") <= 2
-                ),
-                -1,
-            )
-            if x >= 0:
-                livev &= ~(1 << x)
-                continue
-            forced = -1
-            for x in bits(livev):
-                xbit = 1 << x
-                singles = sum(
-                    1
-                    for i in bits(inc[x] & live_e)
-                    if members[i] & livev == xbit
-                )
-                if singles >= 3:
-                    forced = x
-                    break
-            if forced < 0:
-                return livev, live_e, r1m, r2m
-            livev &= ~(1 << forced)
-            live_e &= ~self.inc[forced]
-            r2m |= 1 << forced
-
-    def _node(self, livev: int, live_e: int, r1m: int, r2m: int) -> None:
-        livev, live_e, r1m, r2m = self._reduce(livev, live_e, r1m, r2m)
-        self.nodes += 1
-        w = bin(r1m).count("1") + 2 * bin(r2m).count("1")
+            if not s3:
+                break
+            # three or more singleton edges: the lowest such vertex joins R2
+            xb = s3 & -s3
+            r2m |= xb
+            livev ^= xb
+            live_e &= ~inc[xb.bit_length() - 1]
+        nodes += 1
+        w = r1m.bit_count() + 2 * r2m.bit_count()
         if not live_e:
-            if self.best_w is None or w < self.best_w:
-                self.best_w = w
-                self.best = (r1m, r2m)
-            return
-        inc = self.inc
-        degs = [(x, bin(inc[x] & live_e).count("1")) for x in bits(livev)]
-        d = bin(live_e).count("1")
-        delta = max(deg for _, deg in degs)
-        lb = -(-2 * d // max(2, delta))
-        if self.best_w is not None and w + lb >= self.best_w:
-            return
-        x3 = next((x for x, deg in degs if deg == 3), -1)
-        if x3 >= 0:
-            xbit = 1 << x3
-            self._node(livev & ~xbit, live_e, r1m, r2m)
+            if best_w < 0 or w < best_w:
+                best_w = w
+                best = (r1m, r2m)
+            continue
+        if best_w >= 0 and (
+            w + _degree_bound(inc, livev, live_e) >= best_w
+            or w + _packing_bound(members, livev, live_e) >= best_w
+        ):
+            continue
+        # every live vertex has live degree 3 or more
+        assert livev == d3
+        x3 = d3 & ~d4
+        if x3:
+            # children are pushed in reverse: exclude first, then include
+            # with no co-member in R2 (exchange)
+            xb = x3 & -x3
+            ex = inc[xb.bit_length() - 1] & live_e
             others = 0
-            for i in bits(inc[x3] & live_e):
-                others |= self.members[i] & livev
-            others &= ~xbit
-            self._node(
-                livev & ~xbit & ~others,
-                live_e & ~inc[x3],
-                r1m,
-                r2m | xbit,
-            )
-            return
-        x4 = next((x for x, deg in degs if deg >= 4), -1)
-        if x4 >= 0:
-            xbit = 1 << x4
-            self._node(livev & ~xbit, live_e & ~inc[x4], r1m, r2m | xbit)
-            self._node(livev & ~xbit, live_e, r1m, r2m)
-            return
-        raise RuntimeError("no branching rule applies; search is stuck")
+            rest = ex
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                others |= members[low.bit_length() - 1]
+            push((livev & ~(xb | others), live_e & ~ex, r1m, r2m | xb))
+            push((livev ^ xb, live_e, r1m, r2m))
+        else:
+            # include the lowest vertex first, then exclude it
+            xb = livev & -livev
+            push((livev ^ xb, live_e, r1m, r2m))
+            push((livev ^ xb, live_e & ~inc[xb.bit_length() - 1], r1m, r2m | xb))
+    return OptResult(best_w, RhsPair.from_masks(*best), nodes)
 
 
 def exact_min_rhs(h: Hypergraph) -> OptResult:
     """Global minimum pair weight by branch and reduce.
 
-    Reductions: drained edges move to R1; vertices covering at most two
-    live edges leave (R1 can do their job at no extra cost); vertices
-    carrying three or more singleton edges enter R2 (any solution
-    without them pays more). Branching takes a degree-3 vertex with the
-    exchange argument that its R2-case needs no co-member in R2, and
-    otherwise splits plainly on a vertex of degree 4 or more. A best-so-
-    far bound with the covering lower bound ceil(2d/max(2, maxdeg))
-    prunes hopeless trunks. Nodes are counted after each reduction pass.
+    The search runs depth first from an explicit stack whose nodes are
+    four ints: the live vertices and live edges and the R1 and R2 masks.
+    Each node is first reduced to a fixpoint. One pass over the live
+    edges builds bit-sliced live-degree masks and masks of the vertices
+    alone in one, two and three or more live edges. Drained edges move
+    to R1 and every vertex of live degree at most 2 leaves at once (R1
+    can do its job at no extra cost), until neither applies; then the
+    lowest vertex carrying three or more singleton edges enters R2 (any
+    solution without it pays more), and the pass repeats. Nodes are
+    counted after the reduction.
+
+    Branching takes the lowest vertex of live degree exactly 3, excluded
+    first and then included with no co-member in R2 (an exchange
+    argument), and otherwise the lowest live vertex, included first. A
+    node is pruned when its weight plus a lower bound on the rest reaches
+    the best weight so far. There are two bounds: the covering bound
+    ceil(2d / max(2, maxdeg)) over the d live edges, and, only when that
+    one does not prune, the size of a greedy packing of live edges in
+    which no vertex lies in more than two packed edges.
+
+    The tree does not depend on the incumbent, both bounds are valid and
+    the incumbent changes only on a strictly lower weight, so the witness
+    is the first optimum leaf of the tree in depth-first order; a
+    stronger bound prunes more nodes but finds the same witness.
     """
-    res = _MinRhsSearch(h).run()
+    res = _min_rhs_search(h)
     assert is_rhs(h, res.witness)
     assert weight_pair(res.witness) == res.weight
     return res

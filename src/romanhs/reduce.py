@@ -401,7 +401,8 @@ def ds_split_to_rhs(
     Minimal dominating sets correspond one-to-one with minimal pairs of
     the hypergraph view (an R1 edge stands for its independent vertex,
     an R2 universe member for a clique vertex). The correspondence
-    preserves solutions, not weights; the offset is nominal.
+    preserves solutions, not weights; the offset is nominal. The backward
+    mapper refuses a pair that is not an rhs of the target.
     """
     h, c_list, i_list = split_hypergraph(g, split)
     c_pos = {v: k for k, v in enumerate(c_list)}
@@ -417,7 +418,8 @@ def ds_split_to_rhs(
         )
 
     def backward(pair: RhsPair) -> frozenset[VertexId]:
-        pair.validate(h)
+        if not is_rhs(h, pair.validate(h)):
+            raise InputError("pair is not a Roman hitting set")
         return frozenset(
             {i_list[k] for k in pair.r1} | {c_list[x] for x in pair.r2}
         )

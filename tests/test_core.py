@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from corpus import (
     random_hypergraph,
     random_tau,
 )
+import romanhs
 from romanhs.core import (
     Correspondence,
     Graph,
@@ -292,3 +297,25 @@ def test_level_mask():
     assert level_mask(f, 2) == 0b1010
     assert level_mask(f, 1) == 0b0100
     assert level_mask(f, 0) == 0b0001
+
+
+REIMPORT = """
+import gc, sys, weakref
+import romanhs, romanhs.cli
+old = weakref.ref(romanhs.core.RhsPair)
+for name in [m for m in sys.modules if m == "romanhs" or m.startswith("romanhs.")]:
+    del sys.modules[name]
+import romanhs, romanhs.cli
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+
+
+def test_reimport_releases_old_classes():
+    # a module-level alias such as typing.Callable[[RhsPair], None] lands
+    # in typing's caches and pins the old class, and through its methods
+    # the whole old module, after every fresh import of the package
+    src = str(Path(romanhs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", REIMPORT], env=env, timeout=120)
+    assert proc.returncode == 0

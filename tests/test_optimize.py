@@ -22,6 +22,8 @@ from romanhs.enumeration import (
 )
 from romanhs.errors import InputError
 from romanhs.optimize import (
+    _degree_bound,
+    _packing_bound,
     edge_hypergraph,
     exact_min_rhf,
     exact_min_rhs,
@@ -173,6 +175,36 @@ def test_exact_vs_brute_random():
         pairs = brute_enumerate_minimal_rhs(h)
         assert res.weight == min(weight_pair(p) for p in pairs)
         assert res.nodes <= 2 ** (h.n_vertices + h.n_edges)
+
+
+def _root_bounds(h):
+    inc = [h.incidence_mask(x) for x in range(h.n_vertices)]
+    livev, live_e = (1 << h.n_vertices) - 1, h.all_edges_mask
+    return _degree_bound(inc, livev, live_e), _packing_bound(h.edge_members, livev, live_e)
+
+
+def test_lower_bounds_are_sound():
+    rng = random.Random(5)
+    for _ in range(200):
+        h = random_hypergraph(rng, 10, 12)
+        opt = brute_min_rhs_weight(h)
+        degree, packing = _root_bounds(h)
+        assert degree <= opt
+        assert packing <= opt
+
+
+def test_packing_bound_beats_degree_bound():
+    # x0 lies in four edges, two more edges miss it: maxdeg 4 over six
+    # edges gives ceil(12 / 4) = 3, the packing takes two edges of x0 and
+    # both others
+    h = Hypergraph.build(
+        ["x0", "a", "b", "c", "d", "y", "z"],
+        [("e1", ["x0", "a"]), ("e2", ["x0", "b"]), ("e3", ["x0", "c"]),
+         ("e4", ["x0", "d"]), ("e5", ["y"]), ("e6", ["z"])],
+    )
+    assert _root_bounds(h) == (3, 4)
+    assert brute_min_rhs_weight(h) == 4
+    assert exact_min_rhs(h).weight == 4
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,16 @@ def test_ds_split_correspondence_random():
             assert ro.forward(d) in minimal_pairs
 
 
+def test_ds_split_backward_rejects_nonsolution():
+    # the empty pair hits no edge of the target, and the empty set
+    # dominates nothing; the check survives python -O
+    g = Graph.build(["c1", "c2", "i1", "i2"], [("c1", "c2"), ("c1", "i1"), ("c2", "i2")])
+    ro = ds_split_to_rhs(g, ({0, 1}, {2, 3}))
+    with pytest.raises(InputError):
+        ro.backward(RhsPair(frozenset(), frozenset()))
+    assert ro.backward(RhsPair(frozenset(), frozenset({0, 1}))) == frozenset({0, 1})
+
+
 def test_ds_split_agrees_with_extension_solver():
     rng = random.Random(733)
     for _ in range(25):
