@@ -61,6 +61,23 @@ class EnumerationStats:
     rule_counts: dict[str, int] = field(default_factory=dict)
 
 
+def _degree_bound(inc: list[int], livev: int, live_e: int) -> int:
+    """ceil(2d / max(2, maxdeg)) for the d live edges.
+
+    An R2 vertex hits at most maxdeg live edges at cost 2 and an R1 edge
+    costs 1, so every live edge costs at least 2 / max(2, maxdeg).
+    """
+    delta = 2
+    rest = livev
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        deg = (inc[low.bit_length() - 1] & live_e).bit_count()
+        if deg > delta:
+            delta = deg
+    return -(-2 * live_e.bit_count() // delta)
+
+
 def _search(
     h: Hypergraph, cap: int | None, stats: EnumerationStats
 ) -> Iterator[tuple[int, int]]:
@@ -114,13 +131,11 @@ def _search(
             r1m |= drained
         if not private:
             continue
-        if cap is not None:
-            denom = 2
-            for x in bits(d3):
-                denom = max(denom, (inc[x] & live_e).bit_count())
-            lower = -(-2 * live_e.bit_count() // denom)
-            if r1m.bit_count() + 2 * r2m.bit_count() + lower > cap:
-                continue
+        if cap is not None and (
+            r1m.bit_count() + 2 * r2m.bit_count() + _degree_bound(inc, d3, live_e)
+            > cap
+        ):
+            continue
         nodes += 1
         gap += 1
         if not live_e:

@@ -12,9 +12,12 @@ the covering bound ceil(2d / max(2, maxdeg)) and a greedy packing of
 live edges in which no vertex lies in more than two of them. Because the
 tree does not depend on the incumbent, the witness is always the first
 optimum leaf in depth-first order, whatever the bounds prune.
-exact_min_rhf rides on the edge-twinning reduction. The greedy pair
-gives the classical logarithmic guarantee, and the Roman vertex/edge
-cover solvers close out the graph variants.
+exact_min_rhf rides on the edge-twinning reduction, and rvc_decide runs
+the same search on a graph's edge hypergraph with the weight budget as
+its starting incumbent, stopping at the first cover that fits. The
+greedy pair gives the classical logarithmic guarantee, and the Roman
+vertex cover lister and the Roman edge cover optimum close out the graph
+variants.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .core import (
     is_rhs,
     weight_pair,
 )
-from .enumeration import EnumerationStats, enumerate_minimal_rhs
+from .enumeration import EnumerationStats, _degree_bound, enumerate_minimal_rhs
 from .errors import InputError
 from .reduce import rhf_to_rhs
 
@@ -109,23 +112,6 @@ def greedy_rhf(
 # Exact minimum Roman hitting set
 
 
-def _degree_bound(inc: list[int], livev: int, live_e: int) -> int:
-    """ceil(2d / max(2, maxdeg)) for the d live edges.
-
-    An R2 vertex hits at most maxdeg live edges at cost 2 and an R1 edge
-    costs 1, so every live edge costs at least 2 / max(2, maxdeg).
-    """
-    delta = 2
-    rest = livev
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        deg = (inc[low.bit_length() - 1] & live_e).bit_count()
-        if deg > delta:
-            delta = deg
-    return -(-2 * live_e.bit_count() // delta)
-
-
 def _packing_bound(members: tuple[int, ...], livev: int, live_e: int) -> int:
     """Size of a greedy packing of live edges, in index order.
 
@@ -147,11 +133,17 @@ def _packing_bound(members: tuple[int, ...], livev: int, live_e: int) -> int:
     return size
 
 
-def _min_rhs_search(h: Hypergraph) -> OptResult:
-    """Depth-first branch and reduce from an explicit stack of int nodes."""
+def _min_rhs_search(h: Hypergraph, budget: int | None = None) -> OptResult:
+    """Depth-first branch and reduce from an explicit stack of int nodes.
+
+    With a budget the incumbent starts at budget + 1, so the bounds cut
+    every heavier subtree, and the search stops at the first leaf of
+    weight at most budget; weight -1 with an empty witness says there is
+    none.
+    """
     members = h.edge_members
     inc = [h.incidence_mask(x) for x in range(h.n_vertices)]
-    best_w = -1
+    best_w = -1 if budget is None else budget + 1
     best = (0, 0)
     nodes = 0
     # livev, live_e, r1m, r2m
@@ -202,6 +194,8 @@ def _min_rhs_search(h: Hypergraph) -> OptResult:
             if best_w < 0 or w < best_w:
                 best_w = w
                 best = (r1m, r2m)
+                if budget is not None:
+                    break
             continue
         if best_w >= 0 and (
             w + _degree_bound(inc, livev, live_e) >= best_w
@@ -229,6 +223,8 @@ def _min_rhs_search(h: Hypergraph) -> OptResult:
             xb = livev & -livev
             push((livev ^ xb, live_e, r1m, r2m))
             push((livev ^ xb, live_e & ~inc[xb.bit_length() - 1], r1m, r2m | xb))
+    if budget is not None and best_w > budget:
+        best_w = -1
     return OptResult(best_w, RhsPair.from_masks(*best), nodes)
 
 
@@ -319,41 +315,18 @@ def incidence_hypergraph(g: Graph) -> Hypergraph:
 def _rvc_decide_counted(g: Graph, k: int) -> tuple[bool, int]:
     if k < 0:
         raise InputError("the weight budget must be nonnegative")
-    edges = g.edges
-    nodes = 0
-
-    def rec(dead_v: int, dead_e: int, budget: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        live = [
-            (idx, u, v)
-            for idx, (u, v) in enumerate(edges)
-            if not (dead_e >> idx) & 1
-            and not (dead_v >> u) & 1
-            and not (dead_v >> v) & 1
-        ]
-        if not live:
-            return True
-        if budget <= 0:
-            return False
-        if budget == 1:
-            return len(live) == 1
-        idx, u, v = live[0]
-        return (
-            rec(dead_v | 1 << u, dead_e, budget - 2)
-            or rec(dead_v | 1 << v, dead_e, budget - 2)
-            or rec(dead_v, dead_e | 1 << idx, budget - 1)
-        )
-
-    return rec(0, 0, k), nodes
+    res = _min_rhs_search(edge_hypergraph(g), budget=k)
+    return res.weight >= 0, res.nodes
 
 
 def rvc_decide(g: Graph, k: int) -> bool:
     """Is there a Roman vertex cover of weight at most k?
 
-    Branches on the first live edge: protect one endpoint (budget -2,
-    either side) or leave the edge to the guard (budget -1). A single
-    remaining edge fits a budget of exactly 1, the empty edge set fits
+    Roman vertex covers are the Roman hitting sets of the edge
+    hypergraph, so this runs the exact_min_rhs search there with k as a
+    budget: the same reductions and branches, an incumbent that starts
+    at k + 1 so the lower bounds cut every subtree heavier than k, and a
+    stop at the first cover of weight at most k. The empty edge set fits
     any budget.
     """
     return _rvc_decide_counted(g, k)[0]

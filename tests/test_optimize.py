@@ -298,6 +298,24 @@ def test_rvc_decide_vs_brute():
             assert nodes <= 3 * 2**k
 
 
+def test_rvc_decide_deep_and_large():
+    # the large budget first: a search that recurses per edge overflows
+    # the stack there instead of running for long at the tight budgets
+    path = path_graph(1200)
+    for k, expected in ((2398, True), (1199, True), (1198, False)):
+        assert _rvc_decide_counted(path, k)[0] is expected
+    rng = random.Random(6061)
+    for _ in range(4):
+        n = rng.randint(25, 40)
+        names = [f"n{i}" for i in range(n)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(names[u], names[v]) for u, v in rng.sample(pairs, 3 * n // 2)]
+        g = Graph.build(names, edges)
+        opt = exact_min_rhs(edge_hypergraph(g)).weight
+        assert rvc_decide(g, opt)
+        assert not rvc_decide(g, opt - 1)
+
+
 def test_rvc_enumerate_single_edge():
     g = path_graph(2)
     got = []
