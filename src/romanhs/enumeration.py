@@ -10,28 +10,34 @@ nodes between consecutive emissions stays linear in the instance size.
 
 The search runs depth first from an explicit stack, so its depth is not
 bounded by the interpreter's recursion limit, and a node is six ints:
-the live vertices and live edges, the R1 and R2 masks, and two edge masks
-``once`` and ``twice`` holding the edges hit by at least one and at
-least two R2 vertices (plus the outcome of its extension check). An R2 vertex x keeps a private edge exactly when
-``inc[x] & once & ~twice`` is non-empty, so the extension check only
-re-tests the vertices a child adds to R2 and the R2 owners of edges the
-child moves from ``once`` to ``twice``. One pass over the live edges of a
-node applies both reduction rules and builds bit-sliced live-degree masks
-(degree at least 1, 2 and 3), from which the branch rule is chosen. Each
-child is described by what it adds to R2, what it deletes and the drained
-edge it moves to R1, and the children are pushed in reverse so they are
-expanded in rule order.
+the live vertices and live edges, the R1 and R2 masks, and two edge
+masks ``once`` and ``twice`` holding the edges hit by at least one and
+at least two R2 vertices (plus the outcome of its extension check). An
+R2 vertex x keeps a private edge exactly when ``inc[x] & once & ~twice``
+is non-empty, so the extension check only re-tests the vertices a child
+adds to R2 and the R2 owners of edges the child moves from ``once`` to
+``twice``. One pass over the live edges of a node applies both reduction
+rules and builds bit-sliced live-degree masks (degree at least 1, 2 and
+3), from which the branch rule is chosen. Each child is described by
+what it adds to R2, what it deletes and the drained edge it moves to R1,
+and the children are pushed in reverse so they are expanded in rule
+order.
 
 An optional weight cap turns the enumerator into a bounded-weight lister
-(used for Roman vertex covers); the cap prune uses a lower bound on the
-cost still needed for the live edges.
+(used for Roman vertex covers). The cap prune adds to the weight so far
+two lower bounds on the cost still needed for the live edges, the ones
+the exact solver prunes with: the covering bound ceil(2d / max(2, maxdeg))
+and a greedy packing of live edges in which no vertex lies in more than
+two packed edges, taken in a load order fixed once per run. The prune
+only drops subtrees that hold no pair within the cap, so the emissions
+are those of the uncapped run filtered by weight, in the same order.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .characterize import is_minimal_rhf_theorem
@@ -78,6 +84,38 @@ def _degree_bound(inc: list[int], livev: int, live_e: int) -> int:
     return -(-2 * live_e.bit_count() // delta)
 
 
+def _packing_bound(
+    members: tuple[int, ...], order: Iterable[int], livev: int, live_e: int
+) -> int:
+    """Size of a greedy packing of the live edges, taken in a static order.
+
+    No live vertex lies in more than two packed edges (u1, u2: in at
+    least one, two). An R2 vertex hits at most two packed edges at cost
+    2 and an R1 edge costs 1, so hitting the packed edges alone costs at
+    least the packing size.
+    """
+    u1 = u2 = size = 0
+    for i in order:
+        if live_e >> i & 1:
+            cur = members[i] & livev
+            if not cur & u2:
+                u2 |= u1 & cur
+                u1 |= cur
+                size += 1
+    return size
+
+
+def _load_order(h: Hypergraph) -> list[int]:
+    """Edge indices by ascending sum of member degrees, ties by index.
+
+    Lightly loaded edges share few vertices with others, so packing them
+    first leaves room for more packed edges.
+    """
+    degree = [h.incidence_mask(x).bit_count() for x in range(h.n_vertices)]
+    load = [sum(degree[x] for x in bits(m)) for m in h.edge_members]
+    return sorted(range(h.n_edges), key=load.__getitem__)
+
+
 def _search(
     h: Hypergraph, cap: int | None, stats: EnumerationStats
 ) -> Iterator[tuple[int, int]]:
@@ -85,6 +123,7 @@ def _search(
     members = h.edge_members
     inc = [h.incidence_mask(x) for x in range(h.n_vertices)]
     rc = stats.rule_counts
+    order = None if cap is None else _load_order(h)
     nodes = emitted = gap = max_gap = 0
     # livev, live_e, r1m, r2m, once, twice, and whether every R2 vertex
     # still has a private edge: tested when the node is pushed, acted on
@@ -131,11 +170,16 @@ def _search(
             r1m |= drained
         if not private:
             continue
-        if cap is not None and (
-            r1m.bit_count() + 2 * r2m.bit_count() + _degree_bound(inc, d3, live_e)
-            > cap
-        ):
-            continue
+        if cap is not None:
+            # both bounds are at most the live edge count, so they can only
+            # prune where moving every live edge to R1 would pass the cap;
+            # the packing is computed only where the degree bound passes
+            w = r1m.bit_count() + 2 * r2m.bit_count()
+            if w + live_e.bit_count() > cap and (
+                w + _degree_bound(inc, d3, live_e) > cap
+                or w + _packing_bound(members, order, livev, live_e) > cap
+            ):
+                continue
         nodes += 1
         gap += 1
         if not live_e:

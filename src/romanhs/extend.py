@@ -39,7 +39,8 @@ from .core import (
 )
 from .errors import GuardRefused, InputError
 
-# the general solver's sweep is exponential in the count of 0s and 1s
+# the general sweep tries 3^|0s| 2^|1s| assignments and the witness search
+# at most 2^GENERAL_GUARD 2-sets and private-edge maps
 GENERAL_GUARD = 20
 
 Witness = RhsPair | RomanAssignment | frozenset
@@ -229,14 +230,48 @@ def _witness_to_assignment(
     return g
 
 
+def _witness_work(
+    h: Hypergraph, tau: Correspondence, ones: int, twos: int, no_pre: int
+) -> tuple[int, int]:
+    """Bounds on the 2-sets and private-edge maps the witness search tries.
+
+    Every 2-set is the closure's 2s plus a subset of its 1s. A vertex x
+    of a 2-set only ever takes as private edge one of its edges other
+    than tau(x) that holds no closure 2 but x, so over all 2-sets the
+    maps number at most the product of those counts (a 2 without any
+    such edge stops every 2-set at once). The maps are enumerated only
+    when some edge lies outside the correspondence's range (no_pre);
+    otherwise each 2-set tries one.
+    """
+    sets = 1 << ones.bit_count()
+    maps = 1
+    if no_pre:
+        for x in bits(ones | twos):
+            cands = sum(
+                1
+                for i in bits(h.incidence_mask(x))
+                if i != tau.mapping[x] and not h.edge_members[i] & twos & ~(1 << x)
+            )
+            if not cands and (twos >> x) & 1:
+                return sets, 1
+            maps *= max(cands, 1)
+    return sets, maps
+
+
 def _general_witness(
     h: Hypergraph, tau: Correspondence, f: RomanAssignment
 ) -> ExtAnswer:
     fc = promote_closure(h, tau, f)
     ones = level_mask(fc, 1)
     twos = level_mask(fc, 2)
-    ones_list = list(bits(ones))
     no_pre = h.all_edges_mask & ~tau.range_mask
+    sets, maps = _witness_work(h, tau, ones, twos, no_pre)
+    if sets * maps > 1 << GENERAL_GUARD:
+        raise GuardRefused(
+            f"witness extension search is limited to 2^{GENERAL_GUARD} "
+            f"candidates, got {sets} 2-sets times {maps} private-edge maps"
+        )
+    ones_list = list(bits(ones))
     for pick in range(1 << len(ones_list)):
         r2m = twos
         for j, x in enumerate(ones_list):
@@ -284,20 +319,24 @@ def ext_rhf_general(
 ) -> ExtAnswer:
     """Is there a minimal rhf above f, for arbitrary correspondences?
 
-    Exponential in the count of vertices below 2, so guarded. The sweep
-    strategy tries every assignment above f; the witness strategy runs the
-    promotion closure and searches for a 2-set plus private-edge map whose
-    constraints certify extensibility. Both return the same decision.
+    Both strategies are exponential, so each is guarded on its own work
+    before it starts, and both return the same decision. The sweep
+    strategy tries every assignment above f, so it is limited to
+    GENERAL_GUARD vertices below 2. The witness strategy runs the
+    promotion closure and searches for a 2-set plus private-edge map
+    whose constraints certify extensibility; the 0s cost it nothing
+    exponential, so it is limited to 2^GENERAL_GUARD candidates: the
+    2-sets over the closure's 1s times a bound on the private-edge maps.
     """
     tau.validate(h)
     f = validate_assignment(f, h.n_vertices)
-    low = sum(1 for v in f if v < 2)
-    if low > GENERAL_GUARD:
-        raise GuardRefused(
-            f"general extension solver is limited to {GENERAL_GUARD} "
-            f"vertices below 2, got {low}"
-        )
     if strategy == "sweep":
+        low = sum(1 for v in f if v < 2)
+        if low > GENERAL_GUARD:
+            raise GuardRefused(
+                f"general extension sweep is limited to {GENERAL_GUARD} "
+                f"vertices below 2, got {low}"
+            )
         return _general_sweep(h, tau, f)
     if strategy == "witness":
         return _general_witness(h, tau, f)

@@ -23,8 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from romanhs.core import Graph, Hypergraph
-from romanhs.enumeration import enumerate_minimal_rhs, gen_random, gen_tight
+from romanhs.core import Graph, Hypergraph, weight_pair
+from romanhs.enumeration import (
+    enumerate_minimal_rhs,
+    gen_random,
+    gen_tight,
+    iter_minimal_rhs,
+)
 from romanhs.optimize import edge_hypergraph
 
 GOLDEN = Path(__file__).parent / "golden" / "enumeration.txt"
@@ -114,6 +119,18 @@ EXPECTED = GOLDEN.read_text().splitlines() if GOLDEN.is_file() else []
 def test_enumeration_matches_golden(k):
     assert len(EXPECTED) == len(RUNS), "golden file out of step with the corpus"
     assert record(*RUNS[k]) == EXPECTED[k]
+
+
+CAPPED = [run for run in RUNS if run[2] is not None]
+
+
+@pytest.mark.parametrize("label, h, cap", CAPPED, ids=[f"{r[0]}-cap{r[2]}" for r in CAPPED])
+def test_capped_run_filters_the_uncapped_one(label, h, cap):
+    # the cap prune drops only subtrees without a light enough pair, so
+    # the capped emissions are the uncapped ones of weight at most the
+    # cap, in the same order
+    capped = list(iter_minimal_rhs(h, weight_cap=cap))
+    assert capped == [p for p in iter_minimal_rhs(h) if weight_pair(p) <= cap]
 
 
 if __name__ == "__main__":

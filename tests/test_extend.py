@@ -33,6 +33,7 @@ from romanhs.core import (
     RhsPair,
     closed_neighborhood_hypergraph,
 )
+from romanhs.enumeration import gen_random
 from romanhs.errors import GuardRefused, InputError
 from romanhs.extend import (
     GENERAL_GUARD,
@@ -301,6 +302,44 @@ def test_general_guard_ignores_twos():
     ans = ext_rhf_general(h, tau, f, strategy="witness")
     # the lone 2 can never earn a private edge besides its corresponding one
     assert not ans.decision
+
+
+def test_witness_guard_counts_closure_ones_not_zeros():
+    # 30 vertices at 0: the sweep's guard refuses them, but the closure
+    # keeps no 1, so the witness search tries a single 2-set
+    hf = gen_random(30, 40, 0.15, seed=4, with_tau=True)
+    h, tau, f = hf.hypergraph, hf.tau, (0,) * 30
+    with pytest.raises(GuardRefused):
+        ext_rhf_general(h, tau, f, strategy="sweep")
+    ans = ext_rhf_general(h, tau, f, strategy="witness")
+    assert ans.decision
+    assert is_minimal_rhf_theorem(h, tau, ans.witness)
+
+
+def test_witness_guard_refuses_many_surviving_ones():
+    # one private edge per vertex: every 1 survives the closure, giving
+    # 2^21 candidate 2-sets
+    n = GENERAL_GUARD + 1
+    names = [f"x{i}" for i in range(n)]
+    h = Hypergraph.build(names, [(f"e{i}", [x]) for i, x in enumerate(names)])
+    tau = Correspondence(tuple(range(n)))
+    assert promote_closure(h, tau, (1,) * n) == (1,) * n
+    with pytest.raises(GuardRefused):
+        ext_rhf_general(h, tau, (1,) * n, strategy="witness")
+    assert ext_rhf_general(h, tau, (1,) * (n - 1) + (0,), strategy="witness").decision
+
+
+def test_witness_guard_refuses_many_private_edge_maps():
+    # an edge outside tau's range makes the search try private-edge maps:
+    # five 2s with 17 candidate edges each give 17^5 > 2^20 of them
+    names = [f"x{j}" for j in range(5)]
+    edges = [(f"t{j}", [x]) for j, x in enumerate(names)]
+    edges += [(f"p{j}_{k}", [x]) for j, x in enumerate(names) for k in range(17)]
+    edges.append(("free", names))
+    h = Hypergraph.build(names, edges)
+    tau = Correspondence(tuple(range(5)))
+    with pytest.raises(GuardRefused):
+        ext_rhf_general(h, tau, (2,) * 5, strategy="witness")
 
 
 # ---------------------------------------------------------------------------
