@@ -36,10 +36,7 @@ from .core import (
     mask_of,
     validate_assignment,
 )
-from .errors import GuardRefused, InputError
-
-# brute-force oracles refuse instances with more vertices+edges than this
-BRUTE_SIZE_LIMIT = 24
+from .errors import InputError
 
 
 def private_neighborhood(
@@ -290,20 +287,14 @@ def check_extension_witness(
 
 # ---------------------------------------------------------------------------
 # Definition-level brute-force oracles
+#
+# Each makes at most |R1| + |R2| (or n) validity checks, so they are
+# polynomial and take no work guard at any size.
 # ---------------------------------------------------------------------------
-
-
-def _guard(size: int) -> None:
-    if size > BRUTE_SIZE_LIMIT:
-        raise GuardRefused(
-            f"brute-force minimality oracle is limited to "
-            f"{BRUTE_SIZE_LIMIT} vertices+edges, got {size}"
-        )
 
 
 def brute_minimal_rhs(h: Hypergraph, pair: RhsPair) -> bool:
     """Valid, and no single removal from R1 or R2 stays valid."""
-    _guard(h.n_vertices + h.n_edges)
     pair.validate(h)
     if not is_rhs(h, pair):
         return False
@@ -320,7 +311,6 @@ def brute_minimal_rhf(
     h: Hypergraph, tau: Correspondence, f: Sequence[int]
 ) -> bool:
     """Valid, and no single one-step lowering of a value stays valid."""
-    _guard(h.n_vertices + h.n_edges)
     f = validate_assignment(f, h.n_vertices)
     if not is_rhf(h, tau, f):
         return False
@@ -332,7 +322,6 @@ def brute_minimal_rhf(
 
 def brute_minimal_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Valid, and no single one-step lowering of a value stays valid."""
-    _guard(2 * g.n_vertices)
     f = validate_assignment(f, g.n_vertices)
     if not is_rdf(g, f):
         return False
@@ -344,7 +333,6 @@ def brute_minimal_rdf(g: Graph, f: Sequence[int]) -> bool:
 
 def brute_minimal_po_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Valid, and zeroing any single nonzero value breaks validity."""
-    _guard(2 * g.n_vertices)
     f = validate_assignment(f, g.n_vertices)
     if not is_rdf(g, f):
         return False

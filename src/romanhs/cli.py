@@ -15,7 +15,7 @@ assignment_from_json, while --map-solution files hold assign/preset
 lines only. Statistics go to standard error as key=value lines.
 
 Exit codes: 0 when the command completed (decision answers are printed,
-not encoded), 1 for usage or input errors, 2 when a size guard refused
+not encoded), 1 for usage or input errors, 2 when a guard refused
 the computation, 130 when interrupted (Ctrl-C). When the reader of
 standard output goes away (``rhs-tool enum-rhs big.hg | head -1``) the
 command stops, prints nothing more, not even its statistics, and exits 0.

@@ -49,10 +49,7 @@ from .core import (
     RomanAssignment,
     bits,
 )
-from .errors import GuardRefused, InputError
-
-BRUTE_ENUM_RHS_LIMIT = 20
-BRUTE_ENUM_RHF_LIMIT = 12
+from .errors import InputError, guard_work
 
 Sink = Callable[[RhsPair], None]
 
@@ -360,15 +357,11 @@ def brute_enumerate_minimal_rhs(
 ) -> list[RhsPair]:
     """All minimal rhs by scanning the 2-sets; small instances only.
 
-    The scan visits 2^|X| vertex masks, so the guard bounds |X|. With a
-    stride only the masks part, part + stride, ... are scanned: the
+    The scan visits 2^|X| vertex masks, all of them counted by the guard.
+    With a stride only the masks part, part + stride, ... are scanned: the
     stride parts of one instance together give the full result.
     """
-    if h.n_vertices > BRUTE_ENUM_RHS_LIMIT:
-        raise GuardRefused(
-            f"brute enumeration is limited to {BRUTE_ENUM_RHS_LIMIT} "
-            f"vertices, got {h.n_vertices}"
-        )
+    guard_work(1 << h.n_vertices, "brute rhs enumeration")
     out = []
     for r2m in range(part, 1 << h.n_vertices, stride):
         pair = minimal_pair_for_r2(h, r2m)
@@ -382,14 +375,11 @@ def brute_enumerate_minimal_rhf(
 ) -> list[RomanAssignment]:
     """All minimal rhf by scanning every assignment; small instances only.
 
-    Assignments come in lexicographic order; with a stride only every
-    stride-th of them, starting at index part, is scanned.
+    The 3^|X| assignments come in lexicographic order, all of them counted
+    by the guard; with a stride only every stride-th of them, starting at
+    index part, is scanned.
     """
-    if h.n_vertices > BRUTE_ENUM_RHF_LIMIT:
-        raise GuardRefused(
-            f"brute rhf enumeration is limited to {BRUTE_ENUM_RHF_LIMIT} "
-            f"vertices, got {h.n_vertices}"
-        )
+    guard_work(3**h.n_vertices, "brute rhf enumeration")
     tau.validate(h)
     candidates = itertools.product((0, 1, 2), repeat=h.n_vertices)
     return [

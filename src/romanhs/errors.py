@@ -1,10 +1,18 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the one guard on exponential work.
 
 Two failure classes are kept apart on purpose: malformed input or a violated
 precondition is the caller's problem (InputError), while a refusal to run an
-exponential routine past its size guard is a policy decision (GuardRefused).
+exponential routine past its guard is a policy decision (GuardRefused).
 The command line maps them to exit codes 1 and 2 respectively.
+
+Every exponential routine (the brute enumerators, the general extension
+sweep and witness search, and the bounded Roman domination extension)
+counts the candidates it would try before it starts and hands the count
+to guard_work, which refuses past WORK_LIMIT. Polynomial routines take no
+guard, whatever the instance size.
 """
+
+WORK_LIMIT = 1 << 20
 
 
 class InputError(ValueError):
@@ -12,6 +20,14 @@ class InputError(ValueError):
 
 
 class GuardRefused(RuntimeError):
-    """A size-guarded routine refused to run (instance too large, or the
-    answer is trivially known and constructing the output would be
+    """A guarded routine refused to run (it would try too many candidates,
+    or the answer is trivially known and constructing the output would be
     degenerate)."""
+
+
+def guard_work(work: int, what: str) -> None:
+    """Refuse to start `what`, which would try `work` candidates, past the limit."""
+    if work > WORK_LIMIT:
+        raise GuardRefused(
+            f"{what} would try {work} candidates, over the limit of {WORK_LIMIT}"
+        )

@@ -14,6 +14,7 @@ split graphs through ext_rhs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,11 +38,8 @@ from .core import (
     mask_of,
     validate_assignment,
 )
-from .errors import GuardRefused, InputError
-
-# the general sweep tries 3^|0s| 2^|1s| assignments and the witness search
-# at most 2^GENERAL_GUARD 2-sets and private-edge maps
-GENERAL_GUARD = 20
+from .enumeration import minimal_pair_for_r2
+from .errors import InputError, guard_work
 
 Witness = RhsPair | RomanAssignment | frozenset
 
@@ -59,20 +57,15 @@ def ext_rhs(h: Hypergraph, u: RhsPair) -> ExtAnswer:
 
     No exactly when some pre-picked edge already meets the pre-picked
     vertices, or some pre-picked vertex can never hit anything alone.
-    Otherwise filling every unhit edge into R1 completes a minimal rhs
-    that keeps R2 as given.
+    Otherwise the unique minimal rhs with 2-set R2 lies above: its 1-part
+    is every edge R2 misses, R1 included.
     """
     u.validate(h)
-    r1m = u.r1_mask()
     r2m = u.r2_mask()
-    for x in bits(r2m):
-        if h.incidence_mask(x) & r1m:
-            return ExtAnswer(False)
-    for x in bits(r2m):
-        if not h.incidence_mask(x) & ~h.incidence_set_mask(r2m & ~(1 << x)):
-            return ExtAnswer(False)
-    m1 = r1m | (h.all_edges_mask & ~(h.incidence_set_mask(r2m) | r1m))
-    return ExtAnswer(True, RhsPair.from_masks(m1, r2m))
+    if u.r1_mask() & h.incidence_set_mask(r2m):
+        return ExtAnswer(False)
+    pair = minimal_pair_for_r2(h, r2m)
+    return ExtAnswer(pair is not None, pair)
 
 
 def promote_closure(
@@ -86,25 +79,38 @@ def promote_closure(
     result has an injective correspondence on its 1-set.
     """
     tau.validate(h)
-    vals = list(validate_assignment(f, h.n_vertices))
+    f = validate_assignment(f, h.n_vertices)
+    m1, m2 = _promote(h, tau, level_mask(f, 1), level_mask(f, 2))
+    return _assignment(h.n_vertices, m1, m2)
+
+
+def _promote(
+    h: Hypergraph, tau: Correspondence, m1: int, m2: int
+) -> tuple[int, int]:
+    """promote_closure on validated masks: the fixpoint's 1s and 2s."""
+    first: dict[int, int] = {}
+    clash = 0
+    for x in bits(m1):
+        y = first.setdefault(tau.mapping[x], x)
+        if y != x:
+            clash |= 1 << x | 1 << y
+    m1 &= ~clash
+    m2 |= clash
     changed = True
     while changed:
         changed = False
-        groups: dict[int, list[int]] = {}
-        for x, v in enumerate(vals):
-            if v == 1:
-                groups.setdefault(tau.mapping[x], []).append(x)
-        for xs in groups.values():
-            if len(xs) >= 2:
-                for x in xs:
-                    vals[x] = 2
+        for y in bits(m1):
+            if h.edge_members[tau.mapping[y]] & m2:
+                m1 &= ~(1 << y)
+                m2 |= 1 << y
                 changed = True
-        twos = level_mask(vals, 2)
-        for y, v in enumerate(vals):
-            if v == 1 and h.edge_members[tau.mapping[y]] & twos:
-                vals[y] = 2
-                changed = True
-    return tuple(vals)
+    return m1, m2
+
+
+def _assignment(n: int, ones: int, twos: int) -> RomanAssignment:
+    return tuple(
+        2 if (twos >> x) & 1 else 1 if (ones >> x) & 1 else 0 for x in range(n)
+    )
 
 
 def ext_rhf_surjective(
@@ -127,25 +133,7 @@ def ext_rhf_surjective(
             "an edge without correspondence preimage is not pre-hit; "
             "use the general solver"
         )
-    m1 = level_mask(g, 1)
-    m2 = twos
-    groups: dict[int, list[int]] = {}
-    for x in bits(m1):
-        groups.setdefault(tau.mapping[x], []).append(x)
-    for xs in groups.values():
-        if len(xs) >= 2:
-            for x in xs:
-                m1 &= ~(1 << x)
-                m2 |= 1 << x
-    queue = list(bits(m2))
-    while queue:
-        x = queue.pop()
-        inc_x = h.incidence_mask(x)
-        for y in list(bits(m1)):
-            if (inc_x >> tau.mapping[y]) & 1:
-                m1 &= ~(1 << y)
-                m2 |= 1 << y
-                queue.append(y)
+    m1, m2 = _promote(h, tau, level_mask(g, 1), twos)
     for x in bits(m2):
         priv = (
             h.incidence_mask(x)
@@ -161,22 +149,15 @@ def ext_rhf_surjective(
     for i in bits(h.all_edges_mask & ~(h.incidence_set_mask(m2) | tau_m1)):
         pre = tau.preimage_mask(i)
         fills |= pre & -pre
-    ones = m1 | fills
-    f = tuple(
-        2 if (m2 >> x) & 1 else 1 if (ones >> x) & 1 else 0
-        for x in range(h.n_vertices)
-    )
-    return ExtAnswer(True, f)
-
-
-def _sweep_ranges(f: RomanAssignment) -> list[tuple[int, ...]]:
-    return [(0, 1, 2) if v == 0 else (1, 2) if v == 1 else (2,) for v in f]
+    return ExtAnswer(True, _assignment(h.n_vertices, m1 | fills, m2))
 
 
 def _general_sweep(
     h: Hypergraph, tau: Correspondence, f: RomanAssignment
 ) -> ExtAnswer:
-    for g in itertools.product(*_sweep_ranges(f)):
+    ranges = [(0, 1, 2) if v == 0 else (1, 2) if v == 1 else (2,) for v in f]
+    guard_work(math.prod(map(len, ranges)), "general extension sweep")
+    for g in itertools.product(*ranges):
         if is_minimal_rhf_theorem(h, tau, g):
             return ExtAnswer(True, g)
     return ExtAnswer(False)
@@ -221,10 +202,7 @@ def _witness_to_assignment(
         own = pre & ones
         pick = own if own else pre & -pre
         fills |= pick & -pick
-    g = tuple(
-        2 if (g2 >> x) & 1 else 1 if (fills >> x) & 1 else 0
-        for x in range(h.n_vertices)
-    )
+    g = _assignment(h.n_vertices, fills, g2)
     assert is_minimal_rhf_theorem(h, tau, g)
     assert all(a <= b for a, b in zip(fc, g))
     return g
@@ -232,16 +210,16 @@ def _witness_to_assignment(
 
 def _witness_work(
     h: Hypergraph, tau: Correspondence, ones: int, twos: int, no_pre: int
-) -> tuple[int, int]:
-    """Bounds on the 2-sets and private-edge maps the witness search tries.
+) -> int:
+    """Bound on the candidates the witness search tries: 2-sets times maps.
 
-    Every 2-set is the closure's 2s plus a subset of its 1s. A vertex x
-    of a 2-set only ever takes as private edge one of its edges other
-    than tau(x) that holds no closure 2 but x, so over all 2-sets the
-    maps number at most the product of those counts (a 2 without any
-    such edge stops every 2-set at once). The maps are enumerated only
-    when some edge lies outside the correspondence's range (no_pre);
-    otherwise each 2-set tries one.
+    Every 2-set is the closure's 2s plus a subset of its 1s, so there are
+    2^|1s| of them. A vertex x of a 2-set only ever takes as private edge
+    one of its edges other than tau(x) that holds no closure 2 but x, so
+    over all 2-sets the private-edge maps number at most the product of
+    those counts (a 2 without any such edge stops every 2-set at once).
+    The maps are enumerated only when some edge lies outside the
+    correspondence's range (no_pre); otherwise each 2-set tries one.
     """
     sets = 1 << ones.bit_count()
     maps = 1
@@ -253,9 +231,9 @@ def _witness_work(
                 if i != tau.mapping[x] and not h.edge_members[i] & twos & ~(1 << x)
             )
             if not cands and (twos >> x) & 1:
-                return sets, 1
+                return sets
             maps *= max(cands, 1)
-    return sets, maps
+    return sets * maps
 
 
 def _general_witness(
@@ -265,12 +243,9 @@ def _general_witness(
     ones = level_mask(fc, 1)
     twos = level_mask(fc, 2)
     no_pre = h.all_edges_mask & ~tau.range_mask
-    sets, maps = _witness_work(h, tau, ones, twos, no_pre)
-    if sets * maps > 1 << GENERAL_GUARD:
-        raise GuardRefused(
-            f"witness extension search is limited to 2^{GENERAL_GUARD} "
-            f"candidates, got {sets} 2-sets times {maps} private-edge maps"
-        )
+    guard_work(
+        _witness_work(h, tau, ones, twos, no_pre), "witness extension search"
+    )
     ones_list = list(bits(ones))
     for pick in range(1 << len(ones_list)):
         r2m = twos
@@ -319,24 +294,19 @@ def ext_rhf_general(
 ) -> ExtAnswer:
     """Is there a minimal rhf above f, for arbitrary correspondences?
 
-    Both strategies are exponential, so each is guarded on its own work
-    before it starts, and both return the same decision. The sweep
-    strategy tries every assignment above f, so it is limited to
-    GENERAL_GUARD vertices below 2. The witness strategy runs the
-    promotion closure and searches for a 2-set plus private-edge map
-    whose constraints certify extensibility; the 0s cost it nothing
-    exponential, so it is limited to 2^GENERAL_GUARD candidates: the
-    2-sets over the closure's 1s times a bound on the private-edge maps.
+    Both strategies are exponential, so each counts the candidates it
+    would try before it starts and is refused past the shared limit of
+    errors.guard_work; both return the same decision. The sweep strategy
+    tries every assignment above f: 3^|0s| 2^|1s| of them, so it is
+    refused from 13 zeros on. The witness strategy runs the promotion
+    closure and searches for a 2-set plus private-edge map whose
+    constraints certify extensibility; the 0s cost it nothing
+    exponential, so it counts the 2-sets over the closure's 1s times a
+    bound on the private-edge maps.
     """
     tau.validate(h)
     f = validate_assignment(f, h.n_vertices)
     if strategy == "sweep":
-        low = sum(1 for v in f if v < 2)
-        if low > GENERAL_GUARD:
-            raise GuardRefused(
-                f"general extension sweep is limited to {GENERAL_GUARD} "
-                f"vertices below 2, got {low}"
-            )
         return _general_sweep(h, tau, f)
     if strategy == "witness":
         return _general_witness(h, tau, f)
@@ -351,29 +321,26 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
     vertex capped at 0 needs a dominator capped at 2 that is not adjacent
     to a pinned 1; the solver branches over those choices, re-closes, and
     finishes with the polynomial extension check on the closed
-    neighborhood hypergraph. Witnesses never exceed the cap: the final
-    check adds no 2s beyond the closure and fills 1s only next to chosen
-    dominators' undominated slack.
+    neighborhood hypergraph. The choices are exponential in the vertices
+    capped at 0, so their number is counted and guarded before the first
+    is tried. Witnesses never exceed the cap: the final check adds no 2s
+    beyond the closure and fills 1s only next to chosen dominators'
+    undominated slack.
     """
     g, f, up = inst.graph, inst.lower, inst.upper
     n = g.n_vertices
     if any(f[v] > up[v] for v in range(n)):
         return ExtAnswer(False)
+    hh, tt = closed_neighborhood_hypergraph(g)
+    cap2 = level_mask(up, 2)
 
-    def close(vals: list[int]) -> list[int] | None:
-        changed = True
-        while changed:
-            changed = False
-            twos = level_mask(vals, 2)
-            for v, val in enumerate(vals):
-                if val == 1 and g.neighbors_mask(v) & twos:
-                    if up[v] < 2:
-                        return None
-                    vals[v] = 2
-                    changed = True
-        return vals
+    def close(m1: int, m2: int) -> tuple[int, int] | None:
+        # on N[.] with the identity correspondence the promotion closure
+        # raises exactly the 1s next to a 2
+        m1, m2 = _promote(hh, tt, m1, m2)
+        return None if m2 & ~cap2 else (m1, m2)
 
-    base = close(list(f))
+    base = close(level_mask(f, 1), level_mask(f, 2))
     if base is None:
         return ExtAnswer(False)
     pinned = mask_of(
@@ -392,20 +359,16 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
         if not cs:
             return ExtAnswer(False)
         cands.append(cs)
-    hh, tt = closed_neighborhood_hypergraph(g)
-    seen: set[tuple[int, ...]] = set()
+    guard_work(
+        math.prod(len(cs) for cs in cands), "bounded extension dominator search"
+    )
+    seen: set[tuple[int, int]] = set()
     for combo in itertools.product(*cands):
-        vals = list(base)
-        for u in combo:
-            vals[u] = 2
-        closed = close(vals)
-        if closed is None:
-            continue
-        key = tuple(closed)
-        if key in seen:
+        key = close(base[0], base[1] | mask_of(combo))
+        if key is None or key in seen:
             continue
         seen.add(key)
-        ans = ext_rhf_surjective(hh, tt, key)
+        ans = ext_rhf_surjective(hh, tt, _assignment(n, *key))
         if ans.decision:
             w = ans.witness
             assert all(f[v] <= w[v] <= up[v] for v in range(n))

@@ -263,3 +263,17 @@ def minimal_dominating_sets(g: Graph) -> set[frozenset[int]]:
         if is_minimal_dominating_set(g, d):
             out.add(d)
     return out
+
+
+def capped_paths_text(k: int) -> str:
+    """Graph file of a bounded rdf "no" instance with 2^k dominator choices.
+
+    The isolated z has lower = upper = 2, so no minimal rdf fits: lowering
+    z to 1 keeps any rdf valid. Each of the k paths u-v-w caps its middle
+    vertex at 0, and v needs u or w at 2, which bounded_ext_rd branches on.
+    """
+    lines = ["vertex z " + " ".join(f"u{j} v{j} w{j}" for j in range(k))]
+    for j in range(k):
+        lines += [f"gedge u{j} v{j}", f"gedge v{j} w{j}", f"upper v{j} 0"]
+    lines.append("assign z 2")
+    return "\n".join(lines) + "\n"

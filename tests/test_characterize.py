@@ -41,14 +41,14 @@ from romanhs.characterize import (
 )
 from romanhs.core import (
     Graph,
-    Hypergraph,
     RhsPair,
     closed_neighborhood_hypergraph,
     is_rdf,
     is_rhf,
     is_rhs,
 )
-from romanhs.errors import GuardRefused, InputError
+from romanhs.enumeration import gen_random, iter_minimal_rhs
+from romanhs.errors import InputError
 
 
 # Literal references: scan the whole downward closure instead of single
@@ -339,13 +339,28 @@ class TestWitness:
 
 
 class TestGuards:
+    # The definition-level oracles make polynomially many validity checks,
+    # so they take no size guard: they answer at any size, and agree with
+    # the theorem checkers on instances larger than a guard would allow.
+
     def test_rhs_guard(self):
-        names = [f"x{i}" for i in range(25)]
-        h = Hypergraph.build(names, [])
-        with pytest.raises(GuardRefused):
-            brute_minimal_rhs(h, RhsPair(frozenset(), frozenset()))
+        h = gen_random(25, 12, 0.2, seed=5).hypergraph
+        rng = random.Random(5)
+        pairs = [RhsPair(frozenset(), frozenset())]
+        pairs += itertools.islice(iter_minimal_rhs(h), 10)
+        pairs += [random_pair(rng, h) for _ in range(30)]
+        verdicts = [brute_minimal_rhs(h, p) for p in pairs]
+        assert verdicts == [is_minimal_rhs_theorem(h, p) for p in pairs]
+        assert set(verdicts) == {False, True}
 
     def test_rdf_guard(self):
-        g = Graph.build([f"v{i}" for i in range(13)], [])
-        with pytest.raises(GuardRefused):
-            brute_minimal_rdf(g, (1,) * 13)
+        g = path_graph(13)
+        rng = random.Random(13)
+        fs = [(1,) * 13, (0, 2, 0) * 4 + (1,)]
+        fs += [tuple(rng.choice((0, 1, 2)) for _ in range(13)) for _ in range(40)]
+        verdicts = [brute_minimal_rdf(g, f) for f in fs]
+        assert verdicts == [is_minimal_rdf_theorem(g, f) for f in fs]
+        assert [brute_minimal_po_rdf(g, f) for f in fs] == [
+            is_po_minimal_rdf_theorem(g, f) for f in fs
+        ]
+        assert set(verdicts) == {False, True}

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import capped_paths_text
 import romanhs
 import romanhs.cli
 from romanhs.cli import (
@@ -242,6 +243,10 @@ def test_ext_rd_bounded(run, write):
     assert is_minimal_rdf_theorem(g, f)
     no = write("p3no.g", P3 + "assign a 2\nassign b 2\nassign c 2\n")
     assert run("ext-rd-bounded", no)[1] == "no\n"
+    code, out, _ = run("ext-rd-bounded", write("paths8.g", capped_paths_text(8)))
+    assert code == 0 and out == "no\n"
+    code, out, err = run("ext-rd-bounded", write("paths21.g", capped_paths_text(21)))
+    assert code == 2 and out == "" and "refused:" in err
 
 
 def test_ext_ds_split(run, write):

@@ -9,6 +9,7 @@ from corpus import (
     assignment_of,
     build_ex1,
     build_ex2,
+    capped_paths_text,
     complete_graph,
     connected_graphs_upto,
     ex1_tau,
@@ -32,11 +33,11 @@ from romanhs.core import (
     Hypergraph,
     RhsPair,
     closed_neighborhood_hypergraph,
+    parse_graph_text,
 )
 from romanhs.enumeration import gen_random
-from romanhs.errors import GuardRefused, InputError
+from romanhs.errors import WORK_LIMIT, GuardRefused, InputError
 from romanhs.extend import (
-    GENERAL_GUARD,
     bounded_ext_rd,
     ext_ds_split,
     ext_rhf_general,
@@ -282,7 +283,7 @@ def test_general_no_solution_over_empty_edge():
 
 
 def test_general_guard_and_bad_strategy():
-    n = GENERAL_GUARD + 1
+    n = WORK_LIMIT.bit_length()
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [("e", names)])
     tau = Correspondence((0,) * n)
@@ -293,8 +294,9 @@ def test_general_guard_and_bad_strategy():
 
 
 def test_general_guard_ignores_twos():
-    # 21 vertices but only 20 below 2, so the guard lets it through
-    n = GENERAL_GUARD + 1
+    # 21 vertices, but the witness search counts only the closure's 1s,
+    # of which there are none, so the guard lets it through
+    n = WORK_LIMIT.bit_length()
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [("e", names)])
     tau = Correspondence((0,) * n)
@@ -302,6 +304,23 @@ def test_general_guard_ignores_twos():
     ans = ext_rhf_general(h, tau, f, strategy="witness")
     # the lone 2 can never earn a private edge besides its corresponding one
     assert not ans.decision
+
+
+def test_sweep_guard_counts_assignments():
+    # the sweep tries 3^|0s| 2^|1s| assignments: 3^12 <= 2^20 < 3^13 and
+    # 3^12 * 2 > 2^20
+    def one_edge(n):
+        names = [f"x{i}" for i in range(n)]
+        return Hypergraph.build(names, [("e", names)]), Correspondence((0,) * n)
+
+    h, tau = one_edge(12)
+    ans = ext_rhf_general(h, tau, (0,) * 12, strategy="sweep")
+    assert ans.decision and is_minimal_rhf_theorem(h, tau, ans.witness)
+    h, tau = one_edge(13)
+    for f in ((0,) * 13, (1,) + (0,) * 12):
+        with pytest.raises(GuardRefused):
+            ext_rhf_general(h, tau, f, strategy="sweep")
+        assert ext_rhf_general(h, tau, f, strategy="witness").decision
 
 
 def test_witness_guard_counts_closure_ones_not_zeros():
@@ -319,7 +338,7 @@ def test_witness_guard_counts_closure_ones_not_zeros():
 def test_witness_guard_refuses_many_surviving_ones():
     # one private edge per vertex: every 1 survives the closure, giving
     # 2^21 candidate 2-sets
-    n = GENERAL_GUARD + 1
+    n = WORK_LIMIT.bit_length()
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [(f"e{i}", [x]) for i, x in enumerate(names)])
     tau = Correspondence(tuple(range(n)))
@@ -397,6 +416,17 @@ def test_bounded_matches_brute_on_small_graphs():
                 assert all(
                     lower[v] <= w[v] <= upper[v] for v in range(g.n_vertices)
                 )
+
+
+def test_bounded_guard_counts_dominator_choices():
+    # 2^21 dominator choices are refused before the first is tried; 2^8
+    # of them are all tried and the answer is no
+    big = parse_graph_text(capped_paths_text(21))
+    with pytest.raises(GuardRefused):
+        bounded_ext_rd(BoundedRdInstance.build(big.graph, big.assignment, big.upper))
+    small = parse_graph_text(capped_paths_text(8))
+    inst = BoundedRdInstance.build(small.graph, small.assignment, small.upper)
+    assert not bounded_ext_rd(inst).decision
 
 
 def test_bounded_unbounded_top_equals_surjective_extension():
