@@ -11,8 +11,10 @@ tests pit the two checkers against each other on exhaustive corpora.
 
 This module also houses the extensibility witness: a planned 2-set together
 with a map that assigns each member a privately hit edge other than its
-corresponding one. check_extension_witness evaluates the witness
-constraints; the search for a witness lives in the extend module.
+corresponding one. check_extension_witness is the public certificate
+checker; the witness search in the extend module shares its constraint on
+preimage-free edges (_witness_cover). Public checkers validate their input;
+the private cores take a validated correspondence and vertex masks.
 """
 
 from __future__ import annotations
@@ -108,14 +110,16 @@ def minimal_rhf_violation(
     """
     tau.validate(h)
     f = validate_assignment(f, h.n_vertices)
-    ones = level_mask(f, 1)
-    twos = level_mask(f, 2)
-    seen = 0
-    for x in bits(ones):
-        e = 1 << tau.mapping[x]
-        if seen & e:
-            return "tau-collision-on-ones"
-        seen |= e
+    return _rhf_violation(h, tau, level_mask(f, 1), level_mask(f, 2))
+
+
+def _rhf_violation(
+    h: Hypergraph, tau: Correspondence, ones: int, twos: int
+) -> str | None:
+    """minimal_rhf_violation on a validated correspondence and level masks."""
+    seen = tau.image_mask(ones)
+    if seen.bit_count() != ones.bit_count():
+        return "tau-collision-on-ones"
     for x in bits(ones):
         if h.edge_members[tau.mapping[x]] & twos:
             return "one-vertex-edge-hit-by-two"
@@ -247,15 +251,11 @@ def check_extension_witness(
     f = validate_assignment(f, h.n_vertices)
     ones = level_mask(f, 1)
     twos = level_mask(f, 2)
-    seen = 0
-    for x in bits(ones):
-        e = 1 << tau.mapping[x]
-        if seen & e:
-            raise InputError(
-                "correspondence collides on 1-vertices; apply the promotion "
-                "closure before checking witnesses"
-            )
-        seen |= e
+    if tau.image_mask(ones).bit_count() != ones.bit_count():
+        raise InputError(
+            "correspondence collides on 1-vertices; apply the promotion "
+            "closure before checking witnesses"
+        )
     r2m = mask_of(w.r2)
     if twos & ~r2m or r2m & ~(ones | twos):
         raise InputError("witness 2-set must contain the 2s and avoid the 0s")
@@ -265,24 +265,38 @@ def check_extension_witness(
     if any(not 0 <= i < h.n_edges for i in rho.values()):
         raise InputError("witness map targets an unknown edge index")
 
-    for x, i in rho.items():
-        if i == tau.mapping[x]:
-            return False
-        if h.edge_members[i] & r2m != 1 << x:
-            return False
-    for x in bits(ones & ~r2m):
-        if h.edge_members[tau.mapping[x]] & r2m:
-            return False
+    if any(
+        i == tau.mapping[x] or h.edge_members[i] & r2m != 1 << x
+        for x, i in rho.items()
+    ):
+        return False
+    rest = ones & ~r2m
+    if any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
+        return False
+    no_pre = h.all_edges_mask & ~tau.range_mask
+    return _witness_cover(h, tau, rest, r2m, rho.values(), no_pre) is not None
+
+
+def _witness_cover(
+    h: Hypergraph,
+    tau: Correspondence,
+    rest: int,
+    r2m: int,
+    targets: Iterable[EdgeIndex],
+    no_pre: int,
+) -> int | None:
+    """Union of the remaining 1s' corresponding edges and the certificate
+    edges, or None when it swallows an edge of no_pre that misses r2m."""
     covered = 0
-    for x in bits(ones & ~r2m):
+    for x in bits(rest):
         covered |= h.edge_members[tau.mapping[x]]
-    for x in bits(r2m):
-        covered |= h.edge_members[rho[x]]
-    for i in bits(h.all_edges_mask & ~tau.range_mask):
+    for i in targets:
+        covered |= h.edge_members[i]
+    for i in bits(no_pre):
         e = h.edge_members[i]
         if not e & ~covered and not e & r2m:
-            return False
-    return True
+            return None
+    return covered
 
 
 # ---------------------------------------------------------------------------

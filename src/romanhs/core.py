@@ -312,6 +312,12 @@ def is_rhf(h: Hypergraph, tau: Correspondence, f: Sequence[int]) -> bool:
     return True
 
 
+def _require_nonempty_edges(h: Hypergraph) -> None:
+    """Refuse a hypergraph on which no hitting function exists."""
+    if not all(h.edge_members):
+        raise InputError("an edge with no members admits no hitting function")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with token-named vertices.

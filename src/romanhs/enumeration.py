@@ -40,7 +40,7 @@ import random
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .characterize import is_minimal_rhf_theorem
+from .characterize import _rhf_violation
 from .core import (
     Correspondence,
     Hypergraph,
@@ -48,6 +48,7 @@ from .core import (
     RhsPair,
     RomanAssignment,
     bits,
+    level_mask,
 )
 from .errors import InputError, guard_work
 
@@ -385,7 +386,7 @@ def brute_enumerate_minimal_rhf(
     return [
         f
         for f in itertools.islice(candidates, part, None, stride)
-        if is_minimal_rhf_theorem(h, tau, f)
+        if _rhf_violation(h, tau, level_mask(f, 1), level_mask(f, 2)) is None
     ]
 
 

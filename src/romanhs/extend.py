@@ -9,6 +9,10 @@ promotion closure. Graph-side, bounded_ext_rd answers the two-sided Roman
 domination extension question by branching on dominators for the vertices
 capped at 0, and ext_ds_split answers minimal-dominating-set extension on
 split graphs through ext_rhs.
+
+The public functions validate once; their loops call private cores on
+vertex masks that validate nothing (_promote, _surjective, _complete, and
+characterize's _rhf_violation and _witness_cover).
 """
 
 from __future__ import annotations
@@ -18,12 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .characterize import (
-    ExtensionWitness,
-    check_extension_witness,
-    is_minimal_rhf_theorem,
-    is_minimal_rhs_theorem,
-)
+from .characterize import _rhf_violation, _witness_cover
 from .core import (
     BoundedRdInstance,
     Correspondence,
@@ -127,29 +126,33 @@ def ext_rhf_surjective(
     tau.validate(h)
     g = validate_assignment(g, h.n_vertices)
     twos = level_mask(g, 2)
-    no_pre = h.all_edges_mask & ~tau.range_mask
-    if no_pre & ~h.incidence_set_mask(twos):
+    if h.all_edges_mask & ~tau.range_mask & ~h.incidence_set_mask(twos):
         raise InputError(
             "an edge without correspondence preimage is not pre-hit; "
             "use the general solver"
         )
-    m1, m2 = _promote(h, tau, level_mask(g, 1), twos)
+    return _surjective(h, tau, *_promote(h, tau, level_mask(g, 1), twos))
+
+
+def _surjective(
+    h: Hypergraph, tau: Correspondence, m1: int, m2: int
+) -> ExtAnswer:
+    """ext_rhf_surjective on the promotion closure's 1s and 2s."""
     for x in bits(m2):
-        priv = (
-            h.incidence_mask(x)
-            & ~h.incidence_set_mask(m2 & ~(1 << x))
-            & ~(1 << tau.mapping[x])
-        )
-        if not priv:
+        others = h.incidence_set_mask(m2 & ~(1 << x)) | 1 << tau.mapping[x]
+        if not h.incidence_mask(x) & ~others:
             return ExtAnswer(False)
-    tau_m1 = 0
-    for x in bits(m1):
-        tau_m1 |= 1 << tau.mapping[x]
-    fills = 0
-    for i in bits(h.all_edges_mask & ~(h.incidence_set_mask(m2) | tau_m1)):
+    return ExtAnswer(True, _assignment(h.n_vertices, _complete(h, tau, m1, m2), m2))
+
+
+def _complete(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> int:
+    """The 1s plus a 1 on the smallest preimage member of every edge that
+    the 2s miss and the 1s do not claim."""
+    claimed = h.incidence_set_mask(twos) | tau.image_mask(ones)
+    for i in bits(h.all_edges_mask & ~claimed):
         pre = tau.preimage_mask(i)
-        fills |= pre & -pre
-    return ExtAnswer(True, _assignment(h.n_vertices, m1 | fills, m2))
+        ones |= pre & -pre
+    return ones
 
 
 def _general_sweep(
@@ -158,7 +161,7 @@ def _general_sweep(
     ranges = [(0, 1, 2) if v == 0 else (1, 2) if v == 1 else (2,) for v in f]
     guard_work(math.prod(map(len, ranges)), "general extension sweep")
     for g in itertools.product(*ranges):
-        if is_minimal_rhf_theorem(h, tau, g):
+        if _rhf_violation(h, tau, level_mask(g, 1), level_mask(g, 2)) is None:
             return ExtAnswer(True, g)
     return ExtAnswer(False)
 
@@ -166,22 +169,17 @@ def _general_sweep(
 def _witness_to_assignment(
     h: Hypergraph,
     tau: Correspondence,
-    fc: RomanAssignment,
+    f: RomanAssignment,
+    rest: int,
     r2m: int,
-    rho: dict[int, int],
+    covered: int,
 ) -> RomanAssignment:
     # leftover preimage-free edges get hit by a fresh minimal hitting set
-    # carved out of the vertices no planned edge touches
-    ones = level_mask(fc, 1) & ~r2m
-    covered = 0
-    for x in bits(ones):
-        covered |= h.edge_members[tau.mapping[x]]
-    for x in bits(r2m):
-        covered |= h.edge_members[rho[x]]
-    no_pre = h.all_edges_mask & ~tau.range_mask
+    # carved out of the vertices no planned edge touches; the carved set
+    # avoids the corresponding edges of the remaining 1s, which keep them
     leftover = [
         i
-        for i in bits(no_pre)
+        for i in bits(h.all_edges_mask & ~tau.range_mask)
         if not h.edge_members[i] & r2m
     ]
     pool = 0
@@ -194,17 +192,11 @@ def _witness_to_assignment(
         trimmed = d & ~(1 << x)
         if all(e & trimmed for e in cut):
             d = trimmed
-    g2 = r2m | d
-    hit = h.incidence_set_mask(g2)
-    fills = 0
-    for i in bits(h.all_edges_mask & ~hit):
-        pre = tau.preimage_mask(i)
-        own = pre & ones
-        pick = own if own else pre & -pre
-        fills |= pick & -pick
-    g = _assignment(h.n_vertices, fills, g2)
-    assert is_minimal_rhf_theorem(h, tau, g)
-    assert all(a <= b for a, b in zip(fc, g))
+    twos = r2m | d
+    ones = _complete(h, tau, rest, twos)
+    g = _assignment(h.n_vertices, ones, twos)
+    assert _rhf_violation(h, tau, ones, twos) is None
+    assert all(a <= b for a, b in zip(f, g))
     return g
 
 
@@ -239,50 +231,33 @@ def _witness_work(
 def _general_witness(
     h: Hypergraph, tau: Correspondence, f: RomanAssignment
 ) -> ExtAnswer:
-    fc = promote_closure(h, tau, f)
-    ones = level_mask(fc, 1)
-    twos = level_mask(fc, 2)
+    ones, twos = _promote(h, tau, level_mask(f, 1), level_mask(f, 2))
     no_pre = h.all_edges_mask & ~tau.range_mask
     guard_work(
         _witness_work(h, tau, ones, twos, no_pre), "witness extension search"
     )
     ones_list = list(bits(ones))
     for pick in range(1 << len(ones_list)):
-        r2m = twos
-        for j, x in enumerate(ones_list):
-            if (pick >> j) & 1:
-                r2m |= 1 << x
-        if any(
-            h.edge_members[tau.mapping[x]] & r2m for x in bits(ones & ~r2m)
-        ):
+        r2m = twos | mask_of(x for j, x in enumerate(ones_list) if (pick >> j) & 1)
+        rest = ones & ~r2m
+        if any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
             continue
-        cands: list[list[int]] = []
-        for x in bits(r2m):
-            cs = [
+        # every other witness constraint holds by construction of the
+        # candidate edges; without preimage-free edges the first map passes
+        cands = [
+            [
                 i
                 for i in bits(h.incidence_mask(x))
                 if i != tau.mapping[x] and h.edge_members[i] & r2m == 1 << x
             ]
-            if not cs:
-                break
-            cands.append(cs)
-        else:
-            members = list(bits(r2m))
-            if not no_pre:
-                rho = {x: cs[0] for x, cs in zip(members, cands)}
-                w = ExtensionWitness.build(set(members), rho)
-                if check_extension_witness(h, tau, fc, w):
-                    return ExtAnswer(
-                        True, _witness_to_assignment(h, tau, fc, r2m, rho)
-                    )
-                continue
-            for combo in itertools.product(*cands):
-                rho = dict(zip(members, combo))
-                w = ExtensionWitness.build(set(members), rho)
-                if check_extension_witness(h, tau, fc, w):
-                    return ExtAnswer(
-                        True, _witness_to_assignment(h, tau, fc, r2m, rho)
-                    )
+            for x in bits(r2m)
+        ]
+        for combo in itertools.product(*cands):
+            covered = _witness_cover(h, tau, rest, r2m, combo, no_pre)
+            if covered is not None:
+                return ExtAnswer(
+                    True, _witness_to_assignment(h, tau, f, rest, r2m, covered)
+                )
     return ExtAnswer(False)
 
 
@@ -368,11 +343,11 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
         if key is None or key in seen:
             continue
         seen.add(key)
-        ans = ext_rhf_surjective(hh, tt, _assignment(n, *key))
+        # tt is surjective, so the extension check's precondition holds
+        ans = _surjective(hh, tt, *key)
         if ans.decision:
-            w = ans.witness
-            assert all(f[v] <= w[v] <= up[v] for v in range(n))
-            return ExtAnswer(True, w)
+            assert all(a <= b <= c for a, b, c in zip(f, ans.witness, up))
+            return ans
     return ExtAnswer(False)
 
 

@@ -32,6 +32,7 @@ from .core import (
     Hypergraph,
     RhsPair,
     RomanAssignment,
+    _require_nonempty_edges,
     bits,
     is_rhf,
     is_rhs,
@@ -104,10 +105,7 @@ def greedy_rhf(
 ) -> tuple[RomanAssignment, int]:
     """Assignment with the greedy cover at 2 and nothing at 1."""
     tau.validate(h)
-    if any(m == 0 for m in h.edge_members):
-        raise InputError(
-            "an edge with no members admits no hitting function"
-        )
+    _require_nonempty_edges(h)
     cover = _greedy_cover(h)
     f = tuple(2 if x in cover else 0 for x in range(h.n_vertices))
     assert is_rhf(h, tau, f)

@@ -24,6 +24,7 @@ from .core import (
     RhsPair,
     RomanAssignment,
     VertexId,
+    _require_nonempty_edges,
     bits,
     closed_neighborhood_hypergraph,
     is_rdf,
@@ -90,10 +91,7 @@ def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
     exactly what assignments must do. Optima coincide (offset 0).
     """
     tau.validate(h)
-    if any(m == 0 for m in h.edge_members):
-        raise InputError(
-            "an edge with no members admits no hitting function"
-        )
+    _require_nonempty_edges(h)
     rng = tau.range_mask
     twin_of = [i for i in range(h.n_edges) if not (rng >> i) & 1]
     used = set(h.edge_tokens)
@@ -152,7 +150,7 @@ def rhs_to_rhf(h: Hypergraph, k: int) -> ReductionOutput:
     Each edge gains an index vertex whose correspondence points back at
     the edge, so value 1 there stands for putting the edge into R1. A
     universal edge over the original vertices forces some original
-     2-vertex whenever the budget is below the edge count; above that the
+    2-vertex whenever the budget is below the edge count; above that the
     question is trivially yes and the construction is refused.
     """
     if k < 0:
@@ -184,6 +182,8 @@ def rhs_to_rhf(h: Hypergraph, k: int) -> ReductionOutput:
         pair.validate(h)
         if weight_pair(pair) > k:
             raise InputError(f"pair weight exceeds the budget {k}")
+        if not is_rhs(h, pair):
+            raise InputError("pair is not a Roman hitting set")
         vals = [0] * target.n_vertices
         for x in pair.r2:
             vals[x] = 2
@@ -228,10 +228,7 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
     forbid that move. Offset +2.
     """
     tau.validate(h)
-    if any(m == 0 for m in h.edge_members):
-        raise InputError(
-            "an edge with no members admits no hitting function"
-        )
+    _require_nonempty_edges(h)
     n = h.n_vertices
     rng = tau.range_mask
     unclaimable = [i for i in range(h.n_edges) if not (rng >> i) & 1]

@@ -242,6 +242,15 @@ def test_rhs_to_rhf_mappers_round_trip():
         ro.forward(heavy)
 
 
+def test_rhs_to_rhf_forward_rejects_non_rhs():
+    # the empty pair fits the budget but hits nothing; its image would be
+    # the all-zero assignment, which is no hitting function
+    h = Hypergraph.build(["a", "b"], [("1", ["a"]), ("2", ["b"]), ("3", ["a", "b"])])
+    ro = rhs_to_rhf(h, 2)
+    with pytest.raises(InputError, match="not a Roman hitting set"):
+        ro.forward(RhsPair(frozenset(), frozenset()))
+
+
 def test_rhs_to_rhf_token_freshening():
     h = Hypergraph.build(
         ["a", "e0"], [("a", ["a", "e0"]), ("e0", ["e0"])]
