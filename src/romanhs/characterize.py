@@ -312,11 +312,12 @@ def brute_minimal_rhs(h: Hypergraph, pair: RhsPair) -> bool:
     pair.validate(h)
     if not is_rhs(h, pair):
         return False
-    for i in pair.r1:
-        if is_rhs(h, RhsPair(pair.r1 - {i}, pair.r2)):
+    r1m, r2m = pair.r1m, pair.r2m
+    for i in bits(r1m):
+        if is_rhs(h, RhsPair.from_masks(r1m & ~(1 << i), r2m)):
             return False
-    for x in pair.r2:
-        if is_rhs(h, RhsPair(pair.r1, pair.r2 - {x})):
+    for x in bits(r2m):
+        if is_rhs(h, RhsPair.from_masks(r1m, r2m & ~(1 << x))):
             return False
     return True
 

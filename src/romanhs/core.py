@@ -17,13 +17,17 @@ rdf questions into rhf/rhs questions with the identity correspondence.
 
 Everything is token-based at the boundary and dense-integer based inside:
 tokens get dense ids in declaration order, and sets of ids are plain Python
-ints used as bitsets. All public containers are immutable.
+ints used as bitsets. An RhsPair stores its two sets as such masks; its r1
+and r2 are read-only IdSet views over them that build nothing, so handing a
+pair over costs two ints however large its sets are. All public containers
+are immutable.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -55,6 +59,38 @@ def mask_of(ids: Iterable[int]) -> int:
     for i in ids:
         m |= 1 << i
     return m
+
+
+class IdSet(Set):
+    """Read-only set of ids over a bitset mask; builds nothing.
+
+    Iteration is ascending, ``len`` is the bit count and ``in`` is a bit
+    test. A view equals, and hashes like, the frozenset of the same ids;
+    set operators return frozensets.
+    """
+
+    __slots__ = ("_mask",)
+
+    def __init__(self, mask: int) -> None:
+        self._mask = mask
+
+    def __len__(self) -> int:
+        return self._mask.bit_count()
+
+    def __iter__(self) -> Iterator[int]:
+        return bits(self._mask)
+
+    def __contains__(self, x: object) -> bool:
+        return isinstance(x, int) and x >= 0 and (self._mask >> x) & 1 == 1
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[int]) -> frozenset[int]:
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"IdSet({list(self)})"
 
 
 def frozenset_of(mask: int) -> frozenset[int]:
@@ -244,38 +280,95 @@ def level_mask(f: Sequence[int], value: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class RhsPair:
-    """Candidate Roman hitting set: edge indices R1 and vertices R2."""
+def _id_mask(ids: Iterable[int], message: str) -> int:
+    try:
+        return mask_of(ids)
+    except ValueError:  # a negative shift count: a negative id
+        raise InputError(message) from None
 
-    r1: frozenset[EdgeIndex]
-    r2: frozenset[VertexId]
+
+class RhsPair:
+    """Candidate Roman hitting set: edge indices R1 and vertices R2.
+
+    The pair is two bitset masks, ``r1m`` and ``r2m``; equality and hash
+    work on them. ``r1`` and ``r2`` are IdSet views over the masks, so
+    they compare and hash equal to frozensets but are not frozensets, and
+    building a pair from masks (``from_masks``) copies no ids. Pairs are
+    immutable. Negative ids are refused on construction; ``validate``
+    checks the upper ends against a hypergraph.
+    """
+
+    __slots__ = ("r1m", "r2m")
+    r1m: int
+    r2m: int
+
+    def __init__(self, r1: Iterable[EdgeIndex], r2: Iterable[VertexId]) -> None:
+        _SET_R1M(self, _id_mask(r1, _R1_RANGE))
+        _SET_R2M(self, _id_mask(r2, _R2_RANGE))
 
     @classmethod
     def from_masks(cls, r1_mask: int, r2_mask: int) -> "RhsPair":
-        return cls(frozenset_of(r1_mask), frozenset_of(r2_mask))
+        pair = object.__new__(cls)
+        _SET_R1M(pair, r1_mask)
+        _SET_R2M(pair, r2_mask)
+        return pair
 
     @classmethod
     def from_tokens(
         cls, h: Hypergraph, r1_tokens: Iterable[str], r2_tokens: Iterable[str]
     ) -> "RhsPair":
-        return cls(
-            frozenset(h.edge_id(t) for t in r1_tokens),
-            frozenset(h.vertex_id(t) for t in r2_tokens),
+        return cls.from_masks(
+            mask_of(h.edge_id(t) for t in r1_tokens),
+            mask_of(h.vertex_id(t) for t in r2_tokens),
         )
 
+    @property
+    def r1(self) -> IdSet:
+        return IdSet(self.r1m)
+
+    @property
+    def r2(self) -> IdSet:
+        return IdSet(self.r2m)
+
     def r1_mask(self) -> int:
-        return mask_of(self.r1)
+        return self.r1m
 
     def r2_mask(self) -> int:
-        return mask_of(self.r2)
+        return self.r2m
 
     def validate(self, h: Hypergraph) -> "RhsPair":
-        if any(not 0 <= i < h.n_edges for i in self.r1):
-            raise InputError("R1 contains an out-of-range edge index")
-        if any(not 0 <= x < h.n_vertices for x in self.r2):
-            raise InputError("R2 contains an out-of-range vertex id")
+        if self.r1m >> h.n_edges:
+            raise InputError(_R1_RANGE)
+        if self.r2m >> h.n_vertices:
+            raise InputError(_R2_RANGE)
         return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RhsPair is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"RhsPair is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RhsPair:
+            return NotImplemented
+        return self.r1m == other.r1m and self.r2m == other.r2m
+
+    def __hash__(self) -> int:
+        return hash((self.r1m, self.r2m))
+
+    def __reduce__(self) -> tuple:
+        return RhsPair.from_masks, (self.r1m, self.r2m)
+
+    def __repr__(self) -> str:
+        return f"RhsPair(r1={self.r1!r}, r2={self.r2!r})"
+
+
+_R1_RANGE = "R1 contains an out-of-range edge index"
+_R2_RANGE = "R2 contains an out-of-range vertex id"
+# the slot descriptors' setters bypass the refusing __setattr__
+_SET_R1M = RhsPair.r1m.__set__
+_SET_R2M = RhsPair.r2m.__set__
 
 
 def weight_assignment(f: Sequence[int]) -> int:
@@ -285,13 +378,12 @@ def weight_assignment(f: Sequence[int]) -> int:
 
 def weight_pair(pair: RhsPair) -> int:
     """Weight of a hitting-set pair: |R1| + 2 |R2|."""
-    return len(pair.r1) + 2 * len(pair.r2)
+    return pair.r1m.bit_count() + 2 * pair.r2m.bit_count()
 
 
 def is_rhs(h: Hypergraph, pair: RhsPair) -> bool:
     """Every index is in R1 or its edge meets R2."""
-    r1 = pair.r1_mask()
-    r2 = pair.r2_mask()
+    r1, r2 = pair.r1m, pair.r2m
     for i in range(h.n_edges):
         if not ((r1 >> i) & 1) and not (h.edge_members[i] & r2):
             return False
@@ -631,10 +723,10 @@ def serialize_hypergraph_file(hf: HypergraphFile) -> str:
     for x, v in enumerate(hf.assignment):
         if v:
             lines.append(f"assign {h.vertex_tokens[x]} {v}")
-    if hf.preset.r1:
-        lines.append("preset1" + "".join(" " + h.edge_tokens[i] for i in sorted(hf.preset.r1)))
-    if hf.preset.r2:
-        lines.append("preset2" + "".join(" " + h.vertex_tokens[x] for x in sorted(hf.preset.r2)))
+    if hf.preset.r1m:
+        lines.append("preset1" + "".join(" " + h.edge_tokens[i] for i in bits(hf.preset.r1m)))
+    if hf.preset.r2m:
+        lines.append("preset2" + "".join(" " + h.vertex_tokens[x] for x in bits(hf.preset.r2m)))
     return "\n".join(lines) + "\n"
 
 
@@ -665,8 +757,8 @@ def serialize_graph_file(gf: GraphFile) -> str:
 
 
 def format_pair(h: Hypergraph, pair: RhsPair) -> str:
-    r1 = ",".join(h.edge_tokens[i] for i in sorted(pair.r1))
-    r2 = ",".join(h.vertex_tokens[x] for x in sorted(pair.r2))
+    r1 = ",".join(h.edge_tokens[i] for i in bits(pair.r1m))
+    r2 = ",".join(h.vertex_tokens[x] for x in bits(pair.r2m))
     return f"R1={{{r1}}} R2={{{r2}}} w={weight_pair(pair)}"
 
 
@@ -687,8 +779,8 @@ def format_vertex_set(
 def pair_to_json(h: Hypergraph, pair: RhsPair) -> str:
     return json.dumps(
         {
-            "r1": [h.edge_tokens[i] for i in sorted(pair.r1)],
-            "r2": [h.vertex_tokens[x] for x in sorted(pair.r2)],
+            "r1": [h.edge_tokens[i] for i in bits(pair.r1m)],
+            "r2": [h.vertex_tokens[x] for x in bits(pair.r2m)],
             "w": weight_pair(pair),
         },
         sort_keys=True,

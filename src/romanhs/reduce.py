@@ -37,7 +37,7 @@ from .core import (
     weight_pair,
 )
 from .errors import GuardRefused, InputError
-from .extend import split_hypergraph
+from .extend import _assignment, _complete, split_hypergraph
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,6 @@ def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
         h.edge_tokens + tuple(twin_tokens),
         h.edge_members + tuple(h.edge_members[i] for i in twin_of),
     )
-    twin_pairs = [(i, h.n_edges + k) for k, i in enumerate(twin_of)]
 
     def forward(f: Sequence[int]) -> RhsPair:
         f = validate_assignment(f, h.n_vertices)
@@ -119,24 +118,14 @@ def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
         pair.validate(target)
         if not is_rhs(target, pair):
             raise InputError("pair does not solve the twinned instance")
-        r1 = set(pair.r1)
-        r2 = set(pair.r2)
-        for i, j in twin_pairs:
-            r1.discard(i)
-            r1.discard(j)
-            if not h.edge_members[i] & mask_of(r2):
+        r2m = pair.r2m
+        for i in twin_of:
+            e = h.edge_members[i]
+            if not e & r2m:
                 # both slots were occupied; trade them for hitting the edge
-                r2.add((h.edge_members[i] & -h.edge_members[i]).bit_length() - 1)
-        r2m = mask_of(r2)
-        vals = [0] * h.n_vertices
-        for x in r2:
-            vals[x] = 2
-        for i in r1:
-            if h.edge_members[i] & r2m:
-                continue
-            pre = tau.preimage_mask(i)
-            vals[(pre & -pre).bit_length() - 1] = 1
-        f = tuple(vals)
+                r2m |= e & -e
+        # every edge the 2s now miss is in R1 and has a preimage
+        f = _assignment(h.n_vertices, _complete(h, tau, 0, r2m), r2m)
         assert is_rhf(h, tau, f)
         assert weight_assignment(f) <= weight_pair(pair)
         return f

@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -189,6 +190,74 @@ class TestConstruction:
             RhsPair(frozenset([99]), frozenset()).validate(h)
         with pytest.raises(InputError):
             RhsPair.from_tokens(h, ["nope"], [])
+
+    def test_pair_refuses_negative_ids(self):
+        with pytest.raises(InputError, match="R1 contains an out-of-range edge index"):
+            RhsPair(frozenset({-1}), frozenset())
+        with pytest.raises(InputError, match="R2 contains an out-of-range vertex id"):
+            RhsPair(frozenset({0}), [3, -2])
+
+
+class TestPairViews:
+    MASKS = [0, 0b1011, 1 << 63, (1 << 300) - 1, sum(1 << i for i in range(0, 300, 7))]
+
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_view_matches_frozenset(self, mask):
+        ids = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+        view = RhsPair.from_masks(0, mask).r2
+        assert list(view) == ids
+        assert len(view) == len(ids)
+        fs = frozenset(ids)
+        assert view == fs and fs == view
+        assert not view != fs and not fs != view
+        assert hash(view) == hash(fs)
+        assert {fs: 1}[view] == 1
+
+    def test_view_membership(self):
+        view = RhsPair.from_masks(0b101, 0).r1
+        assert 0 in view and 2 in view and True not in view
+        for x in (1, 3, 10**30, -1, -3, "0", 0.0, None, (0,)):
+            assert x not in view
+
+    def test_view_operators_return_frozensets(self):
+        a = RhsPair.from_masks(0b0111, 0).r1
+        b = RhsPair.from_masks(0b1100, 0).r1
+        for got, want in [
+            (a | b, {0, 1, 2, 3}),
+            (a & b, {2}),
+            (a - b, {0, 1}),
+            (a ^ b, {0, 1, 3}),
+            (a - {0}, {1, 2}),
+            ({5} | a, {0, 1, 2, 5}),
+            (frozenset({0, 9}) - a, {9}),
+        ]:
+            assert type(got) is frozenset and got == want
+        assert a <= frozenset(range(4)) and not a.isdisjoint(b)
+
+    def test_pair_from_sets_equals_from_masks(self):
+        pair = RhsPair({3, 0}, [5])
+        assert pair == RhsPair.from_masks(0b1001, 1 << 5)
+        assert hash(pair) == hash(RhsPair.from_masks(0b1001, 1 << 5))
+        assert (pair.r1m, pair.r2m) == (pair.r1_mask(), pair.r2_mask()) == (0b1001, 32)
+        assert pair.r1 == {0, 3} and pair.r2 == {5}
+        assert pair != RhsPair.from_masks(0b1001, 0)
+        assert pair != (0b1001, 32)
+
+    def test_pair_is_immutable(self):
+        pair = RhsPair.from_masks(1, 2)
+        for name in ("r1m", "r2m", "r1", "other"):
+            with pytest.raises(AttributeError):
+                setattr(pair, name, 0)
+        with pytest.raises(AttributeError):
+            del pair.r1m
+        assert (pair.r1m, pair.r2m) == (1, 2)
+
+    def test_pair_pickles(self):
+        pair = RhsPair.from_masks((1 << 300) - 1, 0b110)
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(pair, proto))
+            assert type(back) is RhsPair and back == pair
+            assert (back.r1m, back.r2m) == (pair.r1m, pair.r2m)
 
 
 EX2_TEXT = """\
