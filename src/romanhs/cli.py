@@ -50,10 +50,10 @@ from .core import (
     RomanAssignment,
     assignment_from_json,
     assignment_to_json,
+    edge_hypergraph,
     format_assignment,
     format_pair,
     format_vertex_set,
-    is_rdf,
     is_rhf,
     is_rhs,
     pair_from_json,
@@ -64,7 +64,6 @@ from .core import (
     serialize_graph_file,
     serialize_hypergraph_file,
     set_to_json,
-    validate_assignment,
     weight_pair,
 )
 from .enumeration import (
@@ -87,7 +86,6 @@ from .extend import (
 )
 from .optimize import (
     _rvc_decide_counted,
-    edge_hypergraph,
     exact_min_rhf,
     exact_min_rhs,
     greedy_rhf,
@@ -99,12 +97,11 @@ from .optimize import (
 from .reduce import (
     ReductionOutput,
     ds_split_to_rhs,
-    is_hypergraph_rdf,
+    hrd_to_rd_two_section,
     rd_to_rhf,
     rhf_to_rd_gadget,
     rhf_to_rhs,
     rhs_to_rhf,
-    two_section,
     vc_to_rvc,
 )
 
@@ -415,21 +412,6 @@ def _require_k(k: int | None) -> int:
     return k
 
 
-def _two_section(hf: HypergraphFile, k: int | None) -> ReductionOutput:
-    h = hf.hypergraph
-    g2 = two_section(h)
-
-    def backward(f: RomanAssignment) -> RomanAssignment:
-        f = validate_assignment(f, g2.n_vertices)
-        if not is_rdf(g2, f):
-            raise InputError("assignment does not dominate the two-section")
-        # an rdf of the 2-section dominates the hypergraph as it stands
-        assert is_hypergraph_rdf(h, f)
-        return f
-
-    return ReductionOutput(g2, None, backward, 0)
-
-
 class _Reduction(NamedTuple):
     """One `reduce NAME`: whether the source file is a graph file (else a
     hypergraph file); the builder of the target from the source and -k;
@@ -480,7 +462,12 @@ _REDUCTIONS = {
         _read_pair,
         "D",
     ),
-    "two-section": _Reduction(False, _two_section, _read_assignment, "assignment"),
+    "two-section": _Reduction(
+        False,
+        lambda hf, k: hrd_to_rd_two_section(hf.hypergraph),
+        _read_assignment,
+        "assignment",
+    ),
 }
 
 

@@ -147,8 +147,6 @@ class Hypergraph:
     ) -> "Hypergraph":
         """Construct from tokens: vertices, then (edge token, member tokens)."""
         vids = {t: i for i, t in enumerate(vertices)}
-        if len(vids) != len(vertices):
-            raise InputError("duplicate vertex token")
         members = []
         for etok, mtoks in edges:
             m = 0
@@ -280,11 +278,17 @@ def level_mask(f: Sequence[int], value: int) -> int:
     return m
 
 
+_MAX_ID = (1 << 20) - 1
+
+
 def _id_mask(ids: Iterable[int], message: str) -> int:
-    try:
-        return mask_of(ids)
-    except ValueError:  # a negative shift count: a negative id
-        raise InputError(message) from None
+    m = 0
+    for i in ids:
+        # refused before the shift, which would allocate the whole width
+        if not 0 <= i <= _MAX_ID:
+            raise InputError(message)
+        m |= 1 << i
+    return m
 
 
 class RhsPair:
@@ -294,8 +298,13 @@ class RhsPair:
     work on them. ``r1`` and ``r2`` are IdSet views over the masks, so
     they compare and hash equal to frozensets but are not frozensets, and
     building a pair from masks (``from_masks``) copies no ids. Pairs are
-    immutable. Negative ids are refused on construction; ``validate``
-    checks the upper ends against a hypergraph.
+    immutable. ``validate`` checks the ids against a hypergraph.
+
+    Building a pair from ids refuses a negative id, and any id above
+    2^20 - 1, before allocating a mask as wide as the largest id. A mask
+    at that bound takes 128 KiB, while the instances the library can
+    search have a few thousand ids at most; without the bound, a single
+    id of 10^8 would hold 13 MB before ``validate`` could refuse it.
     """
 
     __slots__ = ("r1m", "r2m")
@@ -453,8 +462,6 @@ class Graph:
         cls, vertices: Sequence[str], edges: Sequence[tuple[str, str]]
     ) -> "Graph":
         vids = {t: i for i, t in enumerate(vertices)}
-        if len(vids) != len(vertices):
-            raise InputError("duplicate vertex token")
         pairs = []
         for a, b in edges:
             if a not in vids or b not in vids:
@@ -534,6 +541,22 @@ def closed_neighborhood_hypergraph(g: Graph) -> tuple[Hypergraph, Correspondence
     )
     tau = Correspondence(tuple(range(g.n_vertices)))
     return h, tau
+
+
+def edge_hypergraph(g: Graph) -> Hypergraph:
+    """Each graph edge becomes a 2-element hyperedge over the vertices.
+
+    Minimal Roman vertex covers of the graph are exactly the minimal
+    pairs of this hypergraph. Edge tokens join the endpoint tokens with
+    a tilde, in declaration order, so edge indices carry over.
+    """
+    return Hypergraph(
+        g.vertex_tokens,
+        tuple(
+            f"{g.vertex_tokens[u]}~{g.vertex_tokens[v]}" for u, v in g.edges
+        ),
+        tuple((1 << u) | (1 << v) for u, v in g.edges),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .core import (
     RomanAssignment,
     _require_nonempty_edges,
     bits,
+    edge_hypergraph,
     is_rhf,
     is_rhs,
     weight_pair,
@@ -262,22 +263,6 @@ def exact_min_rhf(h: Hypergraph, tau: Correspondence) -> OptResult:
 
 # ---------------------------------------------------------------------------
 # Roman vertex cover and Roman edge cover
-
-
-def edge_hypergraph(g: Graph) -> Hypergraph:
-    """Each graph edge becomes a 2-element hyperedge over the vertices.
-
-    Minimal Roman vertex covers of the graph are exactly the minimal
-    pairs of this hypergraph. Edge tokens join the endpoint tokens with
-    a tilde, in declaration order, so edge indices carry over.
-    """
-    return Hypergraph(
-        g.vertex_tokens,
-        tuple(
-            f"{g.vertex_tokens[u]}~{g.vertex_tokens[v]}" for u, v in g.edges
-        ),
-        tuple((1 << u) | (1 << v) for u, v in g.edges),
-    )
 
 
 def incidence_hypergraph(g: Graph) -> Hypergraph:

@@ -9,12 +9,16 @@ nominal offset of 0.
 Backward mappers validate their input and normalize it first, so they
 accept any valid target solution, not only mapped-forward ones. Forward
 mappers insist on a valid source solution where the image would otherwise
-be meaningless.
+be meaningless. A mapper that needs a hitting function or a hitting set
+checks it through one helper per kind (``_rhf`` for assignments, ``_rhs``
+for pairs), and mappers build their results on bitset masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -27,6 +31,8 @@ from .core import (
     _require_nonempty_edges,
     bits,
     closed_neighborhood_hypergraph,
+    edge_hypergraph,
+    frozenset_of,
     is_rdf,
     is_rhf,
     is_rhs,
@@ -59,6 +65,21 @@ def _fresh_token(base: str, used: set[str]) -> str:
     return tok
 
 
+def _rhf(h: Hypergraph, tau: Correspondence, f: Sequence[int]) -> RomanAssignment:
+    """f as a validated assignment, refused unless it is an rhf."""
+    f = validate_assignment(f, h.n_vertices)
+    if not is_rhf(h, tau, f):
+        raise InputError("assignment is not a hitting function")
+    return f
+
+
+def _rhs(h: Hypergraph, pair: RhsPair, message: str) -> RhsPair:
+    """pair, refused with message unless it is an rhs of h."""
+    if not is_rhs(h, pair.validate(h)):
+        raise InputError(message)
+    return pair
+
+
 def rd_to_rhf(g: Graph) -> ReductionOutput:
     """Roman domination as a hitting function on closed neighborhoods.
 
@@ -68,18 +89,8 @@ def rd_to_rhf(g: Graph) -> ReductionOutput:
     assignment that is not an rhf of the target.
     """
     h, tau = closed_neighborhood_hypergraph(g)
-    n = g.n_vertices
-
-    def forward(f: Sequence[int]) -> RomanAssignment:
-        return validate_assignment(f, n)
-
-    def backward(f: Sequence[int]) -> RomanAssignment:
-        f = validate_assignment(f, n)
-        if not is_rhf(h, tau, f):
-            raise InputError("assignment is not a hitting function")
-        return f
-
-    return ReductionOutput((h, tau), forward, backward, 0)
+    forward = partial(validate_assignment, n=g.n_vertices)
+    return ReductionOutput((h, tau), forward, partial(_rhf, h, tau), 0)
 
 
 def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
@@ -103,22 +114,12 @@ def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
     )
 
     def forward(f: Sequence[int]) -> RhsPair:
-        f = validate_assignment(f, h.n_vertices)
-        if not is_rhf(h, tau, f):
-            raise InputError("assignment is not a hitting function")
-        twos = level_mask(f, 2)
-        r1 = [
-            i
-            for i in range(target.n_edges)
-            if not target.edge_members[i] & twos
-        ]
-        return RhsPair(frozenset(r1), frozenset(bits(twos)))
+        twos = level_mask(_rhf(h, tau, f), 2)
+        r1m = target.all_edges_mask & ~target.incidence_set_mask(twos)
+        return RhsPair.from_masks(r1m, twos)
 
     def backward(pair: RhsPair) -> RomanAssignment:
-        pair.validate(target)
-        if not is_rhs(target, pair):
-            raise InputError("pair does not solve the twinned instance")
-        r2m = pair.r2m
+        r2m = _rhs(target, pair, "pair does not solve the twinned instance").r2m
         for i in twin_of:
             e = h.edge_members[i]
             if not e & r2m:
@@ -150,57 +151,33 @@ def rhs_to_rhf(h: Hypergraph, k: int) -> ReductionOutput:
             f"{h.n_edges} <= {k}"
         )
     n = h.n_vertices
+    low = (1 << n) - 1
     used = set(h.vertex_tokens)
     index_tokens = [_fresh_token(t, used) for t in h.edge_tokens]
-    eused = set(h.edge_tokens)
-    a_token = _fresh_token("a", eused)
     target = Hypergraph(
         h.vertex_tokens + tuple(index_tokens),
-        h.edge_tokens + (a_token,),
-        tuple(
-            m | (1 << (n + i)) for i, m in enumerate(h.edge_members)
-        )
-        + ((1 << n) - 1,),
+        h.edge_tokens + (_fresh_token("a", set(h.edge_tokens)),),
+        tuple(m | 1 << (n + i) for i, m in enumerate(h.edge_members)) + (low,),
     )
-    a_edge = h.n_edges
-    tau2 = Correspondence(
-        tuple([a_edge] * n + list(range(h.n_edges)))
-    )
+    # the original vertices claim the universal edge a, the last one
+    tau2 = Correspondence((h.n_edges,) * n + tuple(range(h.n_edges)))
 
     def forward(pair: RhsPair) -> RomanAssignment:
-        pair.validate(h)
-        if weight_pair(pair) > k:
+        if weight_pair(pair.validate(h)) > k:
             raise InputError(f"pair weight exceeds the budget {k}")
-        if not is_rhs(h, pair):
-            raise InputError("pair is not a Roman hitting set")
-        vals = [0] * target.n_vertices
-        for x in pair.r2:
-            vals[x] = 2
-        for i in pair.r1:
-            vals[n + i] = 1
-        f = tuple(vals)
+        _rhs(h, pair, "pair is not a Roman hitting set")
+        f = _assignment(target.n_vertices, pair.r1m << n, pair.r2m)
         assert is_rhf(target, tau2, f)
         return f
 
     def backward(f: Sequence[int]) -> RhsPair:
-        f = validate_assignment(f, target.n_vertices)
-        if weight_assignment(f) > k:
+        if weight_assignment(validate_assignment(f, target.n_vertices)) > k:
             raise InputError(f"assignment weight exceeds the budget {k}")
-        if not is_rhf(target, tau2, f):
-            raise InputError("assignment is not a hitting function")
-        vals = list(f)
-        for i in range(h.n_edges):
-            # an index vertex lies in one edge only; 1 claims it as well
-            if vals[n + i] == 2:
-                vals[n + i] = 1
-        assert any(vals[x] == 2 for x in range(n))
-        for x in range(n):
-            if vals[x] == 1:
-                vals[x] = 0
-        pair = RhsPair(
-            frozenset(i for i in range(h.n_edges) if vals[n + i] == 1),
-            frozenset(x for x in range(n) if vals[x] == 2),
-        )
+        f = _rhf(target, tau2, f)
+        # an index vertex lies in one edge only, so a 1 there claims it as
+        # well as a 2; a 1 on an original vertex claims only the edge a
+        ones, twos = level_mask(f, 1), level_mask(f, 2)
+        pair = RhsPair.from_masks((ones | twos) >> n, twos & low)
         assert is_rhs(h, pair) and weight_pair(pair) <= k
         return pair
 
@@ -223,7 +200,7 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
     unclaimable = [i for i in range(h.n_edges) if not (rng >> i) & 1]
     v_base = 3
     w_base = v_base + n
-    u_id = {i: w_base + h.n_edges + k for k, i in enumerate(unclaimable)}
+    u_base = w_base + h.n_edges
     tokens = (
         ["a", "b", "c"]
         + ["v_" + t for t in h.vertex_tokens]
@@ -232,79 +209,49 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
     )
     pairs: list[tuple[int, int]] = [(0, 1), (0, 2)]
     pairs += [(0, v_base + x) for x in range(n)]
-    pairs += [
-        (v_base + x, v_base + y)
-        for x in range(n)
-        for y in range(x + 1, n)
-    ]
+    pairs += [(v_base + x, v_base + y) for x, y in combinations(range(n), 2)]
     for i in range(h.n_edges):
         pairs += [(v_base + x, w_base + i) for x in bits(h.edge_members[i])]
-    for i in unclaimable:
-        pairs += [(v_base + x, u_id[i]) for x in bits(h.edge_members[i])]
+    for k, i in enumerate(unclaimable):
+        pairs += [(v_base + x, u_base + k) for x in bits(h.edge_members[i])]
     gadget = Graph(tuple(tokens), tuple(pairs))
+    size = gadget.n_vertices
 
     def forward(f: Sequence[int]) -> RomanAssignment:
-        f = validate_assignment(f, n)
-        if not is_rhf(h, tau, f):
-            raise InputError("assignment is not a hitting function")
-        vals = [0] * gadget.n_vertices
-        vals[0] = 2
+        f = _rhf(h, tau, f)
         claimed = tau.image_mask(level_mask(f, 1))
-        for x in range(n):
-            if f[x] == 2:
-                vals[v_base + x] = 2
-        for i in bits(claimed):
-            vals[w_base + i] = 1
-        g = tuple(vals)
+        g = _assignment(size, claimed << w_base, 1 | level_mask(f, 2) << v_base)
         assert is_rdf(gadget, g)
         assert weight_assignment(g) <= weight_assignment(f) + 2
         return g
 
     def backward(gv: Sequence[int]) -> RomanAssignment:
-        gv = validate_assignment(gv, gadget.n_vertices)
+        gv = validate_assignment(gv, size)
         if not is_rdf(gadget, gv):
             raise InputError("assignment does not dominate the gadget")
-        vals = list(gv)
-        # the apex never loses: if it is not a 2, both pendants pay >= 1
-        if vals[0] != 2:
-            vals[0] = 2
-        vals[1] = vals[2] = 0
-        for i in range(h.n_edges):
-            spots = [w_base + i] + ([u_id[i]] if i in u_id else [])
-            for s in spots:
-                if vals[s] == 2:
-                    # a member stand-in dominates strictly more
-                    vals[s] = 0
-                    m = h.edge_members[i]
-                    vals[v_base + (m & -m).bit_length() - 1] = 2
-        for i in unclaimable:
-            total = vals[w_base + i] + vals[u_id[i]]
-            if total >= 2:
-                vals[w_base + i] = 0
-                vals[u_id[i]] = 0
-                m = h.edge_members[i]
-                vals[v_base + (m & -m).bit_length() - 1] = 2
-            elif total == 1:
-                # the 0-valued twin proves a member 2 exists already
-                vals[w_base + i] = 0
-                vals[u_id[i]] = 0
-        for x in range(n):
-            if vals[v_base + x] == 1:
-                vals[v_base + x] = 0
-        assert is_rdf(gadget, vals)
-        out = [0] * n
-        for x in range(n):
-            if vals[v_base + x] == 2:
-                out[x] = 2
-        for i in range(h.n_edges):
-            if vals[w_base + i] != 1:
-                continue
+        ones, twos = level_mask(gv, 1), level_mask(gv, 2)
+        # normalise: the apex never loses (if it is not a 2, both pendants
+        # pay >= 1); a 2 on an edge stand-in, or 1s on both stand-ins of
+        # an unclaimable edge, give way to a 2 on the edge's first member,
+        # which dominates strictly more; a lone 1 on an unclaimable edge's
+        # stand-in proves that a member 2 exists already, and 1s on vertex
+        # stand-ins dominate nothing
+        moved = (twos >> w_base) & h.all_edges_mask
+        for k, i in enumerate(unclaimable):
+            u = u_base + k
+            if (twos >> u) & 1 or (ones >> u) & (ones >> (w_base + i)) & 1:
+                moved |= 1 << i
+        r2m = (twos >> v_base) & ((1 << n) - 1)
+        for i in bits(moved):
+            m = h.edge_members[i]
+            r2m |= m & -m
+        claimed = (ones >> w_base) & rng
+        assert is_rdf(gadget, _assignment(size, claimed << w_base, 1 | r2m << v_base))
+        r1m = 0
+        for i in bits(claimed):
             pre = tau.preimage_mask(i)
-            assert pre, "a surviving 1 on an unclaimable edge stand-in"
-            x = (pre & -pre).bit_length() - 1
-            if out[x] != 2:
-                out[x] = 1
-        f = tuple(out)
+            r1m |= pre & -pre
+        f = _assignment(n, r1m, r2m)
         assert is_rhf(h, tau, f)
         assert weight_assignment(f) <= weight_assignment(gv) - 2
         return f
@@ -321,60 +268,38 @@ def vc_to_rvc(g: Graph) -> ReductionOutput:
     """
     n = g.n_vertices
     m = len(g.edges)
+    low = (1 << n) - 1
     used = set(g.vertex_tokens)
     pend_tokens = [_fresh_token(t + "'", used) for t in g.vertex_tokens]
     target = Graph(
         g.vertex_tokens + tuple(pend_tokens),
         g.edges + tuple((v, n + v) for v in range(n)),
     )
+    target_h = edge_hypergraph(target)
 
     def forward(cover: Iterable[VertexId]) -> RhsPair:
         c = set(cover)
         if c - set(range(n)):
             raise InputError("cover contains an unknown vertex")
         cm = mask_of(c)
-        for u, v in g.edges:
-            if not (cm >> u) & 1 and not (cm >> v) & 1:
-                raise InputError("not a vertex cover")
-        return RhsPair(
-            frozenset(m + v for v in range(n) if v not in c),
-            frozenset(c),
-        )
+        # the pendant edges the cover leaves open go to R1
+        pair = RhsPair.from_masks((low & ~cm) << m, cm)
+        if not is_rhs(target_h, pair):
+            raise InputError("not a vertex cover")
+        return pair
 
     def backward(pair: RhsPair) -> frozenset[VertexId]:
-        r1 = set(pair.r1)
-        r2 = set(pair.r2)
-        if any(not 0 <= i < m + n for i in r1) or any(
-            not 0 <= v < 2 * n for v in r2
-        ):
+        if pair.r1m >> (m + n) or pair.r2m >> (2 * n):
             raise InputError("solution indexes outside the gadget")
-        for idx, (u, v) in enumerate(target.edges):
-            if idx not in r1 and u not in r2 and v not in r2:
-                raise InputError("pair does not cover the gadget")
-        while True:
-            pendants = sorted(v for v in r2 if v >= n)
-            for p in pendants:
-                # a pendant 2 covers one edge; one R1 slot does the same
-                r2.discard(p)
-                r1.add(m + (p - n))
-            r1 = {
-                idx
-                for idx in r1
-                if target.edges[idx][0] not in r2
-                and target.edges[idx][1] not in r2
-            }
-            originals = sorted(idx for idx in r1 if idx < m)
-            if not originals:
-                break
-            idx = originals[0]
-            u = min(target.edges[idx])
-            r1.discard(idx)
-            r1.discard(m + u)
-            r2.add(u)
-        cover = frozenset(r2)
-        cm = mask_of(cover)
-        assert all((cm >> u) & 1 or (cm >> v) & 1 for u, v in g.edges)
-        return cover
+        if not is_rhs(target_h, pair):
+            raise InputError("pair does not cover the gadget")
+        # pendant 2s only cover pendant edges, so the original 2s cover
+        # every original edge outside R1; the rest get their lower endpoint
+        cm = pair.r2m & low
+        for u, v in g.edges:
+            if not (cm >> u) & 1 and not (cm >> v) & 1:
+                cm |= 1 << min(u, v)
+        return frozenset_of(cm)
 
     return ReductionOutput(target, forward, backward, n)
 
@@ -404,8 +329,7 @@ def ds_split_to_rhs(
         )
 
     def backward(pair: RhsPair) -> frozenset[VertexId]:
-        if not is_rhs(h, pair.validate(h)):
-            raise InputError("pair is not a Roman hitting set")
+        pair = _rhs(h, pair, "pair is not a Roman hitting set")
         return frozenset(
             {i_list[k] for k in pair.r1} | {c_list[x] for x in pair.r2}
         )
@@ -426,10 +350,7 @@ def two_section(h: Hypergraph) -> Graph:
         )
     pairs = set()
     for m in h.edge_members:
-        xs = list(bits(m))
-        for idx, x in enumerate(xs):
-            for y in xs[idx + 1 :]:
-                pairs.add((x, y))
+        pairs.update(combinations(bits(m), 2))
     return Graph(h.vertex_tokens, tuple(sorted(pairs)))
 
 
@@ -440,15 +361,27 @@ def is_hypergraph_rdf(h: Hypergraph, f: Sequence[int]) -> bool:
     with graph Roman domination on the two-section.
     """
     f = validate_assignment(f, h.n_vertices)
-    twos = level_mask(f, 2)
-    for x, v in enumerate(f):
-        if v != 0:
-            continue
-        hit = False
-        for i in bits(h.incidence_mask(x)):
-            if h.edge_members[i] & twos:
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
+    reach = 0
+    for i in bits(h.incidence_set_mask(level_mask(f, 2))):
+        reach |= h.edge_members[i]
+    return not level_mask(f, 0) & ~reach
+
+
+def hrd_to_rd_two_section(h: Hypergraph) -> ReductionOutput:
+    """Hypergraph Roman domination as Roman domination on the two-section.
+
+    The target is ``two_section(h)``. An rdf there dominates the
+    hypergraph as it stands, so the backward mapper is the identity; it
+    refuses an assignment that is not an rdf of the two-section. There is
+    no forward mapper, and the offset is 0.
+    """
+    g2 = two_section(h)
+
+    def backward(f: Sequence[int]) -> RomanAssignment:
+        f = validate_assignment(f, g2.n_vertices)
+        if not is_rdf(g2, f):
+            raise InputError("assignment does not dominate the two-section")
+        assert is_hypergraph_rdf(h, f)
+        return f
+
+    return ReductionOutput(g2, None, backward, 0)

@@ -349,7 +349,7 @@ def test_reduce_two_section(run, write, tmp_path):
 def test_two_section_backward_validates():
     # the mapper raises on its own, so the check survives python -O
     hf = parse_hypergraph_text(EX1)
-    ro = romanhs.cli._two_section(hf, None)
+    ro = romanhs.cli._REDUCTIONS["two-section"].build(hf, None)
     assert ro.backward((2, 0, 2, 0)) == (2, 0, 2, 0)
     for bad in ((0, 0, 0, 0), (2, 0, 0, 0), (2, 0, 2)):
         with pytest.raises(InputError):

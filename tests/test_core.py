@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -153,8 +154,10 @@ class TestClosedNeighborhoodHypergraph:
 
 class TestConstruction:
     def test_duplicate_vertex_token(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="duplicate vertex token"):
             Hypergraph.build(["a", "a"], [])
+        with pytest.raises(InputError, match="duplicate vertex token"):
+            Graph.build(["a", "b", "a"], [("a", "b")])
 
     def test_duplicate_edge_token(self):
         with pytest.raises(InputError):
@@ -196,6 +199,19 @@ class TestConstruction:
             RhsPair(frozenset({-1}), frozenset())
         with pytest.raises(InputError, match="R2 contains an out-of-range vertex id"):
             RhsPair(frozenset({0}), [3, -2])
+
+    def test_pair_refuses_huge_ids_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="R1 contains an out-of-range edge index"):
+                RhsPair({10**8}, ())
+            with pytest.raises(InputError, match="R2 contains an out-of-range vertex id"):
+                RhsPair((), [0, 1 << 20])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert RhsPair((), [(1 << 20) - 1]).r2m == 1 << ((1 << 20) - 1)
 
 
 class TestPairViews:

@@ -41,12 +41,10 @@ from corpus import (
     random_instance_with_tau,
     random_split_graph,
 )
-from romanhs import cli
 from romanhs.core import (
     Correspondence,
     Graph,
     Hypergraph,
-    HypergraphFile,
     RhsPair,
     closed_neighborhood_hypergraph,
 )
@@ -54,6 +52,7 @@ from romanhs.errors import GuardRefused, InputError
 from romanhs.optimize import edge_hypergraph
 from romanhs.reduce import (
     ds_split_to_rhs,
+    hrd_to_rd_two_section,
     is_hypergraph_rdf,
     rd_to_rhf,
     rhf_to_rd_gadget,
@@ -163,12 +162,6 @@ def _value(out):
     if isinstance(out, frozenset):
         return ("set",) + tuple(sorted(out))
     return out
-
-
-def _two_section(h: Hypergraph):
-    # the two-section reduction is assembled by the CLI
-    hf = HypergraphFile(h, None, (0,) * h.n_vertices, cli.EMPTY_PAIR)
-    return cli._two_section(hf, None)
 
 
 class Case(NamedTuple):
@@ -325,7 +318,7 @@ def _two_section_cases():
         # the reduction has no forward mapper; the sources go through
         # the hypergraph's own Roman domination test instead
         yield Case(
-            "two_section", f"h{k}n{h.n_vertices}", partial(_two_section, h),
+            "two_section", f"h{k}n{h.n_vertices}", partial(hrd_to_rd_two_section, h),
             lambda ro, h=h: partial(is_hypergraph_rdf, h),
             partial(_assignments, h.n_vertices),
             lambda ro, r: _assignments(ro.instance.n_vertices),
