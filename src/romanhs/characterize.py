@@ -13,14 +13,15 @@ This module also houses the extensibility witness: a planned 2-set together
 with a map that assigns each member a privately hit edge other than its
 corresponding one. check_extension_witness is the public certificate
 checker; the witness search in the extend module shares its constraint on
-preimage-free edges (_witness_cover). Public checkers validate their input;
-the private cores take a validated correspondence and vertex masks.
+preimage-free edges (_witness_cover). Public checkers and oracles validate
+once; the private cores here and in core take a validated input as masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     Correspondence,
@@ -29,14 +30,13 @@ from .core import (
     Hypergraph,
     RhsPair,
     VertexId,
+    _is_rdf,
+    _is_rhf,
+    _is_rhs,
+    _level_masks,
     bits,
     frozenset_of,
-    is_rdf,
-    is_rhf,
-    is_rhs,
-    level_mask,
     mask_of,
-    validate_assignment,
 )
 from .errors import InputError
 
@@ -109,8 +109,7 @@ def minimal_rhf_violation(
     1-vertex.
     """
     tau.validate(h)
-    f = validate_assignment(f, h.n_vertices)
-    return _rhf_violation(h, tau, level_mask(f, 1), level_mask(f, 2))
+    return _rhf_violation(h, tau, *_level_masks(f, h.n_vertices))
 
 
 def _rhf_violation(
@@ -168,9 +167,7 @@ def _domination_violation(g: Graph, ones: int, twos: int) -> str | None:
 def minimal_rdf_violation(g: Graph, f: Sequence[int]) -> str | None:
     """Minimal rdf: no 1 next to a 2, every 2 privately dominates someone
     besides itself, and the 2-set minimally dominates the 0/2 subgraph."""
-    f = validate_assignment(f, g.n_vertices)
-    ones = level_mask(f, 1)
-    twos = level_mask(f, 2)
+    ones, twos = _level_masks(f, g.n_vertices)
     if g.closed_set_mask(twos) & ones:
         return "one-adjacent-to-two"
     full = (1 << g.n_vertices) - 1
@@ -191,9 +188,7 @@ def is_minimal_rdf_theorem(g: Graph, f: Sequence[int]) -> bool:
 def po_minimal_rdf_violation(g: Graph, f: Sequence[int]) -> str | None:
     """Minimality when values may only drop to 0: the private-neighbor
     condition is waived, the other two conditions stay."""
-    f = validate_assignment(f, g.n_vertices)
-    ones = level_mask(f, 1)
-    twos = level_mask(f, 2)
+    ones, twos = _level_masks(f, g.n_vertices)
     if g.closed_set_mask(twos) & ones:
         return "one-adjacent-to-two"
     return _domination_violation(g, ones, twos)
@@ -248,9 +243,7 @@ def check_extension_witness(
     edge could never gain a private hitter or a fresh 1 later).
     """
     tau.validate(h)
-    f = validate_assignment(f, h.n_vertices)
-    ones = level_mask(f, 1)
-    twos = level_mask(f, 2)
+    ones, twos = _level_masks(f, h.n_vertices)
     if tau.image_mask(ones).bit_count() != ones.bit_count():
         raise InputError(
             "correspondence collides on 1-vertices; apply the promotion "
@@ -302,56 +295,48 @@ def _witness_cover(
 # ---------------------------------------------------------------------------
 # Definition-level brute-force oracles
 #
-# Each makes at most |R1| + |R2| (or n) validity checks, so they are
-# polynomial and take no work guard at any size.
+# Each validates its input once and then makes at most |R1| + |R2| + 1 (or
+# n + 1) validity checks on masks, so they are polynomial and take no work
+# guard at any size.
 # ---------------------------------------------------------------------------
+
+
+def _brute_minimal(
+    valid: Callable[[int, int], bool], ones: int, twos: int, twos_to_zero: bool = False
+) -> bool:
+    """valid(ones, twos) holds, and fails once any single member is lowered:
+    a 1 to 0, and a 2 to 1, or to 0 when twos_to_zero (as a removal from a
+    pair's R1 or R2 is)."""
+    return valid(ones, twos) and not (
+        any(valid(ones & ~(1 << x), twos) for x in bits(ones))
+        or any(
+            valid(ones if twos_to_zero else ones | 1 << x, twos & ~(1 << x))
+            for x in bits(twos)
+        )
+    )
 
 
 def brute_minimal_rhs(h: Hypergraph, pair: RhsPair) -> bool:
     """Valid, and no single removal from R1 or R2 stays valid."""
     pair.validate(h)
-    if not is_rhs(h, pair):
-        return False
-    r1m, r2m = pair.r1m, pair.r2m
-    for i in bits(r1m):
-        if is_rhs(h, RhsPair.from_masks(r1m & ~(1 << i), r2m)):
-            return False
-    for x in bits(r2m):
-        if is_rhs(h, RhsPair.from_masks(r1m, r2m & ~(1 << x))):
-            return False
-    return True
+    return _brute_minimal(partial(_is_rhs, h), pair.r1m, pair.r2m, twos_to_zero=True)
 
 
 def brute_minimal_rhf(
     h: Hypergraph, tau: Correspondence, f: Sequence[int]
 ) -> bool:
     """Valid, and no single one-step lowering of a value stays valid."""
-    f = validate_assignment(f, h.n_vertices)
-    if not is_rhf(h, tau, f):
-        return False
-    for x, v in enumerate(f):
-        if v and is_rhf(h, tau, f[:x] + (v - 1,) + f[x + 1 :]):
-            return False
-    return True
+    ones, twos = _level_masks(f, h.n_vertices)
+    tau.validate(h)
+    return _brute_minimal(partial(_is_rhf, h, tau), ones, twos)
 
 
 def brute_minimal_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Valid, and no single one-step lowering of a value stays valid."""
-    f = validate_assignment(f, g.n_vertices)
-    if not is_rdf(g, f):
-        return False
-    for x, v in enumerate(f):
-        if v and is_rdf(g, f[:x] + (v - 1,) + f[x + 1 :]):
-            return False
-    return True
+    return _brute_minimal(partial(_is_rdf, g), *_level_masks(f, g.n_vertices))
 
 
 def brute_minimal_po_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Valid, and zeroing any single nonzero value breaks validity."""
-    f = validate_assignment(f, g.n_vertices)
-    if not is_rdf(g, f):
-        return False
-    for x, v in enumerate(f):
-        if v and is_rdf(g, f[:x] + (0,) + f[x + 1 :]):
-            return False
-    return True
+    ones, twos = _level_masks(f, g.n_vertices)
+    return _brute_minimal(partial(_is_rdf, g), ones, twos, twos_to_zero=True)

@@ -20,7 +20,9 @@ tokens get dense ids in declaration order, and sets of ids are plain Python
 ints used as bitsets. An RhsPair stores its two sets as such masks; its r1
 and r2 are read-only IdSet views over them that build nothing, so handing a
 pair over costs two ints however large its sets are. All public containers
-are immutable.
+are immutable. The validity predicates check their input once, then answer
+through private cores on masks (_is_rhs, _is_rhf, _is_rdf) that callers
+holding validated masks use directly.
 """
 
 from __future__ import annotations
@@ -262,20 +264,35 @@ RomanAssignment = tuple[int, ...]
 
 def validate_assignment(values: Sequence[int], n: int) -> RomanAssignment:
     f = tuple(values)
-    if len(f) != n:
-        raise InputError(f"assignment has {len(f)} entries, expected {n}")
-    if any(v not in (0, 1, 2) for v in f):
-        raise InputError("assignment values must be 0, 1 or 2")
+    _level_masks(f, n)
     return f
 
 
-def level_mask(f: Sequence[int], value: int) -> int:
-    """Bitset of vertices where the assignment equals the given value."""
-    m = 0
-    for x, v in enumerate(f):
-        if v == value:
-            m |= 1 << x
-    return m
+def _level_masks(values: Iterable[int], n: int) -> tuple[int, int]:
+    """The (ones, twos) masks of an assignment over n vertices, in one pass
+    that refuses a wrong length, then a value outside 0, 1 and 2."""
+    ones = twos = 0
+    bit = 1
+    bad = False
+    for v in values:
+        if v == 1:
+            ones |= bit
+        elif v == 2:
+            twos |= bit
+        elif v != 0:
+            bad = True
+        bit <<= 1
+    if bit >> n != 1:
+        raise InputError(f"assignment has {bit.bit_length() - 1} entries, expected {n}")
+    if bad:
+        raise InputError("assignment values must be 0, 1 or 2")
+    return ones, twos
+
+
+def _assignment(n: int, ones: int, twos: int) -> RomanAssignment:
+    return tuple(
+        2 if (twos >> x) & 1 else 1 if (ones >> x) & 1 else 0 for x in range(n)
+    )
 
 
 _MAX_ID = (1 << 20) - 1
@@ -391,26 +408,25 @@ def weight_pair(pair: RhsPair) -> int:
 
 
 def is_rhs(h: Hypergraph, pair: RhsPair) -> bool:
-    """Every index is in R1 or its edge meets R2."""
-    r1, r2 = pair.r1m, pair.r2m
-    for i in range(h.n_edges):
-        if not ((r1 >> i) & 1) and not (h.edge_members[i] & r2):
-            return False
-    return True
+    """Every index is in R1 or its edge meets R2; the pair must fit h."""
+    pair.validate(h)
+    return _is_rhs(h, pair.r1m, pair.r2m)
+
+
+def _is_rhs(h: Hypergraph, r1m: int, r2m: int) -> bool:
+    """is_rhs on masks within range."""
+    return not h.all_edges_mask & ~r1m & ~h.incidence_set_mask(r2m)
 
 
 def is_rhf(h: Hypergraph, tau: Correspondence, f: Sequence[int]) -> bool:
     """Every edge has a 2-vertex, or a 1-vertex whose corresponding edge it is."""
     tau.validate(h)
-    twos = level_mask(f, 2)
-    tau_hit = 0
-    for x, v in enumerate(f):
-        if v == 1:
-            tau_hit |= 1 << tau.mapping[x]
-    for i in range(h.n_edges):
-        if not (h.edge_members[i] & twos) and not ((tau_hit >> i) & 1):
-            return False
-    return True
+    return _is_rhf(h, tau, *_level_masks(f, h.n_vertices))
+
+
+def _is_rhf(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> bool:
+    """is_rhf on a validated correspondence and level masks."""
+    return not h.all_edges_mask & ~h.incidence_set_mask(twos) & ~tau.image_mask(ones)
 
 
 def _require_nonempty_edges(h: Hypergraph) -> None:
@@ -520,11 +536,13 @@ class BoundedRdInstance:
 
 def is_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Every 0-vertex has a neighbor with value 2."""
-    twos = level_mask(f, 2)
-    for v, val in enumerate(f):
-        if val == 0 and not (g.neighbors_mask(v) & twos):
-            return False
-    return True
+    return _is_rdf(g, *_level_masks(f, g.n_vertices))
+
+
+def _is_rdf(g: Graph, ones: int, twos: int) -> bool:
+    """is_rdf on level masks."""
+    zeros = (1 << g.n_vertices) - 1 & ~(ones | twos)
+    return not zeros & ~g.closed_set_mask(twos)
 
 
 def closed_neighborhood_hypergraph(g: Graph) -> tuple[Hypergraph, Correspondence]:

@@ -47,8 +47,8 @@ from .core import (
     HypergraphFile,
     RhsPair,
     RomanAssignment,
+    _level_masks,
     bits,
-    level_mask,
 )
 from .errors import InputError, guard_work
 
@@ -386,7 +386,7 @@ def brute_enumerate_minimal_rhf(
     return [
         f
         for f in itertools.islice(candidates, part, None, stride)
-        if _rhf_violation(h, tau, level_mask(f, 1), level_mask(f, 2)) is None
+        if _rhf_violation(h, tau, *_level_masks(f, h.n_vertices)) is None
     ]
 
 

@@ -31,11 +31,11 @@ from .core import (
     RhsPair,
     RomanAssignment,
     VertexId,
+    _assignment,
+    _level_masks,
     bits,
     closed_neighborhood_hypergraph,
-    level_mask,
     mask_of,
-    validate_assignment,
 )
 from .enumeration import minimal_pair_for_r2
 from .errors import InputError, guard_work
@@ -78,8 +78,7 @@ def promote_closure(
     result has an injective correspondence on its 1-set.
     """
     tau.validate(h)
-    f = validate_assignment(f, h.n_vertices)
-    m1, m2 = _promote(h, tau, level_mask(f, 1), level_mask(f, 2))
+    m1, m2 = _promote(h, tau, *_level_masks(f, h.n_vertices))
     return _assignment(h.n_vertices, m1, m2)
 
 
@@ -106,12 +105,6 @@ def _promote(
     return m1, m2
 
 
-def _assignment(n: int, ones: int, twos: int) -> RomanAssignment:
-    return tuple(
-        2 if (twos >> x) & 1 else 1 if (ones >> x) & 1 else 0 for x in range(n)
-    )
-
-
 def ext_rhf_surjective(
     h: Hypergraph, tau: Correspondence, g: Sequence[int]
 ) -> ExtAnswer:
@@ -124,14 +117,13 @@ def ext_rhf_surjective(
     get a 1 on the smallest preimage member.
     """
     tau.validate(h)
-    g = validate_assignment(g, h.n_vertices)
-    twos = level_mask(g, 2)
+    ones, twos = _level_masks(g, h.n_vertices)
     if h.all_edges_mask & ~tau.range_mask & ~h.incidence_set_mask(twos):
         raise InputError(
             "an edge without correspondence preimage is not pre-hit; "
             "use the general solver"
         )
-    return _surjective(h, tau, *_promote(h, tau, level_mask(g, 1), twos))
+    return _surjective(h, tau, *_promote(h, tau, ones, twos))
 
 
 def _surjective(
@@ -156,24 +148,20 @@ def _complete(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> int:
 
 
 def _general_sweep(
-    h: Hypergraph, tau: Correspondence, f: RomanAssignment
+    h: Hypergraph, tau: Correspondence, ones: int, twos: int
 ) -> ExtAnswer:
-    ranges = [(0, 1, 2) if v == 0 else (1, 2) if v == 1 else (2,) for v in f]
+    # every value at or above f's, at each vertex
+    ranges = [(0, 1, 2)[v:] for v in _assignment(h.n_vertices, ones, twos)]
     guard_work(math.prod(map(len, ranges)), "general extension sweep")
     for g in itertools.product(*ranges):
-        if _rhf_violation(h, tau, level_mask(g, 1), level_mask(g, 2)) is None:
+        if _rhf_violation(h, tau, *_level_masks(g, h.n_vertices)) is None:
             return ExtAnswer(True, g)
     return ExtAnswer(False)
 
 
-def _witness_to_assignment(
-    h: Hypergraph,
-    tau: Correspondence,
-    f: RomanAssignment,
-    rest: int,
-    r2m: int,
-    covered: int,
-) -> RomanAssignment:
+def _witness_masks(
+    h: Hypergraph, tau: Correspondence, rest: int, r2m: int, covered: int
+) -> tuple[int, int]:
     # leftover preimage-free edges get hit by a fresh minimal hitting set
     # carved out of the vertices no planned edge touches; the carved set
     # avoids the corresponding edges of the remaining 1s, which keep them
@@ -194,10 +182,8 @@ def _witness_to_assignment(
             d = trimmed
     twos = r2m | d
     ones = _complete(h, tau, rest, twos)
-    g = _assignment(h.n_vertices, ones, twos)
     assert _rhf_violation(h, tau, ones, twos) is None
-    assert all(a <= b for a, b in zip(f, g))
-    return g
+    return ones, twos
 
 
 def _witness_work(
@@ -229,9 +215,9 @@ def _witness_work(
 
 
 def _general_witness(
-    h: Hypergraph, tau: Correspondence, f: RomanAssignment
+    h: Hypergraph, tau: Correspondence, f_ones: int, f_twos: int
 ) -> ExtAnswer:
-    ones, twos = _promote(h, tau, level_mask(f, 1), level_mask(f, 2))
+    ones, twos = _promote(h, tau, f_ones, f_twos)
     no_pre = h.all_edges_mask & ~tau.range_mask
     guard_work(
         _witness_work(h, tau, ones, twos, no_pre), "witness extension search"
@@ -255,9 +241,10 @@ def _general_witness(
         for combo in itertools.product(*cands):
             covered = _witness_cover(h, tau, rest, r2m, combo, no_pre)
             if covered is not None:
-                return ExtAnswer(
-                    True, _witness_to_assignment(h, tau, f, rest, r2m, covered)
-                )
+                g1, g2 = _witness_masks(h, tau, rest, r2m, covered)
+                # the witness lies above f pointwise
+                assert not f_twos & ~g2 and not f_ones & ~(g1 | g2)
+                return ExtAnswer(True, _assignment(h.n_vertices, g1, g2))
     return ExtAnswer(False)
 
 
@@ -280,11 +267,11 @@ def ext_rhf_general(
     bound on the private-edge maps.
     """
     tau.validate(h)
-    f = validate_assignment(f, h.n_vertices)
+    ones, twos = _level_masks(f, h.n_vertices)
     if strategy == "sweep":
-        return _general_sweep(h, tau, f)
+        return _general_sweep(h, tau, ones, twos)
     if strategy == "witness":
-        return _general_witness(h, tau, f)
+        return _general_witness(h, tau, ones, twos)
     raise InputError(f"unknown strategy {strategy!r}")
 
 
@@ -304,10 +291,13 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
     """
     g, f, up = inst.graph, inst.lower, inst.upper
     n = g.n_vertices
-    if any(f[v] > up[v] for v in range(n)):
+    f1, f2 = _level_masks(f, n)
+    cap1, cap2 = _level_masks(up, n)
+    cap0 = (1 << n) - 1 & ~(cap1 | cap2)
+    # some lower value lies above its cap
+    if f2 & ~cap2 or f1 & cap0:
         return ExtAnswer(False)
     hh, tt = closed_neighborhood_hypergraph(g)
-    cap2 = level_mask(up, 2)
 
     def close(m1: int, m2: int) -> tuple[int, int] | None:
         # on N[.] with the identity correspondence the promotion closure
@@ -315,22 +305,14 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
         m1, m2 = _promote(hh, tt, m1, m2)
         return None if m2 & ~cap2 else (m1, m2)
 
-    base = close(level_mask(f, 1), level_mask(f, 2))
+    base = close(f1, f2)
     if base is None:
         return ExtAnswer(False)
-    pinned = mask_of(
-        v for v in range(n) if f[v] == 1 and up[v] == 1
-    )
+    pinned = f1 & cap1
     banned = g.closed_set_mask(pinned) & ~pinned
     cands = []
-    for v in range(n):
-        if up[v] != 0:
-            continue
-        cs = [
-            u
-            for u in bits(g.neighbors_mask(v))
-            if up[u] == 2 and not (banned >> u) & 1
-        ]
+    for v in bits(cap0):
+        cs = list(bits(g.neighbors_mask(v) & cap2 & ~banned))
         if not cs:
             return ExtAnswer(False)
         cands.append(cs)

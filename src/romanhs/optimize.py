@@ -32,11 +32,13 @@ from .core import (
     Hypergraph,
     RhsPair,
     RomanAssignment,
+    _assignment,
+    _is_rhf,
+    _is_rhs,
     _require_nonempty_edges,
     bits,
     edge_hypergraph,
-    is_rhf,
-    is_rhs,
+    mask_of,
     weight_pair,
 )
 from .enumeration import (
@@ -97,7 +99,7 @@ def greedy_rhs(h: Hypergraph) -> tuple[RhsPair, int]:
     """
     r1 = frozenset(i for i in range(h.n_edges) if not h.edge_members[i])
     pair = RhsPair(r1, _greedy_cover(h))
-    assert is_rhs(h, pair)
+    assert _is_rhs(h, pair.r1m, pair.r2m)
     return pair, weight_pair(pair)
 
 
@@ -107,10 +109,9 @@ def greedy_rhf(
     """Assignment with the greedy cover at 2 and nothing at 1."""
     tau.validate(h)
     _require_nonempty_edges(h)
-    cover = _greedy_cover(h)
-    f = tuple(2 if x in cover else 0 for x in range(h.n_vertices))
-    assert is_rhf(h, tau, f)
-    return f, sum(f)
+    cover = mask_of(_greedy_cover(h))
+    assert _is_rhf(h, tau, 0, cover)
+    return _assignment(h.n_vertices, 0, cover), 2 * cover.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def exact_min_rhs(h: Hypergraph) -> OptResult:
     stronger bound prunes more nodes but finds the same witness.
     """
     res = _min_rhs_search(h)
-    assert is_rhs(h, res.witness)
+    assert _is_rhs(h, res.witness.r1m, res.witness.r2m)
     assert weight_pair(res.witness) == res.weight
     return res
 
@@ -330,5 +331,5 @@ def rec_min(g: Graph) -> OptResult:
     no pair beats |V|, and putting every vertex into R1 reaches it.
     """
     witness = RhsPair(frozenset(range(g.n_vertices)), frozenset())
-    assert is_rhs(incidence_hypergraph(g), witness)
+    assert _is_rhs(incidence_hypergraph(g), witness.r1m, witness.r2m)
     return OptResult(g.n_vertices, witness, 0)

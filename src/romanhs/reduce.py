@@ -11,7 +11,8 @@ accept any valid target solution, not only mapped-forward ones. Forward
 mappers insist on a valid source solution where the image would otherwise
 be meaningless. A mapper that needs a hitting function or a hitting set
 checks it through one helper per kind (``_rhf`` for assignments, ``_rhs``
-for pairs), and mappers build their results on bitset masks.
+for pairs) that validates it once; results and asserts work on bitset
+masks, and a reduction validates its correspondence once, when built.
 """
 
 from __future__ import annotations
@@ -28,22 +29,23 @@ from .core import (
     RhsPair,
     RomanAssignment,
     VertexId,
+    _assignment,
+    _is_rdf,
+    _is_rhf,
+    _is_rhs,
+    _level_masks,
     _require_nonempty_edges,
     bits,
     closed_neighborhood_hypergraph,
     edge_hypergraph,
     frozenset_of,
-    is_rdf,
-    is_rhf,
-    is_rhs,
-    level_mask,
     mask_of,
     validate_assignment,
     weight_assignment,
     weight_pair,
 )
 from .errors import GuardRefused, InputError
-from .extend import _assignment, _complete, split_hypergraph
+from .extend import _complete, split_hypergraph
 
 
 @dataclass(frozen=True)
@@ -65,17 +67,26 @@ def _fresh_token(base: str, used: set[str]) -> str:
     return tok
 
 
-def _rhf(h: Hypergraph, tau: Correspondence, f: Sequence[int]) -> RomanAssignment:
-    """f as a validated assignment, refused unless it is an rhf."""
-    f = validate_assignment(f, h.n_vertices)
-    if not is_rhf(h, tau, f):
+def _rhf(
+    h: Hypergraph, tau: Correspondence, f: Sequence[int], budget: int | None = None
+) -> tuple[int, int]:
+    """The level masks of f, refused unless f is an rhf within the budget."""
+    ones, twos = _level_masks(f, h.n_vertices)
+    if budget is not None and ones.bit_count() + 2 * twos.bit_count() > budget:
+        raise InputError(f"assignment weight exceeds the budget {budget}")
+    if not _is_rhf(h, tau, ones, twos):
         raise InputError("assignment is not a hitting function")
-    return f
+    return ones, twos
 
 
-def _rhs(h: Hypergraph, pair: RhsPair, message: str) -> RhsPair:
-    """pair, refused with message unless it is an rhs of h."""
-    if not is_rhs(h, pair.validate(h)):
+def _rhs(
+    h: Hypergraph, pair: RhsPair, message: str, budget: int | None = None
+) -> RhsPair:
+    """pair, refused unless it is an rhs of h within the budget."""
+    pair.validate(h)
+    if budget is not None and weight_pair(pair) > budget:
+        raise InputError(f"pair weight exceeds the budget {budget}")
+    if not _is_rhs(h, pair.r1m, pair.r2m):
         raise InputError(message)
     return pair
 
@@ -89,8 +100,12 @@ def rd_to_rhf(g: Graph) -> ReductionOutput:
     assignment that is not an rhf of the target.
     """
     h, tau = closed_neighborhood_hypergraph(g)
+
+    def backward(f: Sequence[int]) -> RomanAssignment:
+        return _assignment(g.n_vertices, *_rhf(h, tau, f))
+
     forward = partial(validate_assignment, n=g.n_vertices)
-    return ReductionOutput((h, tau), forward, partial(_rhf, h, tau), 0)
+    return ReductionOutput((h, tau), forward, backward, 0)
 
 
 def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
@@ -114,7 +129,7 @@ def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
     )
 
     def forward(f: Sequence[int]) -> RhsPair:
-        twos = level_mask(_rhf(h, tau, f), 2)
+        twos = _rhf(h, tau, f)[1]
         r1m = target.all_edges_mask & ~target.incidence_set_mask(twos)
         return RhsPair.from_masks(r1m, twos)
 
@@ -126,8 +141,9 @@ def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
                 # both slots were occupied; trade them for hitting the edge
                 r2m |= e & -e
         # every edge the 2s now miss is in R1 and has a preimage
-        f = _assignment(h.n_vertices, _complete(h, tau, 0, r2m), r2m)
-        assert is_rhf(h, tau, f)
+        ones = _complete(h, tau, 0, r2m)
+        assert _is_rhf(h, tau, ones, r2m)
+        f = _assignment(h.n_vertices, ones, r2m)
         assert weight_assignment(f) <= weight_pair(pair)
         return f
 
@@ -163,22 +179,16 @@ def rhs_to_rhf(h: Hypergraph, k: int) -> ReductionOutput:
     tau2 = Correspondence((h.n_edges,) * n + tuple(range(h.n_edges)))
 
     def forward(pair: RhsPair) -> RomanAssignment:
-        if weight_pair(pair.validate(h)) > k:
-            raise InputError(f"pair weight exceeds the budget {k}")
-        _rhs(h, pair, "pair is not a Roman hitting set")
-        f = _assignment(target.n_vertices, pair.r1m << n, pair.r2m)
-        assert is_rhf(target, tau2, f)
-        return f
+        _rhs(h, pair, "pair is not a Roman hitting set", k)
+        assert _is_rhf(target, tau2, pair.r1m << n, pair.r2m)
+        return _assignment(target.n_vertices, pair.r1m << n, pair.r2m)
 
     def backward(f: Sequence[int]) -> RhsPair:
-        if weight_assignment(validate_assignment(f, target.n_vertices)) > k:
-            raise InputError(f"assignment weight exceeds the budget {k}")
-        f = _rhf(target, tau2, f)
+        ones, twos = _rhf(target, tau2, f, k)
         # an index vertex lies in one edge only, so a 1 there claims it as
         # well as a 2; a 1 on an original vertex claims only the edge a
-        ones, twos = level_mask(f, 1), level_mask(f, 2)
         pair = RhsPair.from_masks((ones | twos) >> n, twos & low)
-        assert is_rhs(h, pair) and weight_pair(pair) <= k
+        assert _is_rhs(h, pair.r1m, pair.r2m) and weight_pair(pair) <= k
         return pair
 
     return ReductionOutput((target, tau2), forward, backward, 0)
@@ -218,18 +228,17 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
     size = gadget.n_vertices
 
     def forward(f: Sequence[int]) -> RomanAssignment:
-        f = _rhf(h, tau, f)
-        claimed = tau.image_mask(level_mask(f, 1))
-        g = _assignment(size, claimed << w_base, 1 | level_mask(f, 2) << v_base)
-        assert is_rdf(gadget, g)
-        assert weight_assignment(g) <= weight_assignment(f) + 2
+        ones, twos = _rhf(h, tau, f)
+        g1, g2 = tau.image_mask(ones) << w_base, 1 | twos << v_base
+        assert _is_rdf(gadget, g1, g2)
+        g = _assignment(size, g1, g2)
+        assert weight_assignment(g) <= ones.bit_count() + 2 * twos.bit_count() + 2
         return g
 
     def backward(gv: Sequence[int]) -> RomanAssignment:
-        gv = validate_assignment(gv, size)
-        if not is_rdf(gadget, gv):
+        ones, twos = _level_masks(gv, size)
+        if not _is_rdf(gadget, ones, twos):
             raise InputError("assignment does not dominate the gadget")
-        ones, twos = level_mask(gv, 1), level_mask(gv, 2)
         # normalise: the apex never loses (if it is not a 2, both pendants
         # pay >= 1); a 2 on an edge stand-in, or 1s on both stand-ins of
         # an unclaimable edge, give way to a 2 on the edge's first member,
@@ -246,14 +255,14 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
             m = h.edge_members[i]
             r2m |= m & -m
         claimed = (ones >> w_base) & rng
-        assert is_rdf(gadget, _assignment(size, claimed << w_base, 1 | r2m << v_base))
+        assert _is_rdf(gadget, claimed << w_base, 1 | r2m << v_base)
         r1m = 0
         for i in bits(claimed):
             pre = tau.preimage_mask(i)
             r1m |= pre & -pre
+        assert _is_rhf(h, tau, r1m, r2m)
         f = _assignment(n, r1m, r2m)
-        assert is_rhf(h, tau, f)
-        assert weight_assignment(f) <= weight_assignment(gv) - 2
+        assert weight_assignment(f) <= ones.bit_count() + 2 * twos.bit_count() - 2
         return f
 
     return ReductionOutput(gadget, forward, backward, 2)
@@ -284,14 +293,14 @@ def vc_to_rvc(g: Graph) -> ReductionOutput:
         cm = mask_of(c)
         # the pendant edges the cover leaves open go to R1
         pair = RhsPair.from_masks((low & ~cm) << m, cm)
-        if not is_rhs(target_h, pair):
+        if not _is_rhs(target_h, pair.r1m, pair.r2m):
             raise InputError("not a vertex cover")
         return pair
 
     def backward(pair: RhsPair) -> frozenset[VertexId]:
         if pair.r1m >> (m + n) or pair.r2m >> (2 * n):
             raise InputError("solution indexes outside the gadget")
-        if not is_rhs(target_h, pair):
+        if not _is_rhs(target_h, pair.r1m, pair.r2m):
             raise InputError("pair does not cover the gadget")
         # pendant 2s only cover pendant edges, so the original 2s cover
         # every original edge outside R1; the rest get their lower endpoint
@@ -360,11 +369,15 @@ def is_hypergraph_rdf(h: Hypergraph, f: Sequence[int]) -> bool:
     This is Roman domination read on the hypergraph directly; it agrees
     with graph Roman domination on the two-section.
     """
-    f = validate_assignment(f, h.n_vertices)
+    return _hypergraph_rdf(h, *_level_masks(f, h.n_vertices))
+
+
+def _hypergraph_rdf(h: Hypergraph, ones: int, twos: int) -> bool:
+    """is_hypergraph_rdf on level masks."""
     reach = 0
-    for i in bits(h.incidence_set_mask(level_mask(f, 2))):
+    for i in bits(h.incidence_set_mask(twos)):
         reach |= h.edge_members[i]
-    return not level_mask(f, 0) & ~reach
+    return not h.all_vertices_mask & ~(ones | twos) & ~reach
 
 
 def hrd_to_rd_two_section(h: Hypergraph) -> ReductionOutput:
@@ -378,10 +391,10 @@ def hrd_to_rd_two_section(h: Hypergraph) -> ReductionOutput:
     g2 = two_section(h)
 
     def backward(f: Sequence[int]) -> RomanAssignment:
-        f = validate_assignment(f, g2.n_vertices)
-        if not is_rdf(g2, f):
+        ones, twos = _level_masks(f, g2.n_vertices)
+        if not _is_rdf(g2, ones, twos):
             raise InputError("assignment does not dominate the two-section")
-        assert is_hypergraph_rdf(h, f)
-        return f
+        assert _hypergraph_rdf(h, ones, twos)
+        return _assignment(g2.n_vertices, ones, twos)
 
     return ReductionOutput(g2, None, backward, 0)

@@ -29,13 +29,13 @@ from romanhs.core import (
     Hypergraph,
     HypergraphFile,
     RhsPair,
+    _level_masks,
     closed_neighborhood_hypergraph,
     incidence,
     incidence_of_set,
     is_rdf,
     is_rhf,
     is_rhs,
-    level_mask,
     parse_graph_text,
     parse_hypergraph_text,
     serialize_graph_file,
@@ -43,7 +43,9 @@ from romanhs.core import (
     weight_assignment,
     weight_pair,
 )
+from romanhs.characterize import brute_minimal_rhf
 from romanhs.errors import InputError
+from romanhs.reduce import rhf_to_rhs
 
 
 def eids(h, tokens):
@@ -129,6 +131,50 @@ class TestValidity:
                     )
                     r2 = frozenset(x for x in range(h.n_vertices) if f[x] == 2)
                     assert is_rhs(h, RhsPair(r1, r2))
+
+
+def _two_vertex_instances():
+    h = Hypergraph.build(["a", "b"], [("e", ["a", "b"])])
+    return h, Correspondence((0, 0)), Graph.build(["a", "b"], [("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda h, tau, g: is_rhf(h, tau, (2, 0, 1)), "assignment has 3 entries, expected 2"),
+        (lambda h, tau, g: is_rhf(h, tau, (2, 0, 2, 9)), "assignment has 4 entries, expected 2"),
+        (lambda h, tau, g: is_rdf(g, (2,)), "assignment has 1 entries, expected 2"),
+        (lambda h, tau, g: is_rdf(g, (2, 0, 0)), "assignment has 3 entries, expected 2"),
+        (lambda h, tau, g: is_rhs(h, RhsPair({0, 5}, {9})), "R1 contains an out-of-range edge index"),
+    ],
+    ids=["rhf-too-long", "rhf-too-long-bad-value", "rdf-too-short", "rdf-too-long", "rhs-out-of-range"],
+)
+def test_validity_predicates_refuse_malformed_input(check, message):
+    # each once answered, or raised IndexError, instead of refusing
+    with pytest.raises(InputError) as exc:
+        check(*_two_vertex_instances())
+    assert str(exc.value) == message
+
+
+def test_correspondence_validated_once_per_public_call(monkeypatch):
+    h = build_ex2()
+    tau = ex2_tau(h)
+    f = assignment_of(h, {"b": 2, "e": 2})
+    red = rhf_to_rhs(h, tau)
+    pair = red.forward(f)
+    calls = []
+    validate = Correspondence.validate
+
+    def counted(self, hg):
+        calls.append(self)
+        return validate(self, hg)
+
+    monkeypatch.setattr(Correspondence, "validate", counted)
+    assert brute_minimal_rhf(h, tau, f)
+    assert len(calls) == 1
+    calls.clear()
+    assert red.backward(pair) == f
+    assert calls == []
 
 
 class TestClosedNeighborhoodHypergraph:
@@ -378,10 +424,9 @@ def test_serialize_parse_roundtrip(hf):
 
 
 def test_level_mask():
-    f = (0, 2, 1, 2)
-    assert level_mask(f, 2) == 0b1010
-    assert level_mask(f, 1) == 0b0100
-    assert level_mask(f, 0) == 0b0001
+    assert _level_masks((0, 2, 1, 2), 4) == (0b0100, 0b1010)
+    assert _level_masks(iter((1, 0)), 2) == (0b01, 0)
+    assert _level_masks((), 0) == (0, 0)
 
 
 REIMPORT = """
