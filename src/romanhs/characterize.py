@@ -19,7 +19,6 @@ once; the private cores here and in core take a validated input as masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -30,6 +29,7 @@ from .core import (
     Hypergraph,
     RhsPair,
     VertexId,
+    _Frozen,
     _is_rdf,
     _is_rhf,
     _is_rhs,
@@ -52,12 +52,20 @@ def private_neighborhood(
     return frozenset_of(g.closed_mask(v) & ~reach)
 
 
-@dataclass(frozen=True)
-class PrivateNeighborReport:
+class PrivateNeighborReport(_Frozen):
     """Private neighborhood of every member of one vertex set."""
 
+    __slots__ = _fields = ("members", "entries")
     members: frozenset[VertexId]
     entries: tuple[tuple[VertexId, frozenset[VertexId]], ...]
+
+    def __init__(
+        self,
+        members: frozenset[VertexId],
+        entries: tuple[tuple[VertexId, frozenset[VertexId]], ...],
+    ) -> None:
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "entries", entries)
 
 
 def private_neighborhood_report(g: Graph, d: Iterable[VertexId]) -> PrivateNeighborReport:
@@ -203,8 +211,7 @@ def is_po_minimal_rdf_theorem(g: Graph, f: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
+class ExtensionWitness(_Frozen):
     """Certificate that an assignment can grow into a minimal rhf.
 
     r2 is the planned 2-set; it must contain the current 2s and stay inside
@@ -212,8 +219,15 @@ class ExtensionWitness:
     different from its corresponding edge.
     """
 
+    __slots__ = _fields = ("r2", "rho")
     r2: frozenset[VertexId]
     rho: tuple[tuple[VertexId, EdgeIndex], ...]
+
+    def __init__(
+        self, r2: frozenset[VertexId], rho: tuple[tuple[VertexId, EdgeIndex], ...]
+    ) -> None:
+        object.__setattr__(self, "r2", r2)
+        object.__setattr__(self, "rho", rho)
 
     @classmethod
     def build(

@@ -30,14 +30,9 @@ import sys
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
-from .characterize import (
-    is_minimal_rdf_theorem,
-    is_minimal_rhf_theorem,
-    is_minimal_rhs_theorem,
-    is_po_minimal_rdf_theorem,
-)
 # the printed solution grammar lives in core; its names stay importable here
 from .core import (
     BoundedRdInstance,
@@ -75,35 +70,12 @@ from .enumeration import (
     gen_tight,
 )
 from .errors import GuardRefused, InputError
-from .extend import (
-    ExtAnswer,
-    ext_ds_split,
-    ext_rhf_general,
-    ext_rhf_surjective,
-    ext_rhs,
-    bounded_ext_rd,
-    split_partition,
-)
-from .optimize import (
-    _rvc_decide_counted,
-    exact_min_rhf,
-    exact_min_rhs,
-    greedy_rhf,
-    greedy_rhs,
-    incidence_hypergraph,
-    rec_min,
-    rvc_enumerate,
-)
-from .reduce import (
-    ReductionOutput,
-    ds_split_to_rhs,
-    hrd_to_rd_two_section,
-    rd_to_rhf,
-    rhf_to_rd_gadget,
-    rhf_to_rhs,
-    rhs_to_rhf,
-    vc_to_rvc,
-)
+
+# The handlers import characterize, extend, optimize and reduce themselves,
+# so a process compiles only the modules its subcommand runs.
+if TYPE_CHECKING:
+    from .extend import ExtAnswer
+    from .reduce import ReductionOutput
 
 EMPTY_PAIR = RhsPair(frozenset(), frozenset())
 
@@ -167,6 +139,13 @@ def _require_tau(hf: HypergraphFile, what: str) -> Correspondence:
     return hf.tau
 
 
+def _split(g: Graph) -> tuple[list[int], list[int]]:
+    """The split partition that ext-ds-split and reduce ds-split-to-rhs use."""
+    from .extend import split_partition
+
+    return split_partition(g)
+
+
 def _flush_stdout() -> None:
     # stdout is None in a process started with its descriptor closed
     if sys.stdout is not None:
@@ -195,6 +174,13 @@ def _answer(label: str, ok: bool) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, show: _Printer) -> int:
+    from .characterize import (
+        is_minimal_rdf_theorem,
+        is_minimal_rhf_theorem,
+        is_minimal_rhs_theorem,
+        is_po_minimal_rdf_theorem,
+    )
+
     if args.kind in ("min-rdf", "po-min-rdf"):
         gf = _graph(args.file)
         if args.kind == "min-rdf":
@@ -230,12 +216,16 @@ def _decision(ans: ExtAnswer, line: Callable[[Any], str]) -> int:
 
 
 def _cmd_ext_rhs(args: argparse.Namespace, show: _Printer) -> int:
+    from .extend import ext_rhs
+
     hf = _hypergraph(args.file)
     ans = ext_rhs(hf.hypergraph, hf.preset)
     return _decision(ans, partial(show.pair, hf.hypergraph))
 
 
 def _cmd_ext_rhf(args: argparse.Namespace, show: _Printer) -> int:
+    from .extend import ext_rhf_general, ext_rhf_surjective
+
     hf = _hypergraph(args.file)
     tau = _require_tau(hf, "ext-rhf")
     if args.general:
@@ -248,16 +238,20 @@ def _cmd_ext_rhf(args: argparse.Namespace, show: _Printer) -> int:
 
 
 def _cmd_ext_rd_bounded(args: argparse.Namespace, show: _Printer) -> int:
+    from .extend import bounded_ext_rd
+
     gf = _graph(args.file)
     ans = bounded_ext_rd(BoundedRdInstance.build(gf.graph, gf.assignment, gf.upper))
     return _decision(ans, partial(show.assignment, gf.graph.vertex_tokens))
 
 
 def _cmd_ext_ds_split(args: argparse.Namespace, show: _Printer) -> int:
+    from .extend import ext_ds_split
+
     gf = _graph(args.file)
     g = gf.graph
     u = [v for v, val in enumerate(gf.assignment) if val]
-    ans = ext_ds_split(g, split_partition(g), u)
+    ans = ext_ds_split(g, _split(g), u)
     return _decision(ans, lambda dom: show.vertex_set(g.vertex_tokens, dom, "D"))
 
 
@@ -279,6 +273,8 @@ def _cmd_enum_rhs(args: argparse.Namespace, show: _Printer) -> int:
 
 
 def _cmd_min_rhs(args: argparse.Namespace, show: _Printer) -> int:
+    from .optimize import exact_min_rhs, greedy_rhs
+
     h = _hypergraph(args.file).hypergraph
     if args.method == "exact":
         res = exact_min_rhs(h)
@@ -295,6 +291,8 @@ def _cmd_min_rhs(args: argparse.Namespace, show: _Printer) -> int:
 
 
 def _cmd_min_rhf(args: argparse.Namespace, show: _Printer) -> int:
+    from .optimize import exact_min_rhf, greedy_rhf
+
     hf = _hypergraph(args.file)
     h = hf.hypergraph
     tau = _require_tau(hf, "min-rhf")
@@ -314,6 +312,8 @@ def _cmd_min_rhf(args: argparse.Namespace, show: _Printer) -> int:
 
 
 def _cmd_rvc(args: argparse.Namespace, show: _Printer) -> int:
+    from .optimize import _rvc_decide_counted, rvc_enumerate
+
     g = _graph(args.file).graph
     if args.mode == "decide":
         ans, nodes = _rvc_decide_counted(g, args.k)
@@ -325,6 +325,8 @@ def _cmd_rvc(args: argparse.Namespace, show: _Printer) -> int:
 
 
 def _cmd_rec(args: argparse.Namespace, show: _Printer) -> int:
+    from .optimize import incidence_hypergraph, rec_min
+
     g = _graph(args.file).graph
     print(show.pair(incidence_hypergraph(g), rec_min(g).witness))
     return 0
@@ -352,6 +354,9 @@ def _cmd_oracle(args: argparse.Namespace, show: _Printer) -> int:
     jobs = args.jobs
     if jobs < 1:
         raise InputError("job count must be at least 1")
+    # every split prints the same lines, so more workers than cores buys
+    # nothing, and an unbounded count would start that many processes
+    jobs = min(jobs, os.cpu_count() or 1)
     if args.kind == "rhs":
         scan, inputs = brute_enumerate_minimal_rhs, (h,)
         order, line = RhsPair.r2_mask, partial(show.pair, h)
@@ -406,6 +411,13 @@ def _read_assignment(space: Hypergraph | Graph, text: str) -> RomanAssignment:
     return sol.assignment(space)
 
 
+def _reduce() -> ModuleType:
+    """The reduce module, which only the reduce subcommand runs."""
+    from . import reduce
+
+    return reduce
+
+
 def _require_k(k: int | None) -> int:
     if k is None:
         raise InputError("reduce rhs-to-rhf needs -k")
@@ -428,43 +440,43 @@ class _Reduction(NamedTuple):
 _REDUCTIONS = {
     "rd-to-rhf": _Reduction(
         True,
-        lambda gf, k: rd_to_rhf(gf.graph),
+        lambda gf, k: _reduce().rd_to_rhf(gf.graph),
         lambda target, text: _read_assignment(target[0], text),
         "assignment",
     ),
     "rhf-to-rhs": _Reduction(
         False,
-        lambda hf, k: rhf_to_rhs(hf.hypergraph, _require_tau(hf, "reduce rhf-to-rhs")),
+        lambda hf, k: _reduce().rhf_to_rhs(hf.hypergraph, _require_tau(hf, "reduce rhf-to-rhs")),
         _read_pair,
         "assignment",
     ),
     "rhs-to-rhf": _Reduction(
         False,
-        lambda hf, k: rhs_to_rhf(hf.hypergraph, _require_k(k)),
+        lambda hf, k: _reduce().rhs_to_rhf(hf.hypergraph, _require_k(k)),
         lambda target, text: _read_assignment(target[0], text),
         "pair",
     ),
     "rhf-to-rd": _Reduction(
         False,
-        lambda hf, k: rhf_to_rd_gadget(hf.hypergraph, _require_tau(hf, "reduce rhf-to-rd")),
+        lambda hf, k: _reduce().rhf_to_rd_gadget(hf.hypergraph, _require_tau(hf, "reduce rhf-to-rd")),
         _read_assignment,
         "assignment",
     ),
     "vc-to-rvc": _Reduction(
         True,
-        lambda gf, k: vc_to_rvc(gf.graph),
+        lambda gf, k: _reduce().vc_to_rvc(gf.graph),
         lambda g2, text: _read_pair(edge_hypergraph(g2), text),
         "C",
     ),
     "ds-split-to-rhs": _Reduction(
         True,
-        lambda gf, k: ds_split_to_rhs(gf.graph, split_partition(gf.graph)),
+        lambda gf, k: _reduce().ds_split_to_rhs(gf.graph, _split(gf.graph)),
         _read_pair,
         "D",
     ),
     "two-section": _Reduction(
         False,
-        lambda hf, k: hrd_to_rd_two_section(hf.hypergraph),
+        lambda hf, k: _reduce().hrd_to_rd_two_section(hf.hypergraph),
         _read_assignment,
         "assignment",
     ),

@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Set
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
@@ -46,6 +45,53 @@ def _check_token(token: str, line_no: int | None = None) -> str:
         where = f" (line {line_no})" if line_no is not None else ""
         raise InputError(f"invalid token {token!r}{where}")
     return token
+
+
+class _Record:
+    """The library's record types, without the cost of importing dataclasses.
+
+    A record names its fields in ``_fields``, keeps them in ``__slots__``
+    and sets them in its own ``__init__``, which takes them in that order.
+    Records are equal when they are of the same class with equal fields;
+    the repr is ``Name(field=value, ...)``; pickling rebuilds a record
+    through its constructor. A plain record is mutable and unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """An immutable record: it hashes its fields and refuses assignment and
+    deletion. Its ``__init__`` sets the slots through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -99,44 +145,48 @@ def frozenset_of(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Frozen):
     """Universe plus indexed hyperedges, both named by tokens.
 
     ``edge_members[i]`` is the bitset of vertex ids in edge i. Empty edges
     and an empty universe are legal. Incidence masks (edge ids containing a
-    vertex) are precomputed.
+    vertex) are precomputed; they and the token lookups take no part in
+    equality, hash or repr.
     """
 
+    _fields = ("vertex_tokens", "edge_tokens", "edge_members")
+    __slots__ = _fields + ("_vertex_ids", "_edge_ids", "_incidence")
     vertex_tokens: tuple[str, ...]
     edge_tokens: tuple[str, ...]
     edge_members: tuple[int, ...]
-    _vertex_ids: Mapping[str, int] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
-    _edge_ids: Mapping[str, int] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
-    _incidence: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
+    _vertex_ids: Mapping[str, int]
+    _edge_ids: Mapping[str, int]
+    _incidence: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.edge_tokens) != len(self.edge_members):
+    def __init__(
+        self,
+        vertex_tokens: tuple[str, ...],
+        edge_tokens: tuple[str, ...],
+        edge_members: tuple[int, ...],
+    ) -> None:
+        if len(edge_tokens) != len(edge_members):
             raise InputError("edge token/member count mismatch")
-        vids = {t: i for i, t in enumerate(self.vertex_tokens)}
-        if len(vids) != len(self.vertex_tokens):
+        vids = {t: i for i, t in enumerate(vertex_tokens)}
+        if len(vids) != len(vertex_tokens):
             raise InputError("duplicate vertex token")
-        eids = {t: i for i, t in enumerate(self.edge_tokens)}
-        if len(eids) != len(self.edge_tokens):
+        eids = {t: i for i, t in enumerate(edge_tokens)}
+        if len(eids) != len(edge_tokens):
             raise InputError("duplicate edge token")
-        full = (1 << len(self.vertex_tokens)) - 1
-        inc = [0] * len(self.vertex_tokens)
-        for i, members in enumerate(self.edge_members):
+        full = (1 << len(vertex_tokens)) - 1
+        inc = [0] * len(vertex_tokens)
+        for i, members in enumerate(edge_members):
             if members & ~full:
-                raise InputError(f"edge {self.edge_tokens[i]!r} has out-of-range members")
+                raise InputError(f"edge {edge_tokens[i]!r} has out-of-range members")
             for x in bits(members):
                 inc[x] |= 1 << i
+        object.__setattr__(self, "vertex_tokens", vertex_tokens)
+        object.__setattr__(self, "edge_tokens", edge_tokens)
+        object.__setattr__(self, "edge_members", edge_members)
         object.__setattr__(self, "_vertex_ids", vids)
         object.__setattr__(self, "_edge_ids", eids)
         object.__setattr__(self, "_incidence", tuple(inc))
@@ -207,11 +257,14 @@ def incidence_of_set(h: Hypergraph, xs: Iterable[VertexId]) -> frozenset[EdgeInd
     return frozenset_of(h.incidence_set_mask(mask_of(xs)))
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(_Frozen):
     """Total map vertex -> edge index with the vertex inside its edge."""
 
+    __slots__ = _fields = ("mapping",)
     mapping: tuple[EdgeIndex, ...]
+
+    def __init__(self, mapping: tuple[EdgeIndex, ...]) -> None:
+        object.__setattr__(self, "mapping", mapping)
 
     @classmethod
     def from_tokens(cls, h: Hypergraph, pairs: Mapping[str, str]) -> "Correspondence":
@@ -308,14 +361,15 @@ def _id_mask(ids: Iterable[int], message: str) -> int:
     return m
 
 
-class RhsPair:
+class RhsPair(_Frozen):
     """Candidate Roman hitting set: edge indices R1 and vertices R2.
 
     The pair is two bitset masks, ``r1m`` and ``r2m``; equality and hash
     work on them. ``r1`` and ``r2`` are IdSet views over the masks, so
     they compare and hash equal to frozensets but are not frozensets, and
     building a pair from masks (``from_masks``) copies no ids. Pairs are
-    immutable. ``validate`` checks the ids against a hypergraph.
+    immutable, and pickle through ``from_masks``. ``validate`` checks the
+    ids against a hypergraph.
 
     Building a pair from ids refuses a negative id, and any id above
     2^20 - 1, before allocating a mask as wide as the largest id. A mask
@@ -325,6 +379,7 @@ class RhsPair:
     """
 
     __slots__ = ("r1m", "r2m")
+    _fields = ("r1", "r2")
     r1m: int
     r2m: int
 
@@ -369,25 +424,11 @@ class RhsPair:
             raise InputError(_R2_RANGE)
         return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"RhsPair is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"RhsPair is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RhsPair:
-            return NotImplemented
-        return self.r1m == other.r1m and self.r2m == other.r2m
-
-    def __hash__(self) -> int:
-        return hash((self.r1m, self.r2m))
+    def _values(self) -> tuple[int, int]:
+        return self.r1m, self.r2m
 
     def __reduce__(self) -> tuple:
         return RhsPair.from_masks, (self.r1m, self.r2m)
-
-    def __repr__(self) -> str:
-        return f"RhsPair(r1={self.r1!r}, r2={self.r2!r})"
 
 
 _R1_RANGE = "R1 contains an out-of-range edge index"
@@ -435,31 +476,33 @@ def _require_nonempty_edges(h: Hypergraph) -> None:
         raise InputError("an edge with no members admits no hitting function")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """Undirected simple graph with token-named vertices.
 
     ``edges`` stores id pairs (u < v) in declaration order; adjacency masks
-    are precomputed. Self-loops and duplicate edges are rejected.
+    are precomputed, and like the token lookup take no part in equality,
+    hash or repr. Self-loops and duplicate edges are rejected.
     """
 
+    _fields = ("vertex_tokens", "edges")
+    __slots__ = _fields + ("_vertex_ids", "_adjacency")
     vertex_tokens: tuple[str, ...]
     edges: tuple[tuple[VertexId, VertexId], ...]
-    _vertex_ids: Mapping[str, int] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
-    _adjacency: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
+    _vertex_ids: Mapping[str, int]
+    _adjacency: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        vids = {t: i for i, t in enumerate(self.vertex_tokens)}
-        if len(vids) != len(self.vertex_tokens):
+    def __init__(
+        self,
+        vertex_tokens: tuple[str, ...],
+        edges: tuple[tuple[VertexId, VertexId], ...],
+    ) -> None:
+        vids = {t: i for i, t in enumerate(vertex_tokens)}
+        if len(vids) != len(vertex_tokens):
             raise InputError("duplicate vertex token")
-        n = len(self.vertex_tokens)
+        n = len(vertex_tokens)
         adj = [0] * n
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise InputError("self-loop")
             if not (0 <= u < n and 0 <= v < n):
@@ -470,6 +513,8 @@ class Graph:
             seen.add(key)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        object.__setattr__(self, "vertex_tokens", vertex_tokens)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_vertex_ids", vids)
         object.__setattr__(self, "_adjacency", tuple(adj))
 
@@ -509,17 +554,22 @@ class Graph:
         return m
 
 
-@dataclass(frozen=True)
-class BoundedRdInstance:
+class BoundedRdInstance(_Frozen):
     """Graph with a lower assignment f and an upper assignment h.
 
     The question it models: is there a minimal Roman dominating function g
     with f <= g <= h pointwise? An absent upper bound means h = 2 everywhere.
     """
 
+    __slots__ = _fields = ("graph", "lower", "upper")
     graph: Graph
     lower: RomanAssignment
     upper: RomanAssignment
+
+    def __init__(self, graph: Graph, lower: RomanAssignment, upper: RomanAssignment) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @classmethod
     def build(
@@ -597,19 +647,36 @@ def edge_hypergraph(g: Graph) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypergraphFile:
+class HypergraphFile(_Frozen):
+    __slots__ = _fields = ("hypergraph", "tau", "assignment", "preset")
     hypergraph: Hypergraph
     tau: Correspondence | None
     assignment: RomanAssignment
     preset: RhsPair
 
+    def __init__(
+        self,
+        hypergraph: Hypergraph,
+        tau: Correspondence | None,
+        assignment: RomanAssignment,
+        preset: RhsPair,
+    ) -> None:
+        object.__setattr__(self, "hypergraph", hypergraph)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "preset", preset)
 
-@dataclass(frozen=True)
-class GraphFile:
+
+class GraphFile(_Frozen):
+    __slots__ = _fields = ("graph", "assignment", "upper")
     graph: Graph
     assignment: RomanAssignment
     upper: RomanAssignment
+
+    def __init__(self, graph: Graph, assignment: RomanAssignment, upper: RomanAssignment) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "upper", upper)
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -639,17 +706,27 @@ def _values(
     return tuple(f)
 
 
-@dataclass
-class SolutionLines:
+class SolutionLines(_Record):
     """The ``assign``, ``preset1`` and ``preset2`` lines of a file, as tokens.
 
     Hypergraph files carry them next to the instance; a bare solution file
     (``rhs-tool reduce --map-solution``) holds nothing else.
     """
 
-    assign: dict[str, int] = field(default_factory=dict)
-    preset1: list[str] = field(default_factory=list)
-    preset2: list[str] = field(default_factory=list)
+    __slots__ = _fields = ("assign", "preset1", "preset2")
+    assign: dict[str, int]
+    preset1: list[str]
+    preset2: list[str]
+
+    def __init__(
+        self,
+        assign: dict[str, int] | None = None,
+        preset1: list[str] | None = None,
+        preset2: list[str] | None = None,
+    ) -> None:
+        self.assign = {} if assign is None else assign
+        self.preset1 = [] if preset1 is None else preset1
+        self.preset2 = [] if preset2 is None else preset2
 
     def take(self, kind: str, args: list[str], no: int) -> bool:
         """Record one line if it is a solution directive; say whether it was."""

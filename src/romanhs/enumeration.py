@@ -38,15 +38,14 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 
-from .characterize import _rhf_violation
 from .core import (
     Correspondence,
     Hypergraph,
     HypergraphFile,
     RhsPair,
     RomanAssignment,
+    _Record,
     _level_masks,
     bits,
 )
@@ -55,14 +54,26 @@ from .errors import InputError, guard_work
 Sink = Callable[[RhsPair], None]
 
 
-@dataclass
-class EnumerationStats:
+class EnumerationStats(_Record):
     """Counters reported by a full enumeration run."""
 
-    emitted: int = 0
-    nodes: int = 0
-    max_gap: int = 0
-    rule_counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = _fields = ("emitted", "nodes", "max_gap", "rule_counts")
+    emitted: int
+    nodes: int
+    max_gap: int
+    rule_counts: dict[str, int]
+
+    def __init__(
+        self,
+        emitted: int = 0,
+        nodes: int = 0,
+        max_gap: int = 0,
+        rule_counts: dict[str, int] | None = None,
+    ) -> None:
+        self.emitted = emitted
+        self.nodes = nodes
+        self.max_gap = max_gap
+        self.rule_counts = {} if rule_counts is None else rule_counts
 
 
 def _degree_bound(inc: list[int], livev: int, live_e: int) -> int:
@@ -380,6 +391,10 @@ def brute_enumerate_minimal_rhf(
     by the guard; with a stride only every stride-th of them, starting at
     index part, is scanned.
     """
+    # imported here, its only user: a process that only enumerates pairs
+    # or generates instances does not compile characterize
+    from .characterize import _rhf_violation
+
     guard_work(3**h.n_vertices, "brute rhf enumeration")
     tau.validate(h)
     candidates = itertools.product((0, 1, 2), repeat=h.n_vertices)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .characterize import _rhf_violation, _witness_cover
@@ -31,6 +30,7 @@ from .core import (
     RhsPair,
     RomanAssignment,
     VertexId,
+    _Frozen,
     _assignment,
     _level_masks,
     bits,
@@ -43,12 +43,16 @@ from .errors import InputError, guard_work
 Witness = RhsPair | RomanAssignment | frozenset
 
 
-@dataclass(frozen=True)
-class ExtAnswer:
+class ExtAnswer(_Frozen):
     """Decision plus, on yes, a minimal solution dominating the pre-solution."""
 
+    __slots__ = _fields = ("decision", "witness")
     decision: bool
-    witness: Witness | None = None
+    witness: Witness | None
+
+    def __init__(self, decision: bool, witness: Witness | None = None) -> None:
+        object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "witness", witness)
 
 
 def ext_rhs(h: Hypergraph, u: RhsPair) -> ExtAnswer:

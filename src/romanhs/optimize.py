@@ -24,7 +24,6 @@ variants.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .core import (
     Correspondence,
@@ -32,6 +31,7 @@ from .core import (
     Hypergraph,
     RhsPair,
     RomanAssignment,
+    _Frozen,
     _assignment,
     _is_rhf,
     _is_rhs,
@@ -51,13 +51,18 @@ from .errors import InputError
 from .reduce import rhf_to_rhs
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(_Frozen):
     """Optimum weight, a witness attaining it, and search effort."""
 
+    __slots__ = _fields = ("weight", "witness", "nodes")
     weight: int
     witness: RhsPair | RomanAssignment
-    nodes: int = 0
+    nodes: int
+
+    def __init__(self, weight: int, witness: RhsPair | RomanAssignment, nodes: int = 0) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes", nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ masks, and a reduction validates its correspondence once, when built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -29,6 +28,7 @@ from .core import (
     RhsPair,
     RomanAssignment,
     VertexId,
+    _Frozen,
     _assignment,
     _is_rdf,
     _is_rhf,
@@ -48,14 +48,22 @@ from .errors import GuardRefused, InputError
 from .extend import _complete, split_hypergraph
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(_Frozen):
     """Target instance, solution mappers, and the exact-weight offset."""
 
+    __slots__ = _fields = ("instance", "forward", "backward", "offset")
     instance: object
     forward: Callable
     backward: Callable
     offset: int
+
+    def __init__(
+        self, instance: object, forward: Callable, backward: Callable, offset: int
+    ) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
+        object.__setattr__(self, "offset", offset)
 
 
 def _fresh_token(base: str, used: set[str]) -> str:

@@ -387,6 +387,39 @@ def test_oracle_rhf_jobs(run, write):
         assert format_assignment(hf.hypergraph.vertex_tokens, f_tuple) == line
 
 
+class _FakePool:
+    """multiprocessing.Pool stand-in that records its size and runs the
+    parts in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, iterable):
+        return [func(*args) for args in iterable]
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+@pytest.mark.parametrize("kind, text", [("rhs", EX1), ("rhf", EX2)])
+def test_oracle_jobs_capped_at_cpu_count(run, write, monkeypatch, cpus, kind, text):
+    import multiprocessing
+
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    f = write("x.hg", text)
+    assert run("oracle", kind, f, "--jobs", 10**6) == run("oracle", kind, f)
+    # one worker runs the single scan in this process, with no pool
+    assert _FakePool.sizes == ([] if (cpus or 1) == 1 else [cpus])
+
+
 def test_oracle_guard_refusal(run, write):
     code, text, _ = run("gen", "tight", "11")
     f = write("t11.hg", text)
