@@ -60,13 +60,13 @@ class _Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
+    def _field_values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._field_values() == other._field_values()
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -75,7 +75,7 @@ class _Record:
         return f"{type(self).__name__}({body})"
 
     def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        return type(self), self._field_values()
 
 
 class _Frozen(_Record):
@@ -91,7 +91,7 @@ class _Frozen(_Record):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._field_values())
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -424,7 +424,7 @@ class RhsPair(_Frozen):
             raise InputError(_R2_RANGE)
         return self
 
-    def _values(self) -> tuple[int, int]:
+    def _field_values(self) -> tuple[int, int]:
         return self.r1m, self.r2m
 
     def __reduce__(self) -> tuple:

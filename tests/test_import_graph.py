@@ -76,6 +76,10 @@ def test_a_subcommand_imports_what_it_runs(tmp_path, argv, modules):
 def test_a_public_name_imports_its_module():
     loaded = _loaded_after("import romanhs\nromanhs.Hypergraph")
     assert _package_modules(loaded) == {"core", "errors"}
+    # a module of the package reads as an attribute, as when the package
+    # imported them all
+    loaded = _loaded_after("import romanhs\nromanhs.optimize.exact_min_rhs")
+    assert _package_modules(loaded) == {"core", "errors", "enumeration"} | HANDLER_MODULES
 
 
 def test_every_public_name_resolves():
