@@ -27,7 +27,6 @@ holding validated masks use directly.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Set
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -389,7 +388,7 @@ class RhsPair(_Frozen):
 
     @classmethod
     def from_masks(cls, r1_mask: int, r2_mask: int) -> "RhsPair":
-        pair = object.__new__(cls)
+        pair = _NEW(cls)
         _SET_R1M(pair, r1_mask)
         _SET_R2M(pair, r2_mask)
         return pair
@@ -403,13 +402,19 @@ class RhsPair(_Frozen):
             mask_of(h.vertex_id(t) for t in r2_tokens),
         )
 
+    # a view runs no interpreted __init__; a plain slot store is faster
+    # than calling the slot's setter, which from_masks needs for a pair
     @property
     def r1(self) -> IdSet:
-        return IdSet(self.r1m)
+        view = _NEW(IdSet)
+        view._mask = self.r1m
+        return view
 
     @property
     def r2(self) -> IdSet:
-        return IdSet(self.r2m)
+        view = _NEW(IdSet)
+        view._mask = self.r2m
+        return view
 
     def r1_mask(self) -> int:
         return self.r1m
@@ -436,6 +441,7 @@ _R2_RANGE = "R2 contains an out-of-range vertex id"
 # the slot descriptors' setters bypass the refusing __setattr__
 _SET_R1M = RhsPair.r1m.__set__
 _SET_R2M = RhsPair.r2m.__set__
+_NEW = object.__new__
 
 
 def weight_assignment(f: Sequence[int]) -> int:
@@ -870,7 +876,10 @@ def serialize_graph_file(gf: GraphFile) -> str:
 #   assignments  f: <tok>=<val> ... w=<int>   (zeros omitted)
 #   vertex sets  <label>={<vertex tokens>} size=<int>
 # or, as JSON, one object per line with sorted keys; pair and assignment
-# objects read back through pair_from_json and assignment_from_json.
+# objects read back through pair_from_json and assignment_from_json. The
+# dict literals list their keys in sorted order, so json.dumps needs no
+# sort_keys and uses its cached default encoder; json is imported in the
+# functions, so a process that prints no JSON does not load it.
 # ---------------------------------------------------------------------------
 
 
@@ -895,13 +904,14 @@ def format_vertex_set(
 
 
 def pair_to_json(h: Hypergraph, pair: RhsPair) -> str:
+    import json
+
     return json.dumps(
         {
             "r1": [h.edge_tokens[i] for i in bits(pair.r1m)],
             "r2": [h.vertex_tokens[x] for x in bits(pair.r2m)],
             "w": weight_pair(pair),
-        },
-        sort_keys=True,
+        }
     )
 
 
@@ -914,13 +924,14 @@ def pair_from_json(h: Hypergraph, line: str) -> RhsPair:
 
 
 def assignment_to_json(tokens: Sequence[str], f: Sequence[int]) -> str:
+    import json
+
     return json.dumps(
         {
             "ones": [tokens[v] for v, val in enumerate(f) if val == 1],
             "twos": [tokens[v] for v, val in enumerate(f) if val == 2],
             "w": sum(f),
-        },
-        sort_keys=True,
+        }
     )
 
 
@@ -943,14 +954,15 @@ def assignment_from_json(
 def set_to_json(
     tokens: Sequence[str], chosen: Sequence[int]
 ) -> str:
+    import json
+
     picked = sorted(set(chosen))
-    return json.dumps(
-        {"set": [tokens[v] for v in picked], "size": len(picked)},
-        sort_keys=True,
-    )
+    return json.dumps({"set": [tokens[v] for v in picked], "size": len(picked)})
 
 
 def _load_json_object(line: str) -> dict:
+    import json
+
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:

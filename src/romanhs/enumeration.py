@@ -277,14 +277,20 @@ def _search(
         mu = livev.bit_count() + live_e.bit_count()
         for comp, add, delete, r1b in reversed(kids):
             c_once, c_twice, hit = once, twice, 0
-            rest = add
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                ex = inc[low.bit_length() - 1]
-                c_twice |= c_once & ex
-                c_once |= ex
-                hit |= ex
+            if add & (add - 1):
+                rest = add
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    ex = inc[low.bit_length() - 1]
+                    c_twice |= c_once & ex
+                    c_once |= ex
+                    hit |= ex
+            elif add:
+                # one new R2 vertex, as in almost every child: one lookup
+                hit = inc[add.bit_length() - 1]
+                c_twice = twice | once & hit
+                c_once = once | hit
             c_livev = livev & ~(add | delete)
             c_live_e = live_e & ~(hit | r1b)
             assert not r1b or not members[r1b.bit_length() - 1] & c_livev
@@ -342,9 +348,14 @@ def enumerate_minimal_rhs(
     polynomial delay measured in expanded nodes.
     """
     stats = EnumerationStats()
-    for r1m, r2m in _search(h, _checked_cap(weight_cap), stats):
-        if sink is not None:
-            sink(RhsPair.from_masks(r1m, r2m))
+    masks = _search(h, _checked_cap(weight_cap), stats)
+    if sink is None:
+        for _ in masks:
+            pass
+    else:
+        from_masks = RhsPair.from_masks
+        for r1m, r2m in masks:
+            sink(from_masks(r1m, r2m))
     return stats
 
 

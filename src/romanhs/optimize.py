@@ -48,7 +48,6 @@ from .enumeration import (
     enumerate_minimal_rhs,
 )
 from .errors import InputError
-from .reduce import rhf_to_rhs
 
 
 class OptResult(_Frozen):
@@ -260,6 +259,10 @@ def exact_min_rhf(h: Hypergraph, tau: Correspondence) -> OptResult:
     optima agree with hitting-function optima; the backward mapper turns
     the optimal pair into an assignment of the same weight.
     """
+    # imported here, its only user: min-rhs, rvc and rec do not compile
+    # reduce, nor the extend and characterize modules it imports
+    from .reduce import rhf_to_rhs
+
     ro = rhf_to_rhs(h, tau)
     inner = exact_min_rhs(ro.instance)
     f = ro.backward(inner.witness)

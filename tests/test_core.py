@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import pickle
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from corpus import (
     all_assignments,
+    all_pairs,
     assignment_of,
     atlas_graphs_upto,
     build_ex1,
@@ -30,16 +32,19 @@ from romanhs.core import (
     HypergraphFile,
     RhsPair,
     _level_masks,
+    assignment_to_json,
     closed_neighborhood_hypergraph,
     incidence,
     incidence_of_set,
     is_rdf,
     is_rhf,
     is_rhs,
+    pair_to_json,
     parse_graph_text,
     parse_hypergraph_text,
     serialize_graph_file,
     serialize_hypergraph_file,
+    set_to_json,
     weight_assignment,
     weight_pair,
 )
@@ -427,6 +432,31 @@ def test_level_mask():
     assert _level_masks((0, 2, 1, 2), 4) == (0b0100, 0b1010)
     assert _level_masks(iter((1, 0)), 2) == (0b01, 0)
     assert _level_masks((), 0) == (0, 0)
+
+
+def test_json_lines_equal_sorted_key_dumps():
+    # the printers pass dict literals in sorted key order instead of
+    # sort_keys, which must not change a byte of their lines
+    h = build_ex1()
+    tokens = h.vertex_tokens
+    assert pair_to_json(h, RhsPair.from_tokens(h, ["2", "5"], ["b"])) == json.dumps(
+        {"w": 4, "r2": ["b"], "r1": ["2", "5"]}, sort_keys=True
+    )
+    assert assignment_to_json(tokens, (2, 0, 1, 1)) == json.dumps(
+        {"w": 4, "twos": ["a"], "ones": ["c", "d"]}, sort_keys=True
+    )
+    assert set_to_json(tokens, [3, 0, 3]) == json.dumps(
+        {"size": 2, "set": ["a", "d"]}, sort_keys=True
+    )
+    lines = [pair_to_json(h, pair) for pair in all_pairs(h)]
+    lines += [assignment_to_json(tokens, f) for f in all_assignments(h.n_vertices)]
+    lines += [
+        set_to_json(tokens, chosen)
+        for k in range(h.n_vertices + 1)
+        for chosen in itertools.combinations(range(h.n_vertices), k)
+    ]
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
 REIMPORT = """

@@ -4,12 +4,14 @@
 is imported from its module on first use. ``import romanhs.cli`` imports
 core, errors and enumeration, which every subcommand or printer needs, and
 leaves characterize, extend, optimize and reduce to the handlers that call
-them. No module of the package imports dataclasses (nor, through it,
-inspect). Each check runs in a fresh interpreter without bytecode caching,
-as a command line process runs.
+them. optimize imports reduce only inside exact_min_rhf, and core imports
+json only inside its JSON codec functions, so a process that prints no
+JSON does not load it. No module of the package imports dataclasses (nor,
+through it, inspect). Each check runs in a fresh interpreter without
+bytecode caching, as a command line process runs.
 """
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -28,17 +30,29 @@ HANDLER_MODULES = {"characterize", "extend", "optimize", "reduce"}
 
 def _loaded_after(statement: str) -> set[str]:
     """The modules a fresh interpreter holds after running statement."""
-    code = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    # printed as a repr, so that reporting them loads no json
+    code = f"import sys\n{statement}\nprint(sorted(sys.modules))"
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
 def _package_modules(loaded: set[str]) -> set[str]:
     return {m.split(".", 1)[1] for m in loaded if m.startswith("romanhs.")}
+
+
+def _run_main(tmp_path, argv: list[str]) -> set[str]:
+    """The modules loaded by rhs-tool argv, "@" naming a small instance."""
+    path = tmp_path / "t.hg"
+    path.write_text(
+        "universe x1 x2 x3 x4\nedge e1 x1 x2\nedge e2 x3 x4\n"
+        "tau x1 e1\ntau x2 e1\ntau x3 e2\ntau x4 e2\n"
+    )
+    argv = [str(path) if a == "@" else a for a in argv]
+    return _loaded_after(f"import romanhs.cli\nassert romanhs.cli.main({argv!r}) == 0")
 
 
 def test_package_import_loads_no_module():
@@ -59,18 +73,22 @@ def test_cli_import_leaves_the_handler_modules():
         (["oracle", "rhs", "@"], BASE),
         (["check", "witness", "@", "--pair", "R1=e1,e2;R2="], BASE | {"characterize"}),
         (["ext-rhs", "@"], BASE | {"characterize", "extend"}),
-        # optimize imports reduce, which imports extend
-        (["min-rhs", "@"], BASE | HANDLER_MODULES),
+        (["min-rhs", "@"], BASE | {"optimize"}),
+        # exact_min_rhf imports reduce, which imports extend
+        (["min-rhf", "@"], BASE | HANDLER_MODULES),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_a_subcommand_imports_what_it_runs(tmp_path, argv, modules):
-    path = tmp_path / "t.hg"
-    path.write_text("universe x1 x2 x3 x4\nedge e1 x1 x2\nedge e2 x3 x4\n")
-    argv = [str(path) if a == "@" else a for a in argv]
-    loaded = _loaded_after(f"import romanhs.cli\nassert romanhs.cli.main({argv!r}) == 0")
+    loaded = _run_main(tmp_path, argv)
     assert _package_modules(loaded) == modules
     assert "dataclasses" not in loaded
+
+
+def test_json_loads_only_for_json_output(tmp_path):
+    assert "json" not in _loaded_after("import romanhs.cli")
+    assert "json" not in _run_main(tmp_path, ["enum-rhs", "@"])
+    assert "json" in _run_main(tmp_path, ["enum-rhs", "@", "--json"])
 
 
 def test_a_public_name_imports_its_module():
@@ -79,7 +97,7 @@ def test_a_public_name_imports_its_module():
     # a module of the package reads as an attribute, as when the package
     # imported them all
     loaded = _loaded_after("import romanhs\nromanhs.optimize.exact_min_rhs")
-    assert _package_modules(loaded) == {"core", "errors", "enumeration"} | HANDLER_MODULES
+    assert _package_modules(loaded) == {"core", "errors", "enumeration", "optimize"}
 
 
 def test_every_public_name_resolves():
