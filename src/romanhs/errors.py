@@ -7,9 +7,10 @@ The command line maps them to exit codes 1 and 2 respectively.
 
 Every exponential routine (the brute enumerators, the general extension
 sweep and witness search, and the bounded Roman domination extension)
-counts the candidates it would try before it starts and hands the count
-to guard_work, which refuses past WORK_LIMIT. Polynomial routines take no
-guard, whatever the instance size.
+counts the candidates it would try before it starts, or an upper bound on
+them where it prunes as it goes (the sweep and the witness search), and
+hands the count to guard_work, which refuses past WORK_LIMIT. Polynomial
+routines take no guard, whatever the instance size.
 """
 
 WORK_LIMIT = 1 << 20
@@ -26,7 +27,8 @@ class GuardRefused(RuntimeError):
 
 
 def guard_work(work: int, what: str) -> None:
-    """Refuse to start `what`, which would try `work` candidates, past the limit."""
+    """Refuse to start `what`, which would try at most `work` candidates, past
+    the limit."""
     if work > WORK_LIMIT:
         raise GuardRefused(
             f"{what} would try {work} candidates, over the limit of {WORK_LIMIT}"

@@ -3,12 +3,13 @@
 ext_rhs settles the pair question outright in polynomial time. For
 assignments the polynomial algorithm (ext_rhf_surjective) needs every edge
 without correspondence preimage to be pre-hit; the general solver falls
-back to bounded exponential search, either by sweeping all larger
-assignments or by searching for an extensibility witness after the
-promotion closure. Graph-side, bounded_ext_rd answers the two-sided Roman
-domination extension question by branching on dominators for the vertices
-capped at 0, and ext_ds_split answers minimal-dominating-set extension on
-split graphs through ext_rhs.
+back to bounded exponential search, either by a depth-first sweep over
+the larger assignments that drops a prefix once it breaks a condition no
+completion repairs, or by searching for an extensibility witness after
+the promotion closure. Graph-side, bounded_ext_rd answers the two-sided
+Roman domination extension question by branching on dominators for the
+vertices capped at 0, and ext_ds_split answers minimal-dominating-set
+extension on split graphs through ext_rhs.
 
 The public functions validate once; their loops call private cores on
 vertex masks that validate nothing (_promote, _surjective, _complete, and
@@ -152,14 +153,61 @@ def _complete(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> int:
 
 
 def _general_sweep(
-    h: Hypergraph, tau: Correspondence, ones: int, twos: int
+    h: Hypergraph, tau: Correspondence, f_ones: int, f_twos: int
 ) -> ExtAnswer:
-    # every value at or above f's, at each vertex
-    ranges = [(0, 1, 2)[v:] for v in _assignment(h.n_vertices, ones, twos)]
-    guard_work(math.prod(map(len, ranges)), "general extension sweep")
-    for g in itertools.product(*ranges):
-        if _rhf_violation(h, tau, *_level_masks(g, h.n_vertices)) is None:
-            return ExtAnswer(True, g)
+    """Depth-first search over the assignments above f, vertex 0 first and
+    each vertex's values ascending, so complete candidates arrive in the
+    lexicographic order of itertools.product and the first minimal rhf
+    found is the same.
+
+    A prefix is dropped once it breaks a condition of a minimal rhf that
+    no completion repairs: two 1s share a corresponding edge, a 1's
+    corresponding edge holds a 2, or a 2 has no private edge besides its
+    corresponding one. Later 2s only take privacy away, and only from
+    the 2s they share an edge with, so a new 2 rechecks itself and, when
+    it makes an edge of earlier 2s hit twice, the earlier 2s. Complete
+    candidates are decided by _rhf_violation. The guard counts every
+    assignment above f, an upper bound on the candidates decided.
+    """
+    n = h.n_vertices
+    n_ones = f_ones.bit_count()
+    guard_work(
+        3 ** (n - n_ones - f_twos.bit_count()) * 2**n_ones,
+        "general extension sweep",
+    )
+    members, mapping = h.edge_members, tau.mapping
+    incidence = [h.incidence_mask(x) for x in range(n)]
+    # the edges that can be private to x as a 2
+    own = [inc & ~(1 << i) for inc, i in zip(incidence, mapping)]
+    # a node: the next vertex, its 1s and 2s, the 1s' corresponding edges
+    # and the union of their members, and the edges its 2s hit at least
+    # once and at least twice; a 2 keeps its own edges that are hit once
+    stack = [(0, 0, 0, 0, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, m1, m2, img, cover, hit, multi = pop()
+        if x == n:
+            if _rhf_violation(h, tau, m1, m2) is None:
+                return ExtAnswer(True, _assignment(n, m1, m2))
+            continue
+        bit = 1 << x
+        # push the largest value first, so the smallest is expanded first
+        if not cover & bit:
+            inc = incidence[x]
+            shared = hit & inc
+            twice = multi | shared
+            if own[x] & ~twice and (
+                not shared & ~multi or all(own[y] & ~twice for y in bits(m2))
+            ):
+                push((x + 1, m1, m2 | bit, img, cover, hit | inc, twice))
+        if not f_twos & bit:
+            i = mapping[x]
+            if not (img | hit) >> i & 1:
+                push(
+                    (x + 1, m1 | bit, m2, img | 1 << i, cover | members[i], hit, multi)
+                )
+            if not f_ones & bit:
+                push((x + 1, m1, m2, img, cover, hit, multi))
     return ExtAnswer(False)
 
 
@@ -260,15 +308,18 @@ def ext_rhf_general(
 ) -> ExtAnswer:
     """Is there a minimal rhf above f, for arbitrary correspondences?
 
-    Both strategies are exponential, so each counts the candidates it
-    would try before it starts and is refused past the shared limit of
-    errors.guard_work; both return the same decision. The sweep strategy
-    tries every assignment above f: 3^|0s| 2^|1s| of them, so it is
-    refused from 13 zeros on. The witness strategy runs the promotion
-    closure and searches for a 2-set plus private-edge map whose
-    constraints certify extensibility; the 0s cost it nothing
-    exponential, so it counts the 2-sets over the closure's 1s times a
-    bound on the private-edge maps.
+    Both strategies are exponential, so each counts a bound on the
+    candidates it would try before it starts and is refused past the
+    shared limit of errors.guard_work; both return the same decision.
+    The sweep strategy walks the assignments above f depth first in
+    lexicographic order, drops a prefix once it breaks a condition of a
+    minimal rhf that no completion repairs, and returns the first
+    minimal rhf it meets. Its bound is every assignment above f,
+    3^|0s| 2^|1s| of them, so it is refused from 13 zeros on. The
+    witness strategy runs the promotion closure and searches for a 2-set
+    plus private-edge map whose constraints certify extensibility; the
+    0s cost it nothing exponential, so it counts the 2-sets over the
+    closure's 1s times a bound on the private-edge maps.
     """
     tau.validate(h)
     ones, twos = _level_masks(f, h.n_vertices)

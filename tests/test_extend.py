@@ -22,6 +22,7 @@ from corpus import (
     random_split_graph,
     star_graph,
 )
+from romanhs import extend
 from romanhs.characterize import (
     is_minimal_rdf_theorem,
     is_minimal_rhf_theorem,
@@ -321,6 +322,90 @@ def test_sweep_guard_counts_assignments():
         with pytest.raises(GuardRefused):
             ext_rhf_general(h, tau, f, strategy="sweep")
         assert ext_rhf_general(h, tau, f, strategy="witness").decision
+
+
+def first_minimal_rhf_above(h, tau, f):
+    """The first assignment above f, in itertools.product order, that the
+    theorem checker accepts; None when there is none."""
+    for g in itertools.product(*(range(v, 3) for v in f)):
+        if is_minimal_rhf_theorem(h, tau, g):
+            return g
+    return None
+
+
+def sweep_corpus():
+    """Seeded (h, tau, f) triples: random instances, which may hold empty
+    and preimage-free edges, plus fixed ones that surely do, each with
+    random f, f all-0, f all-2 and, where two vertices share a
+    corresponding edge, f with 1s on both."""
+    rng = random.Random(1515)
+    instances = [
+        (build_ex1(), ex1_tau(build_ex1())),
+        (build_ex2(), ex2_tau(build_ex2())),
+        (
+            Hypergraph.build(
+                ["x", "y", "z"],
+                [("e", ["x", "y"]), ("void", []), ("g", ["y", "z"]), ("free", ["z"])],
+            ),
+            Correspondence((0, 0, 2)),
+        ),
+    ]
+    instances += [random_instance_with_tau(rng, max_v=6, max_e=6) for _ in range(60)]
+    for h, tau in instances:
+        n = h.n_vertices
+        fs = [(0,) * n, (2,) * n]
+        fs += [random_assignment(rng, n) for _ in range(4)]
+        for x, y in itertools.combinations(range(n), 2):
+            if tau.mapping[x] == tau.mapping[y]:
+                fs.append(tuple(1 if v in (x, y) else 0 for v in range(n)))
+                break
+        for f in fs:
+            yield h, tau, f
+
+
+def test_sweep_returns_first_minimal_rhf_in_product_order():
+    # every property is checked here by the test itself: the library's own
+    # postcondition asserts are stripped under python -O
+    seen = {"yes": 0, "no": 0, "empty edge": 0, "preimage-free edge": 0, "clashing 1s": 0}
+    for h, tau, f in sweep_corpus():
+        expected = first_minimal_rhf_above(h, tau, f)
+        sweep = ext_rhf_general(h, tau, f, strategy="sweep")
+        wit = ext_rhf_general(h, tau, f, strategy="witness")
+        assert sweep.decision == (expected is not None), (h, tau, f)
+        assert sweep.witness == expected, (h, tau, f)
+        assert wit.decision == sweep.decision, (h, tau, f)
+        seen["yes" if sweep.decision else "no"] += 1
+        seen["empty edge"] += 0 in h.edge_members
+        seen["preimage-free edge"] += bool(h.all_edges_mask & ~tau.range_mask)
+        seen["clashing 1s"] += any(
+            tau.mapping[x] == tau.mapping[y]
+            for x, y in itertools.combinations(range(h.n_vertices), 2)
+            if f[x] == f[y] == 1
+        )
+    assert min(seen.values()) >= 5, seen
+
+
+def test_sweep_prunes_prefixes_before_the_leaf_check(monkeypatch):
+    # every vertex corresponds to the one edge e and an empty edge is never
+    # hit, so the answer is no; two 1s clash on e and no 2 has a private
+    # edge besides e, so only the all-0 candidate and the n with a single 1
+    # reach the leaf check, out of the 3^n that the guard counts
+    n = 12
+    names = [f"x{i}" for i in range(n)]
+    h = Hypergraph.build(names, [("e", names), ("void", [])])
+    tau = Correspondence((0,) * n)
+    calls = 0
+    leaf_check = extend._rhf_violation
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return leaf_check(*args)
+
+    monkeypatch.setattr(extend, "_rhf_violation", counted)
+    ans = ext_rhf_general(h, tau, (0,) * n, strategy="sweep")
+    assert not ans.decision
+    assert calls <= n + 1 < 3**n
 
 
 def test_witness_guard_counts_closure_ones_not_zeros():
