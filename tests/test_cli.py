@@ -11,15 +11,11 @@ import pytest
 from corpus import capped_paths_text
 import romanhs
 import romanhs.cli
-from romanhs.cli import (
-    assignment_from_json,
-    format_assignment,
-    format_pair,
-    main,
-    pair_from_json,
-)
+from romanhs.cli import format_assignment, format_pair, main
 from romanhs.core import (
     RhsPair,
+    assignment_from_json,
+    pair_from_json,
     parse_graph_text,
     parse_hypergraph_text,
     serialize_hypergraph_file,

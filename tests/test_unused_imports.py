@@ -3,16 +3,13 @@
 An AST scan of every ``src/romanhs`` module except the package
 ``__init__`` (which imports in order to re-export). A name counts as used
 when it appears anywhere in the module as an identifier, including in
-annotations. The only exemptions are cli's documented re-exports, which
-tests/test_cli.py imports from there.
+annotations.
 """
 
 import ast
 from pathlib import Path
 
 import romanhs
-
-EXEMPT = {("cli.py", "pair_from_json"), ("cli.py", "assignment_from_json")}
 
 
 def unused_imports(source: str) -> set[str]:
@@ -39,4 +36,4 @@ def test_no_module_imports_an_unused_name():
     for path in sorted(Path(romanhs.__file__).parent.glob("*.py")):
         if path.name != "__init__.py":
             found |= {(path.name, n) for n in unused_imports(path.read_text())}
-    assert found <= EXEMPT, sorted(found - EXEMPT)
+    assert not found, sorted(found)
