@@ -322,9 +322,10 @@ def rvc_enumerate(
     total work and every gap between emissions. The cap prune adds the
     covering and the packing lower bounds to the weight so far. An
     expanded subtree may still hold no cover light enough, so the linear
-    delay of the uncapped run is not proved to carry over; measured, the
-    gaps of capped runs stay under its bound 2(|X| + |I|) + 2 (a seeded
-    corpus of capped runs in the tests checks it).
+    delay of the uncapped run does not carry over: under a cap its bound
+    2(|X| + |I|) + 2 is not guaranteed. On G(30, 0.1) drawn with
+    random.Random(1) over the pairs u < v in order (49 edges, optimum
+    28), k = 30 leaves a gap of 275 nodes against a bound of 160.
     """
     if k < 0:
         raise InputError("the weight budget must be nonnegative")

@@ -394,6 +394,21 @@ def test_rvc_enumerate_cap_guarantee():
             assert enumerate_minimal_rhs(h, weight_cap=cap).max_gap <= bound
 
 
+def test_rvc_enumerate_cap_breaks_the_uncapped_delay_bound():
+    # G(30, 0.1), the pairs u < v drawn in order: at cap 30, just above
+    # the optimum 28, a gap of 275 nodes passes 2(|X|+|I|)+2 = 160, so
+    # the corpus above meeting that bound guarantees nothing under a cap
+    rng = random.Random(1)
+    names = [f"v{i}" for i in range(30)]
+    g = Graph.build(
+        names,
+        [(names[u], names[v]) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.1],
+    )
+    assert len(g.edges) == 49
+    assert exact_min_rhs(edge_hypergraph(g)).weight == 28
+    assert rvc_enumerate(g, 30).max_gap > 2 * (30 + 49) + 2
+
+
 def test_rvc_enumerate_vs_brute():
     rng = random.Random(6067)
     for _ in range(20):
