@@ -9,6 +9,13 @@ it invalid. Validity is upward closed in each order, so single-step
 reductions find a strictly smaller valid object whenever one exists at all;
 tests pit the two checkers against each other on exhaustive corpora.
 
+The structural checkers read privacy from Hypergraph.hit_counts: a 2
+hits alone exactly its edges that are not hit twice, so each check runs
+in time linear in the 2s plus the edges. Graph minimality is hypergraph
+minimality on the closed neighborhoods with the identity correspondence:
+the rdf checkers and extend's is_minimal_dominating_set run the rhf or
+the pair checker there and rename its conditions through one table.
+
 This module also houses the extensibility witness: a planned 2-set together
 with a map that assigns each member a privately hit edge other than its
 corresponding one. check_extension_witness is the public certificate
@@ -34,7 +41,9 @@ from .core import (
     _is_rhf,
     _is_rhs,
     _level_masks,
+    _vertex_mask,
     bits,
+    closed_neighborhood_hypergraph,
     frozenset_of,
     mask_of,
 )
@@ -45,11 +54,10 @@ def private_neighborhood(
     g: Graph, d: Iterable[VertexId], v: VertexId
 ) -> frozenset[VertexId]:
     """Closed neighbors of v that no other member of d reaches: N[v]-N[d-{v}]."""
-    dm = mask_of(d)
-    if not (dm >> v) & 1:
+    entries = dict(private_neighborhood_report(g, d).entries)
+    if v not in entries:
         raise InputError("vertex is not a member of the given set")
-    reach = g.closed_set_mask(dm & ~(1 << v))
-    return frozenset_of(g.closed_mask(v) & ~reach)
+    return entries[v]
 
 
 class PrivateNeighborReport(_Frozen):
@@ -69,10 +77,12 @@ class PrivateNeighborReport(_Frozen):
 
 
 def private_neighborhood_report(g: Graph, d: Iterable[VertexId]) -> PrivateNeighborReport:
-    dm = mask_of(d)
-    entries = tuple(
-        (v, private_neighborhood(g, frozenset_of(dm), v)) for v in bits(dm)
-    )
+    # on the closed neighborhoods v's edges are N[v], and v reaches alone
+    # those that the members do not hit twice
+    dm = _vertex_mask(g, d, "vertex set")
+    hh = closed_neighborhood_hypergraph(g)[0]
+    twice = hh.hit_counts(dm)[1]
+    entries = tuple((v, frozenset_of(hh.incidence_mask(v) & ~twice)) for v in bits(dm))
     return PrivateNeighborReport(frozenset_of(dm), entries)
 
 
@@ -87,16 +97,19 @@ def private_neighborhood_report(g: Graph, d: Iterable[VertexId]) -> PrivateNeigh
 def minimal_rhs_violation(h: Hypergraph, pair: RhsPair) -> str | None:
     """Minimal rhs: R1 edges untouched by R2, R2 a minimal hitting set of the rest."""
     pair.validate(h)
-    r1m = pair.r1_mask()
-    r2m = pair.r2_mask()
-    for i in bits(r1m):
-        if h.edge_members[i] & r2m:
-            return "r1-edge-hit-by-r2"
-    rest = [h.edge_members[i] for i in range(h.n_edges) if not (r1m >> i) & 1]
-    if any(not e & r2m for e in rest):
+    return _pair_violation(h, pair.r1m, pair.r2m)
+
+
+def _pair_violation(h: Hypergraph, r1m: int, r2m: int) -> str | None:
+    """minimal_rhs_violation on validated masks. Once R1 is untouched, the
+    edges a 2 hits alone all lie outside R1."""
+    once, twice = h.hit_counts(r2m)
+    if r1m & once:
+        return "r1-edge-hit-by-r2"
+    if h.all_edges_mask & ~r1m & ~once:
         return "unhit-edge"
     for x in bits(r2m):
-        if not any(e & r2m == 1 << x for e in rest):
+        if not h.incidence_mask(x) & ~twice:
             return "redundant-r2-vertex"
     return None
 
@@ -114,7 +127,9 @@ def minimal_rhf_violation(
     of 1-vertices must avoid the 2-set; every 2-vertex needs a private edge
     other than its corresponding one; and the 2-set must be a minimal
     hitting set of the edges whose correspondence preimage holds no
-    1-vertex.
+    1-vertex. The 2-set is minimal there once the second and third hold,
+    since a 2's private edge then lies outside the 1s' corresponding
+    edges, so only the hitting part is checked.
     """
     tau.validate(h)
     return _rhf_violation(h, tau, *_level_masks(f, h.n_vertices))
@@ -123,29 +138,20 @@ def minimal_rhf_violation(
 def _rhf_violation(
     h: Hypergraph, tau: Correspondence, ones: int, twos: int
 ) -> str | None:
-    """minimal_rhf_violation on a validated correspondence and level masks."""
+    """minimal_rhf_violation on a validated correspondence and level masks.
+    The collision test needs no hit counts, so brute sweeps over every
+    assignment drop most candidates before any are computed."""
     seen = tau.image_mask(ones)
     if seen.bit_count() != ones.bit_count():
         return "tau-collision-on-ones"
-    for x in bits(ones):
-        if h.edge_members[tau.mapping[x]] & twos:
-            return "one-vertex-edge-hit-by-two"
+    once, twice = h.hit_counts(twos)
+    if seen & once:
+        return "one-vertex-edge-hit-by-two"
     for x in bits(twos):
-        xbit = 1 << x
-        if not any(
-            h.edge_members[i] & twos == xbit
-            for i in range(h.n_edges)
-            if i != tau.mapping[x]
-        ):
+        if not h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x]):
             return "two-vertex-without-private-edge"
-    family = [
-        h.edge_members[i] for i in range(h.n_edges) if not (seen >> i) & 1
-    ]
-    if any(not e & twos for e in family):
+    if h.all_edges_mask & ~seen & ~once:
         return "unhit-edge"
-    for x in bits(twos):
-        if not any(e & twos == 1 << x for e in family):
-            return "redundant-two-vertex"
     return None
 
 
@@ -155,38 +161,24 @@ def is_minimal_rhf_theorem(
     return minimal_rhf_violation(h, tau, f) is None
 
 
-def _domination_violation(g: Graph, ones: int, twos: int) -> str | None:
-    # the 2-set must dominate the subgraph induced on 0- and 2-vertices,
-    # and every member must keep a private dominee there
-    full = (1 << g.n_vertices) - 1
-    sub = full & ~ones
-    for u in bits(sub):
-        if not g.closed_mask(u) & twos:
-            return "undominated-vertex"
-    for v in bits(twos):
-        reach = 0
-        for w in bits(twos & ~(1 << v)):
-            reach |= g.closed_mask(w) & sub
-        if not (g.closed_mask(v) & sub) & ~reach:
-            return "redundant-two-vertex"
-    return None
+# The graph checkers run the hypergraph checkers on the closed
+# neighborhoods with the identity correspondence, which never collides;
+# their conditions come in the same order and are renamed by this table.
+_RDF_NAMES = {
+    "one-vertex-edge-hit-by-two": "one-adjacent-to-two",
+    "r1-edge-hit-by-r2": "one-adjacent-to-two",
+    "two-vertex-without-private-edge": "two-vertex-without-private-neighbor",
+    "unhit-edge": "undominated-vertex",
+    "redundant-r2-vertex": "redundant-two-vertex",
+    None: None,
+}
 
 
 def minimal_rdf_violation(g: Graph, f: Sequence[int]) -> str | None:
     """Minimal rdf: no 1 next to a 2, every 2 privately dominates someone
     besides itself, and the 2-set minimally dominates the 0/2 subgraph."""
     ones, twos = _level_masks(f, g.n_vertices)
-    if g.closed_set_mask(twos) & ones:
-        return "one-adjacent-to-two"
-    full = (1 << g.n_vertices) - 1
-    sub = full & ~ones
-    for v in bits(twos):
-        reach = 0
-        for w in bits(twos & ~(1 << v)):
-            reach |= g.closed_mask(w) & sub
-        if not (g.closed_mask(v) & sub) & ~reach & ~(1 << v):
-            return "two-vertex-without-private-neighbor"
-    return _domination_violation(g, ones, twos)
+    return _RDF_NAMES[_rhf_violation(*closed_neighborhood_hypergraph(g), ones, twos)]
 
 
 def is_minimal_rdf_theorem(g: Graph, f: Sequence[int]) -> bool:
@@ -195,11 +187,11 @@ def is_minimal_rdf_theorem(g: Graph, f: Sequence[int]) -> bool:
 
 def po_minimal_rdf_violation(g: Graph, f: Sequence[int]) -> str | None:
     """Minimality when values may only drop to 0: the private-neighbor
-    condition is waived, the other two conditions stay."""
+    condition is waived, the other two conditions stay. The assignment read
+    as the pair (1s, 2s) is checked on the closed neighborhoods."""
     ones, twos = _level_masks(f, g.n_vertices)
-    if g.closed_set_mask(twos) & ones:
-        return "one-adjacent-to-two"
-    return _domination_violation(g, ones, twos)
+    hh = closed_neighborhood_hypergraph(g)[0]
+    return _RDF_NAMES[_pair_violation(hh, ones, twos)]
 
 
 def is_po_minimal_rdf_theorem(g: Graph, f: Sequence[int]) -> bool:

@@ -245,6 +245,16 @@ class Hypergraph(_Frozen):
             m |= self._incidence[x]
         return m
 
+    def hit_counts(self, vertex_mask: int) -> tuple[int, int]:
+        """The edges the vertices hit at least once and at least twice; a
+        member x hits the edges incidence_mask(x) & ~twice alone."""
+        once = twice = 0
+        for x in bits(vertex_mask):
+            inc = self._incidence[x]
+            twice |= once & inc
+            once |= inc
+        return once, twice
+
 
 def incidence(h: Hypergraph, x: VertexId) -> frozenset[EdgeIndex]:
     """Indices of all edges containing vertex x."""
@@ -350,14 +360,21 @@ def _assignment(n: int, ones: int, twos: int) -> RomanAssignment:
 _MAX_ID = (1 << 20) - 1
 
 
-def _id_mask(ids: Iterable[int], message: str) -> int:
+def _id_mask(ids: Iterable[int], message: str, top: int = _MAX_ID) -> int:
+    """Mask of the ids; an id outside 0..top is refused with message."""
     m = 0
     for i in ids:
         # refused before the shift, which would allocate the whole width
-        if not 0 <= i <= _MAX_ID:
+        if not 0 <= i <= top:
             raise InputError(message)
         m |= 1 << i
     return m
+
+
+def _vertex_mask(g: "Graph", ids: Iterable[VertexId], what: str) -> int:
+    """Mask of a vertex set of g, named what in the refusal of an id
+    outside the graph."""
+    return _id_mask(ids, f"{what} contains an unknown vertex", g.n_vertices - 1)
 
 
 class RhsPair(_Frozen):

@@ -366,13 +366,11 @@ def minimal_pair_for_r2(h: Hypergraph, r2_mask: int) -> RhsPair | None:
     a minimal pair exists for the mask exactly when every chosen vertex
     hits some edge alone.
     """
+    once, twice = h.hit_counts(r2_mask)
     for x in bits(r2_mask):
-        if not h.incidence_mask(x) & ~h.incidence_set_mask(
-            r2_mask & ~(1 << x)
-        ):
+        if not h.incidence_mask(x) & ~twice:
             return None
-    r1m = h.all_edges_mask & ~h.incidence_set_mask(r2_mask)
-    return RhsPair.from_masks(r1m, r2_mask)
+    return RhsPair.from_masks(h.all_edges_mask & ~once, r2_mask)
 
 
 def brute_enumerate_minimal_rhs(

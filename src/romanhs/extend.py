@@ -13,7 +13,11 @@ extension on split graphs through ext_rhs.
 
 The public functions validate once; their loops call private cores on
 vertex masks that validate nothing (_promote, _surjective, _complete, and
-characterize's _rhf_violation and _witness_cover).
+characterize's _rhf_violation, _pair_violation and _witness_cover). Outside
+the sweep, which carries its own hit counts from prefix to prefix, a 2's
+private edges come from Hypergraph.hit_counts as the edges it hits that
+are not hit twice. is_minimal_dominating_set is the pair check on the
+closed neighborhoods.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .characterize import _rhf_violation, _witness_cover
+from .characterize import _pair_violation, _rhf_violation, _witness_cover
 from .core import (
     BoundedRdInstance,
     Correspondence,
@@ -34,8 +38,10 @@ from .core import (
     _Frozen,
     _assignment,
     _level_masks,
+    _vertex_mask,
     bits,
     closed_neighborhood_hypergraph,
+    frozenset_of,
     mask_of,
 )
 from .enumeration import minimal_pair_for_r2
@@ -135,9 +141,9 @@ def _surjective(
     h: Hypergraph, tau: Correspondence, m1: int, m2: int
 ) -> ExtAnswer:
     """ext_rhf_surjective on the promotion closure's 1s and 2s."""
+    twice = h.hit_counts(m2)[1]
     for x in bits(m2):
-        others = h.incidence_set_mask(m2 & ~(1 << x)) | 1 << tau.mapping[x]
-        if not h.incidence_mask(x) & ~others:
+        if not h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x]):
             return ExtAnswer(False)
     return ExtAnswer(True, _assignment(h.n_vertices, _complete(h, tau, m1, m2), m2))
 
@@ -254,13 +260,13 @@ def _witness_work(
     sets = 1 << ones.bit_count()
     maps = 1
     if no_pre:
+        once, twice = h.hit_counts(twos)
         for x in bits(ones | twos):
-            cands = sum(
-                1
-                for i in bits(h.incidence_mask(x))
-                if i != tau.mapping[x] and not h.edge_members[i] & twos & ~(1 << x)
-            )
-            if not cands and (twos >> x) & 1:
+            # x's edges that hold no closure 2 but x
+            two = (twos >> x) & 1
+            free = h.incidence_mask(x) & ~(twice if two else once)
+            cands = (free & ~(1 << tau.mapping[x])).bit_count()
+            if not cands and two:
                 return sets
             maps *= max(cands, 1)
     return sets * maps
@@ -282,12 +288,9 @@ def _general_witness(
             continue
         # every other witness constraint holds by construction of the
         # candidate edges; without preimage-free edges the first map passes
+        twice = h.hit_counts(r2m)[1]
         cands = [
-            [
-                i
-                for i in bits(h.incidence_mask(x))
-                if i != tau.mapping[x] and h.edge_members[i] & r2m == 1 << x
-            ]
+            list(bits(h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x])))
             for x in bits(r2m)
         ]
         for combo in itertools.product(*cands):
@@ -389,15 +392,10 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
 
 
 def is_minimal_dominating_set(g: Graph, d: Iterable[VertexId]) -> bool:
-    """Every vertex is in or next to d, and every member has a private dominee."""
-    dm = mask_of(d)
-    full = (1 << g.n_vertices) - 1
-    if g.closed_set_mask(dm) != full:
-        return False
-    for v in bits(dm):
-        if not g.closed_mask(v) & ~g.closed_set_mask(dm & ~(1 << v)):
-            return False
-    return True
+    """Every vertex is in or next to d, and every member has a private
+    dominee: d is a minimal hitting set of the closed neighborhoods."""
+    hh = closed_neighborhood_hypergraph(g)[0]
+    return _pair_violation(hh, 0, _vertex_mask(g, d, "vertex set")) is None
 
 
 def split_partition(g: Graph) -> tuple[list[int], list[int]]:
@@ -481,9 +479,7 @@ def ext_ds_split(
     Picking an edge of the hypergraph view into R1 stands for picking
     its independent vertex, so ext_rhs settles the question.
     """
-    u_set = set(u)
-    if u_set - set(range(g.n_vertices)):
-        raise InputError("pre-solution contains an unknown vertex")
+    u_set = frozenset_of(_vertex_mask(g, u, "pre-solution"))
     h, c_list, i_list = split_hypergraph(g, split)
     c_pos = {v: k for k, v in enumerate(c_list)}
     pre = RhsPair(

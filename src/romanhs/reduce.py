@@ -35,11 +35,11 @@ from .core import (
     _is_rhs,
     _level_masks,
     _require_nonempty_edges,
+    _vertex_mask,
     bits,
     closed_neighborhood_hypergraph,
     edge_hypergraph,
     frozenset_of,
-    mask_of,
     validate_assignment,
     weight_assignment,
     weight_pair,
@@ -295,10 +295,7 @@ def vc_to_rvc(g: Graph) -> ReductionOutput:
     target_h = edge_hypergraph(target)
 
     def forward(cover: Iterable[VertexId]) -> RhsPair:
-        c = set(cover)
-        if c - set(range(n)):
-            raise InputError("cover contains an unknown vertex")
-        cm = mask_of(c)
+        cm = _vertex_mask(g, cover, "cover")
         # the pendant edges the cover leaves open go to R1
         pair = RhsPair.from_masks((low & ~cm) << m, cm)
         if not _is_rhs(target_h, pair.r1m, pair.r2m):
@@ -337,12 +334,10 @@ def ds_split_to_rhs(
     i_pos = {v: k for k, v in enumerate(i_list)}
 
     def forward(d: Iterable[VertexId]) -> RhsPair:
-        ds = set(d)
-        if ds - set(range(g.n_vertices)):
-            raise InputError("dominating set contains an unknown vertex")
+        dm = _vertex_mask(g, d, "dominating set")
         return RhsPair(
-            frozenset(i_pos[v] for v in ds if v in i_pos),
-            frozenset(c_pos[v] for v in ds if v in c_pos),
+            frozenset(i_pos[v] for v in bits(dm) if v in i_pos),
+            frozenset(c_pos[v] for v in bits(dm) if v in c_pos),
         )
 
     def backward(pair: RhsPair) -> frozenset[VertexId]:

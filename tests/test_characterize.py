@@ -118,6 +118,19 @@ class TestPrivateNeighborhood:
         with pytest.raises(InputError):
             private_neighborhood(g, {1}, 0)
 
+    def test_unknown_vertex_is_input_error(self):
+        # ids outside the graph are refused, not read past the masks
+        g = path_graph(3)
+        for call in (
+            lambda: private_neighborhood(g, [1, 7], 1),
+            lambda: private_neighborhood(g, [-1, 1], 1),
+            lambda: private_neighborhood(g, [1], -1),
+            lambda: private_neighborhood_report(g, [3]),
+            lambda: private_neighborhood_report(g, [-1]),
+        ):
+            with pytest.raises(InputError):
+                call()
+
     def test_report(self):
         g = path_graph(3)
         rep = private_neighborhood_report(g, {0, 2})

@@ -547,6 +547,12 @@ def test_minimal_dominating_helper():
     assert is_minimal_dominating_set(g, {0, 2})
 
 
+@pytest.mark.parametrize("d", [[5], [-1], [0, 3]])
+def test_minimal_dominating_helper_refuses_unknown_vertices(d):
+    with pytest.raises(InputError, match="vertex set contains an unknown vertex"):
+        is_minimal_dominating_set(path_graph(3), d)
+
+
 def test_ds_split_star():
     g = star_graph(3)
     split = (ids(g, ["c"]), ids(g, ["l0", "l1", "l2"]))
