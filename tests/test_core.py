@@ -196,6 +196,14 @@ class TestClosedNeighborhoodHypergraph:
         assert h.edge_members == (1,)
         assert tau.mapping == (0,)
 
+    def test_built_once_and_kept_out_of_the_record(self):
+        g = path_graph(3)
+        first = closed_neighborhood_hypergraph(g)
+        assert closed_neighborhood_hypergraph(g) is first
+        fresh = path_graph(3)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert pickle.loads(pickle.dumps(g)) == fresh
+
     def test_rdf_equals_rhf_on_atlas(self):
         for g in atlas_graphs_upto(6):
             h, tau = closed_neighborhood_hypergraph(g)
