@@ -9,9 +9,9 @@ repeated invocation is byte identical:
     vertex sets  <label>={<vertex tokens>} size=<int>
 
 Tokens are listed in ascending dense id order. With --json each solution
-becomes one JSON object per line with the same ordering; core's
-pair_from_json and assignment_from_json read pair and assignment objects
-back, while --map-solution files hold assign/preset
+becomes one JSON object per line with the same ordering; the library
+reads pair and assignment objects back through pair_from_json and
+assignment_from_json, while --map-solution files hold assign/preset
 lines only. Statistics go to standard error as key=value lines.
 
 Exit codes: 0 when the command completed (decision answers are printed,
