@@ -54,10 +54,11 @@ def private_neighborhood(
     g: Graph, d: Iterable[VertexId], v: VertexId
 ) -> frozenset[VertexId]:
     """Closed neighbors of v that no other member of d reaches: N[v]-N[d-{v}]."""
-    entries = dict(private_neighborhood_report(g, d).entries)
-    if v not in entries:
+    dm = _vertex_mask(g, d, "vertex set")
+    if not (0 <= v and dm >> v & 1):
         raise InputError("vertex is not a member of the given set")
-    return entries[v]
+    hh = closed_neighborhood_hypergraph(g)[0]
+    return frozenset_of(hh.incidence_mask(v) & ~hh.hit_counts(dm)[1])
 
 
 class PrivateNeighborReport(_Frozen):

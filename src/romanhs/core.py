@@ -503,18 +503,16 @@ class Graph(_Frozen):
     """Undirected simple graph with token-named vertices.
 
     ``edges`` stores id pairs (u < v) in declaration order; adjacency masks
-    are precomputed, and like the token lookup and the closed-neighborhood
-    hypergraph (built on first use) take no part in equality, hash or repr.
-    Self-loops and duplicate edges are rejected.
+    are precomputed, and like the token lookup take no part in equality,
+    hash or repr. Self-loops and duplicate edges are rejected.
     """
 
     _fields = ("vertex_tokens", "edges")
-    __slots__ = _fields + ("_vertex_ids", "_adjacency", "_closed")
+    __slots__ = _fields + ("_vertex_ids", "_adjacency")
     vertex_tokens: tuple[str, ...]
     edges: tuple[tuple[VertexId, VertexId], ...]
     _vertex_ids: Mapping[str, int]
     _adjacency: tuple[int, ...]
-    _closed: "tuple[Hypergraph, Correspondence] | None"
 
     def __init__(
         self,
@@ -542,7 +540,6 @@ class Graph(_Frozen):
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_vertex_ids", vids)
         object.__setattr__(self, "_adjacency", tuple(adj))
-        object.__setattr__(self, "_closed", None)
 
     @classmethod
     def build(
@@ -627,17 +624,21 @@ def closed_neighborhood_hypergraph(g: Graph) -> tuple[Hypergraph, Correspondence
     Vertex v's edge is N[v], reusing v's token as the edge token. An
     assignment is an rdf of the graph exactly when it is an rhf here, and
     (f^-1(1), f^-1(2)) read as a pair is an rhs exactly when f is an rhf.
-    Built once per graph and kept on it: the graph minimality checks run
-    on it, and building it costs more than a check.
+
+    The graph is already checked, and N[u] holds v exactly when N[v] holds
+    u, so every vertex's incidence is its own edge: the hypergraph is built
+    in one pass over the adjacency, without the constructor's checks and
+    transpose, which cost the graph checkers far more than a check.
     """
-    if g._closed is None:
-        h = Hypergraph(
-            g.vertex_tokens,
-            g.vertex_tokens,
-            tuple(g.closed_mask(v) for v in range(g.n_vertices)),
-        )
-        object.__setattr__(g, "_closed", (h, Correspondence(tuple(range(g.n_vertices)))))
-    return g._closed
+    closed = tuple(a | 1 << v for v, a in enumerate(g._adjacency))
+    h = _NEW(Hypergraph)
+    for slot, value in (
+        ("vertex_tokens", g.vertex_tokens), ("edge_tokens", g.vertex_tokens),
+        ("edge_members", closed), ("_vertex_ids", g._vertex_ids),
+        ("_edge_ids", g._vertex_ids), ("_incidence", closed),
+    ):
+        object.__setattr__(h, slot, value)
+    return h, Correspondence(tuple(range(g.n_vertices)))
 
 
 def edge_hypergraph(g: Graph) -> Hypergraph:

@@ -196,13 +196,16 @@ class TestClosedNeighborhoodHypergraph:
         assert h.edge_members == (1,)
         assert tau.mapping == (0,)
 
-    def test_built_once_and_kept_out_of_the_record(self):
-        g = path_graph(3)
-        first = closed_neighborhood_hypergraph(g)
-        assert closed_neighborhood_hypergraph(g) is first
-        fresh = path_graph(3)
-        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
-        assert pickle.loads(pickle.dumps(g)) == fresh
+    def test_same_as_the_constructor_builds(self):
+        for g in atlas_graphs_upto(5):
+            h = closed_neighborhood_hypergraph(g)[0]
+            built = Hypergraph(h.vertex_tokens, h.edge_tokens, h.edge_members)
+            assert h == built and repr(h) == repr(built)
+            assert [h.incidence_mask(v) for v in range(h.n_vertices)] == [
+                built.incidence_mask(v) for v in range(h.n_vertices)
+            ]
+            for t in g.vertex_tokens:
+                assert h.vertex_id(t) == h.edge_id(t) == built.vertex_id(t)
 
     def test_rdf_equals_rhf_on_atlas(self):
         for g in atlas_graphs_upto(6):
