@@ -35,7 +35,7 @@ _MODULES = {
     "extend": (
         "ExtAnswer", "bounded_ext_rd", "ext_ds_split", "ext_rhf_general",
         "ext_rhf_surjective", "ext_rhs", "is_minimal_dominating_set",
-        "promote_closure", "split_hypergraph",
+        "promote_closure",
     ),
     "optimize": (
         "OptResult", "exact_min_rhf", "exact_min_rhs", "greedy_rhf",
@@ -45,7 +45,7 @@ _MODULES = {
     "reduce": (
         "ReductionOutput", "ds_split_to_rhs", "hrd_to_rd_two_section",
         "is_hypergraph_rdf", "rd_to_rhf", "rhf_to_rd_gadget", "rhf_to_rhs",
-        "rhs_to_rhf", "two_section", "vc_to_rvc",
+        "rhs_to_rhf", "split_hypergraph", "two_section", "vc_to_rvc",
     ),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

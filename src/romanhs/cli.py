@@ -137,13 +137,6 @@ def _require_tau(hf: HypergraphFile, what: str) -> Correspondence:
     return hf.tau
 
 
-def _split(g: Graph) -> tuple[list[int], list[int]]:
-    """The split partition that ext-ds-split and reduce ds-split-to-rhs use."""
-    from .extend import split_partition
-
-    return split_partition(g)
-
-
 def _flush_stdout() -> None:
     # stdout is None in a process started with its descriptor closed
     if sys.stdout is not None:
@@ -410,10 +403,15 @@ def _read_assignment(space: Hypergraph | Graph, text: str) -> RomanAssignment:
 
 
 def _reduce() -> ModuleType:
-    """The reduce module, which only the reduce subcommand runs."""
+    """The reduce module, which only the reduce and ext-ds-split subcommands run."""
     from . import reduce
 
     return reduce
+
+
+def _split(g: Graph) -> tuple[list[int], list[int]]:
+    """The split partition that ext-ds-split and reduce ds-split-to-rhs use."""
+    return _reduce().split_partition(g)
 
 
 def _require_k(k: int | None) -> int:

@@ -261,11 +261,6 @@ def incidence(h: Hypergraph, x: VertexId) -> frozenset[EdgeIndex]:
     return frozenset_of(h.incidence_mask(x))
 
 
-def incidence_of_set(h: Hypergraph, xs: Iterable[VertexId]) -> frozenset[EdgeIndex]:
-    """Union of the incidences of a vertex set."""
-    return frozenset_of(h.incidence_set_mask(mask_of(xs)))
-
-
 class Correspondence(_Frozen):
     """Total map vertex -> edge index with the vertex inside its edge."""
 
@@ -493,6 +488,16 @@ def _is_rhf(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> bool:
     return not h.all_edges_mask & ~h.incidence_set_mask(twos) & ~tau.image_mask(ones)
 
 
+def _complete(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> int:
+    """The 1s plus a 1 on the smallest preimage member of every edge that
+    the 2s miss and the 1s do not claim."""
+    claimed = h.incidence_set_mask(twos) | tau.image_mask(ones)
+    for i in bits(h.all_edges_mask & ~claimed):
+        pre = tau.preimage_mask(i)
+        ones |= pre & -pre
+    return ones
+
+
 def _require_nonempty_edges(h: Hypergraph) -> None:
     """Refuse a hypergraph on which no hitting function exists."""
     if not all(h.edge_members):
@@ -566,9 +571,6 @@ class Graph(_Frozen):
 
     def neighbors_mask(self, v: VertexId) -> int:
         return self._adjacency[v]
-
-    def closed_mask(self, v: VertexId) -> int:
-        return self._adjacency[v] | (1 << v)
 
     def closed_set_mask(self, vertex_mask: int) -> int:
         m = vertex_mask

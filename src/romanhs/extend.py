@@ -9,15 +9,15 @@ completion repairs, or by searching for an extensibility witness after
 the promotion closure. Graph-side, bounded_ext_rd answers the two-sided
 Roman domination extension question by branching on dominators for the
 vertices capped at 0, and ext_ds_split answers minimal-dominating-set
-extension on split graphs through ext_rhs.
+extension on split graphs by ext_rhs through reduce.ds_split_to_rhs.
 
 The public functions validate once; their loops call private cores on
-vertex masks that validate nothing (_promote, _surjective, _complete, and
-characterize's _rhf_violation, _pair_violation and _witness_cover). Outside
-the sweep, which carries its own hit counts from prefix to prefix, a 2's
-private edges come from Hypergraph.hit_counts as the edges it hits that
-are not hit twice. is_minimal_dominating_set is the pair check on the
-closed neighborhoods.
+vertex masks that validate nothing (_promote, _surjective, core's
+_complete, and characterize's _rhf_violation, _pair_violation and
+_witness_cover). Outside the sweep, which carries its own hit counts
+from prefix to prefix, a 2's private edges come from
+Hypergraph.hit_counts as the edges it hits that are not hit twice.
+is_minimal_dominating_set is the pair check on the closed neighborhoods.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .core import (
     VertexId,
     _Frozen,
     _assignment,
+    _complete,
     _level_masks,
     _vertex_mask,
     bits,
@@ -148,16 +149,6 @@ def _surjective(
     return ExtAnswer(True, _assignment(h.n_vertices, _complete(h, tau, m1, m2), m2))
 
 
-def _complete(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> int:
-    """The 1s plus a 1 on the smallest preimage member of every edge that
-    the 2s miss and the 1s do not claim."""
-    claimed = h.incidence_set_mask(twos) | tau.image_mask(ones)
-    for i in bits(h.all_edges_mask & ~claimed):
-        pre = tau.preimage_mask(i)
-        ones |= pre & -pre
-    return ones
-
-
 def _general_sweep(
     h: Hypergraph, tau: Correspondence, f_ones: int, f_twos: int
 ) -> ExtAnswer:
@@ -168,12 +159,13 @@ def _general_sweep(
 
     A prefix is dropped once it breaks a condition of a minimal rhf that
     no completion repairs: two 1s share a corresponding edge, a 1's
-    corresponding edge holds a 2, or a 2 has no private edge besides its
-    corresponding one. Later 2s only take privacy away, and only from
-    the 2s they share an edge with, so a new 2 rechecks itself and, when
-    it makes an edge of earlier 2s hit twice, the earlier 2s. Complete
-    candidates are decided by _rhf_violation. The guard counts every
-    assignment above f, an upper bound on the candidates decided.
+    corresponding edge holds a 2, a 2 has no private edge besides its
+    corresponding one, or an edge is neither hit nor claimed once its
+    highest member is decided. Later 2s only take privacy away, and only
+    from the 2s they share an edge with, so a new 2 rechecks itself and,
+    when it makes an edge of earlier 2s hit twice, the earlier 2s. So
+    every complete candidate is a minimal rhf (an empty edge, never hit,
+    answers no at once). The guard counts every assignment above f.
     """
     n = h.n_vertices
     n_ones = f_ones.bit_count()
@@ -182,9 +174,15 @@ def _general_sweep(
         "general extension sweep",
     )
     members, mapping = h.edge_members, tau.mapping
+    if not all(members):
+        return ExtAnswer(False)
     incidence = [h.incidence_mask(x) for x in range(n)]
     # the edges that can be private to x as a 2
     own = [inc & ~(1 << i) for inc, i in zip(incidence, mapping)]
+    # the edges whose highest member is x
+    closes = [0] * n
+    for i, m in enumerate(members):
+        closes[m.bit_length() - 1] |= 1 << i
     # a node: the next vertex, its 1s and 2s, the 1s' corresponding edges
     # and the union of their members, and the edges its 2s hit at least
     # once and at least twice; a 2 keeps its own edges that are hit once
@@ -193,10 +191,11 @@ def _general_sweep(
     while stack:
         x, m1, m2, img, cover, hit, multi = pop()
         if x == n:
-            if _rhf_violation(h, tau, m1, m2) is None:
-                return ExtAnswer(True, _assignment(n, m1, m2))
-            continue
+            assert _rhf_violation(h, tau, m1, m2) is None
+            return ExtAnswer(True, _assignment(n, m1, m2))
         bit = 1 << x
+        # the edges that x must hit or claim now; a 2 on x hits them all
+        unmet = closes[x] & ~(img | hit)
         # push the largest value first, so the smallest is expanded first
         if not cover & bit:
             inc = incidence[x]
@@ -208,11 +207,11 @@ def _general_sweep(
                 push((x + 1, m1, m2 | bit, img, cover, hit | inc, twice))
         if not f_twos & bit:
             i = mapping[x]
-            if not (img | hit) >> i & 1:
+            if not (img | hit) >> i & 1 and not unmet & ~(1 << i):
                 push(
                     (x + 1, m1 | bit, m2, img | 1 << i, cover | members[i], hit, multi)
                 )
-            if not f_ones & bit:
+            if not f_ones & bit and not unmet:
                 push((x + 1, m1, m2, img, cover, hit, multi))
     return ExtAnswer(False)
 
@@ -398,77 +397,6 @@ def is_minimal_dominating_set(g: Graph, d: Iterable[VertexId]) -> bool:
     return _pair_violation(hh, 0, _vertex_mask(g, d, "vertex set")) is None
 
 
-def split_partition(g: Graph) -> tuple[list[int], list[int]]:
-    """Degree-based clique/independent partition attempt.
-
-    The m vertices of largest degree form a clique exactly when the graph
-    is split, for m the last position i with degree >= i-1; the
-    validation in split_hypergraph rejects every other graph.
-    """
-    deg = [g.neighbors_mask(v).bit_count() for v in range(g.n_vertices)]
-    order = sorted(range(g.n_vertices), key=lambda v: (-deg[v], v))
-    m = 0
-    for i, v in enumerate(order, 1):
-        if deg[v] >= i - 1:
-            m = i
-    return order[:m], order[m:]
-
-
-def _validate_split(
-    g: Graph, clique: set[int], indep: set[int]
-) -> None:
-    if clique & indep or clique | indep != set(range(g.n_vertices)):
-        raise InputError("split parts must partition the vertex set")
-    for v in clique:
-        for u in clique:
-            if u > v and not (g.neighbors_mask(v) >> u) & 1:
-                raise InputError("clique part is not a clique")
-    for v in indep:
-        if g.neighbors_mask(v) & mask_of(indep):
-            raise InputError("independent part is not independent")
-
-
-def split_hypergraph(
-    g: Graph, split: tuple[Iterable[VertexId], Iterable[VertexId]]
-) -> tuple[Hypergraph, list[VertexId], list[VertexId]]:
-    """Hypergraph view of a split graph, after the clique-side move.
-
-    The clique side becomes the universe and each independent vertex
-    contributes its clique neighborhood as an edge. Clique vertices
-    without independent neighbors are moved to the independent side
-    first (one suffices: a moved vertex neighbors the whole remaining
-    clique), which keeps the partition valid. Returns the hypergraph
-    plus the sorted clique and independent vertex lists that fix the
-    id translation.
-    """
-    clique = set(split[0])
-    indep = set(split[1])
-    _validate_split(g, clique, indep)
-    movers = sorted(
-        v for v in clique if not g.neighbors_mask(v) & mask_of(indep)
-    )
-    if movers:
-        clique.discard(movers[0])
-        indep.add(movers[0])
-    c_list = sorted(clique)
-    i_list = sorted(indep)
-    h = Hypergraph.build(
-        [g.vertex_tokens[v] for v in c_list],
-        [
-            (
-                g.vertex_tokens[i],
-                [
-                    g.vertex_tokens[v]
-                    for v in bits(g.neighbors_mask(i))
-                    if v in clique
-                ],
-            )
-            for i in i_list
-        ],
-    )
-    return h, c_list, i_list
-
-
 def ext_ds_split(
     g: Graph,
     split: tuple[Iterable[VertexId], Iterable[VertexId]],
@@ -476,22 +404,17 @@ def ext_ds_split(
 ) -> ExtAnswer:
     """Minimal-dominating-set extension on a split graph.
 
-    Picking an edge of the hypergraph view into R1 stands for picking
-    its independent vertex, so ext_rhs settles the question.
+    reduce.ds_split_to_rhs carries the pre-solution to a pair of the
+    hypergraph view and minimal pairs back to minimal dominating sets,
+    so ext_rhs settles the question.
     """
+    from .reduce import ds_split_to_rhs
+
     u_set = frozenset_of(_vertex_mask(g, u, "pre-solution"))
-    h, c_list, i_list = split_hypergraph(g, split)
-    c_pos = {v: k for k, v in enumerate(c_list)}
-    pre = RhsPair(
-        frozenset(k for k, i in enumerate(i_list) if i in u_set),
-        frozenset(c_pos[v] for v in u_set if v in c_pos),
-    )
-    ans = ext_rhs(h, pre)
+    ro = ds_split_to_rhs(g, split)
+    ans = ext_rhs(ro.instance, ro.forward(u_set))
     if not ans.decision:
         return ExtAnswer(False)
-    wit = ans.witness
-    d = frozenset(
-        {i_list[k] for k in wit.r1} | {c_list[x] for x in wit.r2}
-    )
+    d = ro.backward(ans.witness)
     assert u_set <= d and is_minimal_dominating_set(g, d)
     return ExtAnswer(True, d)

@@ -13,6 +13,9 @@ be meaningless. A mapper that needs a hitting function or a hitting set
 checks it through one helper per kind (``_rhf`` for assignments, ``_rhs``
 for pairs) that validates it once; results and asserts work on bitset
 masks, and a reduction validates its correspondence once, when built.
+
+The module sits on core and errors alone: the 1-fill rule is core's
+_complete, and the split-graph view lives here, next to its one reduction.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .core import (
     VertexId,
     _Frozen,
     _assignment,
+    _complete,
     _is_rdf,
     _is_rhf,
     _is_rhs,
@@ -40,12 +44,12 @@ from .core import (
     closed_neighborhood_hypergraph,
     edge_hypergraph,
     frozenset_of,
+    mask_of,
     validate_assignment,
     weight_assignment,
     weight_pair,
 )
 from .errors import GuardRefused, InputError
-from .extend import _complete, split_hypergraph
 
 
 class ReductionOutput(_Frozen):
@@ -316,6 +320,75 @@ def vc_to_rvc(g: Graph) -> ReductionOutput:
         return frozenset_of(cm)
 
     return ReductionOutput(target, forward, backward, n)
+
+
+def split_partition(g: Graph) -> tuple[list[int], list[int]]:
+    """Degree-based clique/independent partition attempt.
+
+    The m vertices of largest degree form a clique exactly when the graph
+    is split, for m the last position i with degree >= i-1; the
+    validation in split_hypergraph rejects every other graph.
+    """
+    deg = [g.neighbors_mask(v).bit_count() for v in range(g.n_vertices)]
+    order = sorted(range(g.n_vertices), key=lambda v: (-deg[v], v))
+    m = 0
+    for i, v in enumerate(order, 1):
+        if deg[v] >= i - 1:
+            m = i
+    return order[:m], order[m:]
+
+
+def _validate_split(g: Graph, clique: set[int], indep: set[int]) -> None:
+    if clique & indep or clique | indep != set(range(g.n_vertices)):
+        raise InputError("split parts must partition the vertex set")
+    for v in clique:
+        for u in clique:
+            if u > v and not (g.neighbors_mask(v) >> u) & 1:
+                raise InputError("clique part is not a clique")
+    for v in indep:
+        if g.neighbors_mask(v) & mask_of(indep):
+            raise InputError("independent part is not independent")
+
+
+def split_hypergraph(
+    g: Graph, split: tuple[Iterable[VertexId], Iterable[VertexId]]
+) -> tuple[Hypergraph, list[VertexId], list[VertexId]]:
+    """Hypergraph view of a split graph, after the clique-side move.
+
+    The clique side becomes the universe and each independent vertex
+    contributes its clique neighborhood as an edge. Clique vertices
+    without independent neighbors are moved to the independent side
+    first (one suffices: a moved vertex neighbors the whole remaining
+    clique), which keeps the partition valid. Returns the hypergraph
+    plus the sorted clique and independent vertex lists that fix the
+    id translation.
+    """
+    clique = set(split[0])
+    indep = set(split[1])
+    _validate_split(g, clique, indep)
+    movers = sorted(
+        v for v in clique if not g.neighbors_mask(v) & mask_of(indep)
+    )
+    if movers:
+        clique.discard(movers[0])
+        indep.add(movers[0])
+    c_list = sorted(clique)
+    i_list = sorted(indep)
+    h = Hypergraph.build(
+        [g.vertex_tokens[v] for v in c_list],
+        [
+            (
+                g.vertex_tokens[i],
+                [
+                    g.vertex_tokens[v]
+                    for v in bits(g.neighbors_mask(i))
+                    if v in clique
+                ],
+            )
+            for i in i_list
+        ],
+    )
+    return h, c_list, i_list
 
 
 def ds_split_to_rhs(

@@ -35,7 +35,6 @@ from romanhs.core import (
     assignment_to_json,
     closed_neighborhood_hypergraph,
     incidence,
-    incidence_of_set,
     is_rdf,
     is_rhf,
     is_rhs,
@@ -73,11 +72,6 @@ class TestIncidence:
     def test_isolated_vertex(self):
         h = Hypergraph.build(["x", "y"], [("e", ["y"])])
         assert incidence(h, h.vertex_id("x")) == frozenset()
-
-    def test_set_incidence_is_union(self):
-        h = build_ex1()
-        got = incidence_of_set(h, vids(h, ["a", "d"]))
-        assert got == incidence(h, h.vertex_id("a")) | incidence(h, h.vertex_id("d"))
 
 
 class TestWeights:

@@ -388,8 +388,9 @@ def test_sweep_returns_first_minimal_rhf_in_product_order():
 def test_sweep_prunes_prefixes_before_the_leaf_check(monkeypatch):
     # every vertex corresponds to the one edge e and an empty edge is never
     # hit, so the answer is no; two 1s clash on e and no 2 has a private
-    # edge besides e, so only the all-0 candidate and the n with a single 1
-    # reach the leaf check, out of the 3^n that the guard counts
+    # edge besides e, so at most the all-0 candidate and the n with a
+    # single 1 could reach the leaf check, out of the 3^n that the guard
+    # counts (the empty edge stops the sweep before any)
     n = 12
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [("e", names), ("void", [])])
@@ -406,6 +407,24 @@ def test_sweep_prunes_prefixes_before_the_leaf_check(monkeypatch):
     ans = ext_rhf_general(h, tau, (0,) * n, strategy="sweep")
     assert not ans.decision
     assert calls <= n + 1 < 3**n
+
+
+def test_sweep_leaves_are_minimal_rhfs(monkeypatch):
+    # the prefix checks decide every condition, so the leaf check (an
+    # assert, stripped under python -O) runs once per yes answer
+    calls = yes = 0
+    leaf_check = extend._rhf_violation
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return leaf_check(*args)
+
+    monkeypatch.setattr(extend, "_rhf_violation", counted)
+    for h, tau, f in sweep_corpus():
+        yes += ext_rhf_general(h, tau, f, strategy="sweep").decision
+    assert yes > 0
+    assert calls == (yes if __debug__ else 0)
 
 
 def test_witness_guard_counts_closure_ones_not_zeros():

@@ -4,11 +4,12 @@
 is imported from its module on first use. ``import romanhs.cli`` imports
 core, errors and enumeration, which every subcommand or printer needs, and
 leaves characterize, extend, optimize and reduce to the handlers that call
-them. optimize imports reduce only inside exact_min_rhf, and core imports
-json only inside its JSON codec functions, so a process that prints no
-JSON does not load it. No module of the package imports dataclasses (nor,
-through it, inspect). Each check runs in a fresh interpreter without
-bytecode caching, as a command line process runs.
+them. reduce sits on core and errors alone. optimize imports reduce only
+inside exact_min_rhf, and core imports json only inside its JSON codec
+functions, so a process that prints no JSON does not load it. No module
+of the package imports dataclasses (nor, through it, inspect). Each check
+runs in a fresh interpreter without bytecode caching, as a command line
+process runs.
 """
 
 import ast
@@ -45,13 +46,15 @@ def _package_modules(loaded: set[str]) -> set[str]:
 
 
 def _run_main(tmp_path, argv: list[str]) -> set[str]:
-    """The modules loaded by rhs-tool argv, "@" naming a small instance."""
+    """The modules loaded by rhs-tool argv, "@" naming a small instance
+    and "@out" a file to write."""
     path = tmp_path / "t.hg"
     path.write_text(
         "universe x1 x2 x3 x4\nedge e1 x1 x2\nedge e2 x3 x4\n"
         "tau x1 e1\ntau x2 e1\ntau x3 e2\ntau x4 e2\n"
     )
-    argv = [str(path) if a == "@" else a for a in argv]
+    files = {"@": str(path), "@out": str(tmp_path / "out.hg")}
+    argv = [files.get(a, a) for a in argv]
     return _loaded_after(f"import romanhs.cli\nassert romanhs.cli.main({argv!r}) == 0")
 
 
@@ -74,8 +77,9 @@ def test_cli_import_leaves_the_handler_modules():
         (["check", "witness", "@", "--pair", "R1=e1,e2;R2="], BASE | {"characterize"}),
         (["ext-rhs", "@"], BASE | {"characterize", "extend"}),
         (["min-rhs", "@"], BASE | {"optimize"}),
-        # exact_min_rhf imports reduce, which imports extend
-        (["min-rhf", "@"], BASE | HANDLER_MODULES),
+        # exact_min_rhf imports reduce, which imports only core and errors
+        (["min-rhf", "@"], BASE | {"optimize", "reduce"}),
+        (["reduce", "rhf-to-rhs", "@", "@out"], BASE | {"reduce"}),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -83,6 +87,11 @@ def test_a_subcommand_imports_what_it_runs(tmp_path, argv, modules):
     loaded = _run_main(tmp_path, argv)
     assert _package_modules(loaded) == modules
     assert "dataclasses" not in loaded
+
+
+def test_reduce_imports_only_core_and_errors():
+    loaded = _loaded_after("import romanhs.reduce")
+    assert _package_modules(loaded) == {"core", "errors", "reduce"}
 
 
 def test_json_loads_only_for_json_output(tmp_path):

@@ -320,7 +320,7 @@ def test_gadget_backward_any_rdf():
 
 
 def test_gadget_is_split():
-    from romanhs.extend import _validate_split
+    from romanhs.reduce import _validate_split
 
     h = build_ex2()
     ro = rhf_to_rd_gadget(h, ex2_tau(h))
