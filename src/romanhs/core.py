@@ -239,6 +239,11 @@ class Hypergraph(_Frozen):
     def incidence_mask(self, x: VertexId) -> int:
         return self._incidence[x]
 
+    @property
+    def incidence_masks(self) -> tuple[int, ...]:
+        """incidence_mask(x) of every vertex x, as one tuple."""
+        return self._incidence
+
     def incidence_set_mask(self, vertex_mask: int) -> int:
         m = 0
         for x in bits(vertex_mask):
@@ -477,6 +482,11 @@ def _is_rhs(h: Hypergraph, r1m: int, r2m: int) -> bool:
     return not h.all_edges_mask & ~r1m & ~h.incidence_set_mask(r2m)
 
 
+def _covers_edges(members: Sequence[int], r1m: int, r2m: int) -> bool:
+    """_is_rhs on edge masks alone, for instances derived from a graph."""
+    return all(r1m >> i & 1 or m & r2m for i, m in enumerate(members))
+
+
 def is_rhf(h: Hypergraph, tau: Correspondence, f: Sequence[int]) -> bool:
     """Every edge has a 2-vertex, or a 1-vertex whose corresponding edge it is."""
     tau.validate(h)
@@ -620,6 +630,16 @@ def _is_rdf(g: Graph, ones: int, twos: int) -> bool:
     return not zeros & ~g.closed_set_mask(twos)
 
 
+def _prebuilt(*slots: object) -> Hypergraph:
+    """A Hypergraph from its six slots, in order, derived from a checked
+    graph: the constructor's checks and transpose would cost the graph
+    callers far more than their own work."""
+    h = _NEW(Hypergraph)
+    for slot, value in zip(Hypergraph.__slots__, slots, strict=True):
+        object.__setattr__(h, slot, value)
+    return h
+
+
 def closed_neighborhood_hypergraph(g: Graph) -> tuple[Hypergraph, Correspondence]:
     """Hypergraph of closed neighborhoods, with the identity correspondence.
 
@@ -629,18 +649,36 @@ def closed_neighborhood_hypergraph(g: Graph) -> tuple[Hypergraph, Correspondence
 
     The graph is already checked, and N[u] holds v exactly when N[v] holds
     u, so every vertex's incidence is its own edge: the hypergraph is built
-    in one pass over the adjacency, without the constructor's checks and
-    transpose, which cost the graph checkers far more than a check.
+    in one pass over the adjacency.
     """
     closed = tuple(a | 1 << v for v, a in enumerate(g._adjacency))
-    h = _NEW(Hypergraph)
-    for slot, value in (
-        ("vertex_tokens", g.vertex_tokens), ("edge_tokens", g.vertex_tokens),
-        ("edge_members", closed), ("_vertex_ids", g._vertex_ids),
-        ("_edge_ids", g._vertex_ids), ("_incidence", closed),
-    ):
-        object.__setattr__(h, slot, value)
+    vids = g._vertex_ids
+    h = _prebuilt(g.vertex_tokens, g.vertex_tokens, closed, vids, vids, closed)
     return h, Correspondence(tuple(range(g.n_vertices)))
+
+
+def _edge_masks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The edge hypergraph as masks, in one pass over the graph's edges:
+    edge i holds u and v, and the incidences of u and v gain edge i."""
+    members = []
+    inc = [0] * g.n_vertices
+    for i, (u, v) in enumerate(g.edges):
+        members.append(1 << u | 1 << v)
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    return tuple(members), tuple(inc)
+
+
+def _edge_token_ids(g: Graph) -> dict[str, int]:
+    """Edge token to edge id; a token joins the endpoint tokens with a tilde.
+    A vertex token may hold a tilde, so two edges can get one token (a~b
+    with c, and a with b~c); such a token is refused by name."""
+    ids: dict[str, int] = {}
+    for i, (u, v) in enumerate(g.edges):
+        token = f"{g.vertex_tokens[u]}~{g.vertex_tokens[v]}"
+        if ids.setdefault(token, i) != i:
+            raise InputError(f"duplicate edge token {token!r}")
+    return ids
 
 
 def edge_hypergraph(g: Graph) -> Hypergraph:
@@ -648,15 +686,13 @@ def edge_hypergraph(g: Graph) -> Hypergraph:
 
     Minimal Roman vertex covers of the graph are exactly the minimal
     pairs of this hypergraph. Edge tokens join the endpoint tokens with
-    a tilde, in declaration order, so edge indices carry over.
+    a tilde, in declaration order, so edge indices carry over. The
+    searches run on _edge_masks alone; only what prints or reads edge
+    tokens needs this.
     """
-    return Hypergraph(
-        g.vertex_tokens,
-        tuple(
-            f"{g.vertex_tokens[u]}~{g.vertex_tokens[v]}" for u, v in g.edges
-        ),
-        tuple((1 << u) | (1 << v) for u, v in g.edges),
-    )
+    ids = _edge_token_ids(g)
+    members, inc = _edge_masks(g)
+    return _prebuilt(g.vertex_tokens, tuple(ids), members, g._vertex_ids, ids, inc)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Correspondence,
@@ -76,7 +76,7 @@ class EnumerationStats(_Record):
         self.rule_counts = {} if rule_counts is None else rule_counts
 
 
-def _degree_bound(inc: list[int], livev: int, live_e: int) -> int:
+def _degree_bound(inc: Sequence[int], livev: int, live_e: int) -> int:
     """ceil(2d / max(2, maxdeg)) for the d live edges.
 
     An R2 vertex hits at most maxdeg live edges at cost 2 and an R1 edge
@@ -114,30 +114,29 @@ def _packing_bound(
     return size
 
 
-def _load_order(h: Hypergraph) -> list[int]:
+def _load_order(members: Sequence[int], inc: Sequence[int]) -> list[int]:
     """Edge indices by ascending sum of member degrees, ties by index.
 
     Lightly loaded edges share few vertices with others, so packing them
     first leaves room for more packed edges.
     """
-    degree = [h.incidence_mask(x).bit_count() for x in range(h.n_vertices)]
-    load = [sum(degree[x] for x in bits(m)) for m in h.edge_members]
-    return sorted(range(h.n_edges), key=load.__getitem__)
+    degree = [m.bit_count() for m in inc]
+    load = [sum(degree[x] for x in bits(m)) for m in members]
+    return sorted(range(len(members)), key=load.__getitem__)
 
 
 def _search(
-    h: Hypergraph, cap: int | None, stats: EnumerationStats
+    members: Sequence[int], inc: Sequence[int], cap: int | None, stats: EnumerationStats
 ) -> Iterator[tuple[int, int]]:
-    """Yield the (R1, R2) masks of the minimal pairs; fill stats at the end."""
-    members = h.edge_members
-    inc = [h.incidence_mask(x) for x in range(h.n_vertices)]
+    """Yield the (R1, R2) masks of the minimal pairs of the instance given
+    by its edge member and vertex incidence masks; fill stats at the end."""
     rc = stats.rule_counts
-    order = None if cap is None else _load_order(h)
+    order = None if cap is None else _load_order(members, inc)
     nodes = emitted = gap = max_gap = 0
     # livev, live_e, r1m, r2m, once, twice, and whether every R2 vertex
     # still has a private edge: tested when the node is pushed, acted on
     # after its reduction rules, which run (and count) on every node
-    stack = [((1 << h.n_vertices) - 1, (1 << h.n_edges) - 1, 0, 0, 0, 0, True)]
+    stack = [((1 << len(inc)) - 1, (1 << len(members)) - 1, 0, 0, 0, 0, True)]
     push = stack.append
     pop = stack.pop
     while stack:
@@ -332,7 +331,8 @@ def iter_minimal_rhs(
     the search advances only as far as the consumer reads, so
     itertools.islice stops it early.
     """
-    masks = _search(h, _checked_cap(weight_cap), EnumerationStats())
+    cap = _checked_cap(weight_cap)
+    masks = _search(h.edge_members, h.incidence_masks, cap, EnumerationStats())
     return itertools.starmap(RhsPair.from_masks, masks)
 
 
@@ -347,8 +347,16 @@ def enumerate_minimal_rhs(
     heavier subtrees are pruned; without one the emission order has
     polynomial delay measured in expanded nodes.
     """
+    cap = _checked_cap(weight_cap)
+    return _enumerate(h.edge_members, h.incidence_masks, cap, sink)
+
+
+def _enumerate(
+    members: Sequence[int], inc: Sequence[int], cap: int | None, sink: Sink | None
+) -> EnumerationStats:
+    """enumerate_minimal_rhs on edge member and vertex incidence masks."""
     stats = EnumerationStats()
-    masks = _search(h, _checked_cap(weight_cap), stats)
+    masks = _search(members, inc, cap, stats)
     if sink is None:
         for _ in masks:
             pass

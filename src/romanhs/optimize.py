@@ -13,17 +13,17 @@ ceil(2d / max(2, maxdeg)) and a greedy packing of live edges, in index
 order, in which no vertex lies in more than two of them. Because the
 tree does not depend on the incumbent, the witness is always the first
 optimum leaf in depth-first order, whatever the bounds prune.
-exact_min_rhf rides on the edge-twinning reduction, and rvc_decide runs
-the same search on a graph's edge hypergraph with the weight budget as
-its starting incumbent, stopping at the first cover that fits. The
-greedy pair gives the classical logarithmic guarantee, and the Roman
-vertex cover lister and the Roman edge cover optimum close out the graph
-variants.
+exact_min_rhf rides on the edge-twinning reduction. The search takes
+edge and incidence masks, not a Hypergraph, so rvc_decide runs it on a
+graph's edge masks with the weight budget as its starting incumbent,
+stopping at the first cover that fits. The greedy pair gives the
+classical logarithmic guarantee, and the Roman vertex cover lister and
+the Roman edge cover optimum close out the graph variants.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from .core import (
     Correspondence,
@@ -33,19 +33,21 @@ from .core import (
     RomanAssignment,
     _Frozen,
     _assignment,
+    _covers_edges,
+    _edge_masks,
+    _edge_token_ids,
     _is_rhf,
     _is_rhs,
     _require_nonempty_edges,
     bits,
-    edge_hypergraph,
     mask_of,
     weight_pair,
 )
 from .enumeration import (
     EnumerationStats,
     _degree_bound,
+    _enumerate,
     _packing_bound,
-    enumerate_minimal_rhs,
 )
 from .errors import InputError
 
@@ -122,22 +124,23 @@ def greedy_rhf(
 # Exact minimum Roman hitting set
 
 
-def _min_rhs_search(h: Hypergraph, budget: int | None = None) -> OptResult:
-    """Depth-first branch and reduce from an explicit stack of int nodes.
+def _min_rhs_search(
+    members: Sequence[int], inc: Sequence[int], budget: int | None = None
+) -> OptResult:
+    """Depth-first branch and reduce from an explicit stack of int nodes,
+    over the instance's edge member and vertex incidence masks.
 
     With a budget the incumbent starts at budget + 1, so the bounds cut
     every heavier subtree, and the search stops at the first leaf of
     weight at most budget; weight -1 with an empty witness says there is
     none.
     """
-    members = h.edge_members
-    order = range(h.n_edges)  # the packing takes live edges by index
-    inc = [h.incidence_mask(x) for x in range(h.n_vertices)]
+    order = range(len(members))  # the packing takes live edges by index
     best_w = -1 if budget is None else budget + 1
     best = (0, 0)
     nodes = 0
     # livev, live_e, r1m, r2m
-    stack = [((1 << h.n_vertices) - 1, (1 << h.n_edges) - 1, 0, 0)]
+    stack = [((1 << len(inc)) - 1, (1 << len(members)) - 1, 0, 0)]
     push = stack.append
     pop = stack.pop
     while stack:
@@ -246,7 +249,7 @@ def exact_min_rhs(h: Hypergraph) -> OptResult:
     is the first optimum leaf of the tree in depth-first order; a
     stronger bound prunes more nodes but finds the same witness.
     """
-    res = _min_rhs_search(h)
+    res = _min_rhs_search(h.edge_members, h.incidence_masks)
     assert _is_rhs(h, res.witness.r1m, res.witness.r2m)
     assert weight_pair(res.witness) == res.weight
     return res
@@ -280,20 +283,13 @@ def incidence_hypergraph(g: Graph) -> Hypergraph:
     Hitting pairs here are Roman edge covers of the graph: R1 picks
     vertices to leave to the cheap guard, R2 picks protecting edges.
     """
-    edge_tokens = tuple(
-        f"{g.vertex_tokens[u]}~{g.vertex_tokens[v]}" for u, v in g.edges
-    )
-    incident = [0] * g.n_vertices
-    for idx, (u, v) in enumerate(g.edges):
-        incident[u] |= 1 << idx
-        incident[v] |= 1 << idx
-    return Hypergraph(edge_tokens, g.vertex_tokens, tuple(incident))
+    return Hypergraph(tuple(_edge_token_ids(g)), g.vertex_tokens, _edge_masks(g)[1])
 
 
 def _rvc_decide_counted(g: Graph, k: int) -> tuple[bool, int]:
     if k < 0:
         raise InputError("the weight budget must be nonnegative")
-    res = _min_rhs_search(edge_hypergraph(g), budget=k)
+    res = _min_rhs_search(*_edge_masks(g), budget=k)
     return res.weight >= 0, res.nodes
 
 
@@ -301,11 +297,11 @@ def rvc_decide(g: Graph, k: int) -> bool:
     """Is there a Roman vertex cover of weight at most k?
 
     Roman vertex covers are the Roman hitting sets of the edge
-    hypergraph, so this runs the exact_min_rhs search there with k as a
-    budget: the same reductions and branches, an incumbent that starts
-    at k + 1 so the lower bounds cut every subtree heavier than k, and a
-    stop at the first cover of weight at most k. The empty edge set fits
-    any budget.
+    hypergraph, so this runs the exact_min_rhs search on the graph's edge
+    masks, with no token hypergraph built, and k as a budget: the same
+    reductions and branches, an incumbent that starts at k + 1 so the
+    lower bounds cut every subtree heavier than k, and a stop at the
+    first cover of weight at most k. The empty edge set fits any budget.
     """
     return _rvc_decide_counted(g, k)[0]
 
@@ -315,21 +311,22 @@ def rvc_enumerate(
 ) -> EnumerationStats:
     """Emit every minimal Roman vertex cover of weight at most k once.
 
-    Runs the minimal-pair enumerator on the edge hypergraph with the
-    weight cap. R1 indices in emitted pairs are graph edge indices. The
-    cap only prunes: the search expands a subset of the nodes of the
-    uncapped enumeration, so that enumeration's node count bounds the
-    total work and every gap between emissions. The cap prune adds the
-    covering and the packing lower bounds to the weight so far. An
-    expanded subtree may still hold no cover light enough, so the linear
-    delay of the uncapped run does not carry over: under a cap its bound
-    2(|X| + |I|) + 2 is not guaranteed. On G(30, 0.1) drawn with
-    random.Random(1) over the pairs u < v in order (49 edges, optimum
-    28), k = 30 leaves a gap of 275 nodes against a bound of 160.
+    Runs the minimal-pair enumerator on the graph's edge masks, with no
+    token hypergraph built, under the weight cap. R1 indices in emitted
+    pairs are graph edge indices. The cap only prunes: the search expands
+    a subset of the nodes of the uncapped enumeration, so that
+    enumeration's node count bounds the total work and every gap between
+    emissions. The cap prune adds the covering and the packing lower
+    bounds to the weight so far. An expanded subtree may still hold no
+    cover light enough, so the linear delay of the uncapped run does not
+    carry over: under a cap its bound 2(|X| + |I|) + 2 is not guaranteed.
+    On G(30, 0.1) drawn with random.Random(1) over the pairs u < v in
+    order (49 edges, optimum 28), k = 30 leaves a gap of 275 nodes
+    against a bound of 160.
     """
     if k < 0:
         raise InputError("the weight budget must be nonnegative")
-    return enumerate_minimal_rhs(edge_hypergraph(g), weight_cap=k, sink=sink)
+    return _enumerate(*_edge_masks(g), k, sink)
 
 
 def rec_min(g: Graph) -> OptResult:
@@ -340,5 +337,6 @@ def rec_min(g: Graph) -> OptResult:
     no pair beats |V|, and putting every vertex into R1 reaches it.
     """
     witness = RhsPair(frozenset(range(g.n_vertices)), frozenset())
-    assert _is_rhs(incidence_hypergraph(g), witness.r1m, witness.r2m)
+    # the incidence hypergraph's edges are the graph's vertex incidences
+    assert _covers_edges(_edge_masks(g)[1], witness.r1m, witness.r2m)
     return OptResult(g.n_vertices, witness, 0)

@@ -34,6 +34,8 @@ from .core import (
     _Frozen,
     _assignment,
     _complete,
+    _covers_edges,
+    _edge_masks,
     _is_rdf,
     _is_rhf,
     _is_rhs,
@@ -42,7 +44,6 @@ from .core import (
     _vertex_mask,
     bits,
     closed_neighborhood_hypergraph,
-    edge_hypergraph,
     frozenset_of,
     mask_of,
     validate_assignment,
@@ -296,20 +297,20 @@ def vc_to_rvc(g: Graph) -> ReductionOutput:
         g.vertex_tokens + tuple(pend_tokens),
         g.edges + tuple((v, n + v) for v in range(n)),
     )
-    target_h = edge_hypergraph(target)
+    target_members = _edge_masks(target)[0]
 
     def forward(cover: Iterable[VertexId]) -> RhsPair:
         cm = _vertex_mask(g, cover, "cover")
         # the pendant edges the cover leaves open go to R1
         pair = RhsPair.from_masks((low & ~cm) << m, cm)
-        if not _is_rhs(target_h, pair.r1m, pair.r2m):
+        if not _covers_edges(target_members, pair.r1m, pair.r2m):
             raise InputError("not a vertex cover")
         return pair
 
     def backward(pair: RhsPair) -> frozenset[VertexId]:
         if pair.r1m >> (m + n) or pair.r2m >> (2 * n):
             raise InputError("solution indexes outside the gadget")
-        if not _is_rhs(target_h, pair.r1m, pair.r2m):
+        if not _covers_edges(target_members, pair.r1m, pair.r2m):
             raise InputError("pair does not cover the gadget")
         # pendant 2s only cover pendant edges, so the original 2s cover
         # every original edge outside R1; the rest get their lower endpoint

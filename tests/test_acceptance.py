@@ -49,7 +49,7 @@ from romanhs import (
     weight_pair,
     BoundedRdInstance,
 )
-from romanhs.optimize import _rvc_decide_counted
+from romanhs.optimize import _min_rhs_search, _rvc_decide_counted
 
 from corpus import (
     all_assignments,
@@ -398,11 +398,19 @@ def test_c09_rvc_and_rec():
     decide_checked = 0
     for g in graphs:
         opt = brute_min_rvc_weight(g)
+        h = edge_hypergraph(g)
         for k in range(2 * g.n_vertices + 1):
             ans, nodes = _rvc_decide_counted(g, k)
             assert ans == (opt <= k)
             assert nodes <= 3 * 2**k
             decide_checked += 1
+            # the graph paths search the graph's edge masks: the same trees
+            # as the hypergraph paths on the edge hypergraph
+            res = _min_rhs_search(h.edge_members, h.incidence_masks, budget=k)
+            assert (ans, nodes) == (res.weight >= 0, res.nodes)
+            got, want = [], []
+            assert rvc_enumerate(g, k, got.append) == enumerate_minimal_rhs(h, k, want.append)
+            assert got == want
 
     single = path_graph(2)
     got = []

@@ -33,7 +33,9 @@ from romanhs.core import (
     RhsPair,
     _level_masks,
     assignment_to_json,
+    _edge_masks,
     closed_neighborhood_hypergraph,
+    edge_hypergraph,
     incidence,
     is_rdf,
     is_rhf,
@@ -200,6 +202,17 @@ class TestClosedNeighborhoodHypergraph:
             ]
             for t in g.vertex_tokens:
                 assert h.vertex_id(t) == h.edge_id(t) == built.vertex_id(t)
+            # the edge hypergraph is built in one pass over the edges, on the
+            # masks the Roman vertex cover searches run on
+            h = edge_hypergraph(g)
+            built = Hypergraph(h.vertex_tokens, h.edge_tokens, h.edge_members)
+            assert h == built and repr(h) == repr(built)
+            assert _edge_masks(g) == (h.edge_members, h.incidence_masks)
+            assert h.incidence_masks == built.incidence_masks
+            assert [h.vertex_id(t) for t in h.vertex_tokens] == [
+                built.vertex_id(t) for t in h.vertex_tokens
+            ]
+            assert [h.edge_id(t) for t in h.edge_tokens] == list(range(h.n_edges))
 
     def test_rdf_equals_rhf_on_atlas(self):
         for g in atlas_graphs_upto(6):

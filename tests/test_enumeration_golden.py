@@ -24,14 +24,13 @@ from pathlib import Path
 
 import pytest
 
-from romanhs.core import Graph, Hypergraph, weight_pair
+from romanhs.core import Graph, Hypergraph, edge_hypergraph, weight_pair
 from romanhs.enumeration import (
     enumerate_minimal_rhs,
     gen_random,
     gen_tight,
     iter_minimal_rhs,
 )
-from romanhs.optimize import edge_hypergraph
 
 GOLDEN = Path(__file__).parent / "golden" / "enumeration.txt"
 

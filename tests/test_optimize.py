@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from romanhs import core
 from romanhs.core import (
     Correspondence,
     Graph,
     Hypergraph,
     RhsPair,
+    edge_hypergraph,
     is_rhf,
     is_rhs,
     weight_pair,
@@ -25,7 +27,6 @@ from romanhs.enumeration import (
 )
 from romanhs.errors import InputError
 from romanhs.optimize import (
-    edge_hypergraph,
     exact_min_rhf,
     exact_min_rhs,
     greedy_rhf,
@@ -199,7 +200,7 @@ def test_lower_bounds_are_sound():
         assert degree <= opt
         assert packing <= opt
         # the enumerator's cap prune packs in load order
-        assert _root_bounds(h, _load_order(h))[1] <= opt
+        assert _root_bounds(h, _load_order(h.edge_members, h.incidence_masks))[1] <= opt
 
 
 def test_packing_bound_beats_degree_bound():
@@ -434,6 +435,35 @@ def test_edge_hypergraph_tokens():
     h = edge_hypergraph(path_graph(3))
     assert h.edge_tokens == ("v0~v1", "v1~v2")
     assert h.vertex_tokens == ("v0", "v1", "v2")
+
+
+def test_rvc_builds_no_hypergraph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Hypergraph was built")
+
+    monkeypatch.setattr(Hypergraph, "__init__", refuse)
+    monkeypatch.setattr(core, "_prebuilt", refuse)
+    g = complete_graph(3)
+    assert rvc_decide(g, 3) and not rvc_decide(g, 2)
+    got = []
+    assert rvc_enumerate(g, 4, got.append).emitted == len(got) == 7
+
+
+# a tilde may sit inside a vertex token, so both edges get the token a~b~c
+TILDE = Graph.build(["a~b", "c", "a", "b~c"], [("a~b", "c"), ("a", "b~c")])
+
+
+def test_colliding_edge_tokens_decide_nothing():
+    assert rvc_decide(TILDE, 2) and not rvc_decide(TILDE, 1)
+    got = []
+    rvc_enumerate(TILDE, 2, got.append)
+    assert got == [RhsPair(frozenset({0, 1}), frozenset())]
+    # the suite also runs under python -O, where this has no assert to pass
+    assert rec_min(TILDE).weight == 4
+    # only what prints or reads the derived tokens refuses, by name
+    for derive in (edge_hypergraph, incidence_hypergraph):
+        with pytest.raises(InputError, match="duplicate edge token 'a~b~c'"):
+            derive(TILDE)
 
 
 # ---------------------------------------------------------------------------

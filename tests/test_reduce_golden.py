@@ -47,9 +47,9 @@ from romanhs.core import (
     Hypergraph,
     RhsPair,
     closed_neighborhood_hypergraph,
+    edge_hypergraph,
 )
 from romanhs.errors import GuardRefused, InputError
-from romanhs.optimize import edge_hypergraph
 from romanhs.reduce import (
     ds_split_to_rhs,
     hrd_to_rd_two_section,
