@@ -14,38 +14,34 @@ hits alone exactly its edges that are not hit twice, so each check runs
 in time linear in the 2s plus the edges. Graph minimality is hypergraph
 minimality on the closed neighborhoods with the identity correspondence:
 the rdf checkers and extend's is_minimal_dominating_set run the rhf or
-the pair checker there and rename its conditions through one table.
+the pair checker there, the rdf checkers renaming its conditions through
+one table, and the rdf oracles test rhf validity there.
 
-This module also houses the extensibility witness: a planned 2-set together
-with a map that assigns each member a privately hit edge other than its
-corresponding one. check_extension_witness is the public certificate
-checker; the witness search in the extend module shares its constraint on
-preimage-free edges (_witness_cover). Public checkers and oracles validate
-once; the private cores here and in core take a validated input as masks.
+Public checkers and oracles validate once, then answer through core's
+private mask cores, which the solvers share; no solver imports this module.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Correspondence,
-    EdgeIndex,
     Graph,
     Hypergraph,
     RhsPair,
     VertexId,
     _Frozen,
-    _is_rdf,
     _is_rhf,
     _is_rhs,
     _level_masks,
+    _pair_violation,
+    _rhf_violation,
     _vertex_mask,
     bits,
     closed_neighborhood_hypergraph,
     frozenset_of,
-    mask_of,
 )
 from .errors import InputError
 
@@ -101,20 +97,6 @@ def minimal_rhs_violation(h: Hypergraph, pair: RhsPair) -> str | None:
     return _pair_violation(h, pair.r1m, pair.r2m)
 
 
-def _pair_violation(h: Hypergraph, r1m: int, r2m: int) -> str | None:
-    """minimal_rhs_violation on validated masks. Once R1 is untouched, the
-    edges a 2 hits alone all lie outside R1."""
-    once, twice = h.hit_counts(r2m)
-    if r1m & once:
-        return "r1-edge-hit-by-r2"
-    if h.all_edges_mask & ~r1m & ~once:
-        return "unhit-edge"
-    for x in bits(r2m):
-        if not h.incidence_mask(x) & ~twice:
-            return "redundant-r2-vertex"
-    return None
-
-
 def is_minimal_rhs_theorem(h: Hypergraph, pair: RhsPair) -> bool:
     return minimal_rhs_violation(h, pair) is None
 
@@ -134,26 +116,6 @@ def minimal_rhf_violation(
     """
     tau.validate(h)
     return _rhf_violation(h, tau, *_level_masks(f, h.n_vertices))
-
-
-def _rhf_violation(
-    h: Hypergraph, tau: Correspondence, ones: int, twos: int
-) -> str | None:
-    """minimal_rhf_violation on a validated correspondence and level masks.
-    The collision test needs no hit counts, so brute sweeps over every
-    assignment drop most candidates before any are computed."""
-    seen = tau.image_mask(ones)
-    if seen.bit_count() != ones.bit_count():
-        return "tau-collision-on-ones"
-    once, twice = h.hit_counts(twos)
-    if seen & once:
-        return "one-vertex-edge-hit-by-two"
-    for x in bits(twos):
-        if not h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x]):
-            return "two-vertex-without-private-edge"
-    if h.all_edges_mask & ~seen & ~once:
-        return "unhit-edge"
-    return None
 
 
 def is_minimal_rhf_theorem(
@@ -200,106 +162,6 @@ def is_po_minimal_rdf_theorem(g: Graph, f: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Extensibility witness
-# ---------------------------------------------------------------------------
-
-
-class ExtensionWitness(_Frozen):
-    """Certificate that an assignment can grow into a minimal rhf.
-
-    r2 is the planned 2-set; it must contain the current 2s and stay inside
-    the current 1s and 2s. rho assigns every member an edge it hits alone,
-    different from its corresponding edge.
-    """
-
-    __slots__ = _fields = ("r2", "rho")
-    r2: frozenset[VertexId]
-    rho: tuple[tuple[VertexId, EdgeIndex], ...]
-
-    def __init__(
-        self, r2: frozenset[VertexId], rho: tuple[tuple[VertexId, EdgeIndex], ...]
-    ) -> None:
-        object.__setattr__(self, "r2", r2)
-        object.__setattr__(self, "rho", rho)
-
-    @classmethod
-    def build(
-        cls, r2: Iterable[VertexId], rho: Mapping[VertexId, EdgeIndex]
-    ) -> "ExtensionWitness":
-        return cls(frozenset(r2), tuple(sorted(rho.items())))
-
-    def rho_map(self) -> dict[VertexId, EdgeIndex]:
-        return dict(self.rho)
-
-
-def check_extension_witness(
-    h: Hypergraph,
-    tau: Correspondence,
-    f: Sequence[int],
-    w: ExtensionWitness,
-) -> bool:
-    """Evaluate the witness constraints against an assignment.
-
-    The correspondence must be injective on the assignment's 1-set (apply
-    the promotion closure first when it is not); a malformed witness is an
-    input error. Constraints: every member's certificate edge differs from
-    its corresponding edge and meets the planned 2-set in that member only;
-    corresponding edges of the remaining 1s avoid the planned 2-set; and
-    every edge without correspondence preimage that is swallowed by the
-    certificate and remaining-1 edges must meet the planned 2-set (such an
-    edge could never gain a private hitter or a fresh 1 later).
-    """
-    tau.validate(h)
-    ones, twos = _level_masks(f, h.n_vertices)
-    if tau.image_mask(ones).bit_count() != ones.bit_count():
-        raise InputError(
-            "correspondence collides on 1-vertices; apply the promotion "
-            "closure before checking witnesses"
-        )
-    r2m = mask_of(w.r2)
-    if twos & ~r2m or r2m & ~(ones | twos):
-        raise InputError("witness 2-set must contain the 2s and avoid the 0s")
-    rho = w.rho_map()
-    if set(rho) != set(w.r2) or len(w.rho) != len(w.r2):
-        raise InputError("witness map must cover exactly the witness 2-set")
-    if any(not 0 <= i < h.n_edges for i in rho.values()):
-        raise InputError("witness map targets an unknown edge index")
-
-    if any(
-        i == tau.mapping[x] or h.edge_members[i] & r2m != 1 << x
-        for x, i in rho.items()
-    ):
-        return False
-    rest = ones & ~r2m
-    if any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
-        return False
-    no_pre = h.all_edges_mask & ~tau.range_mask
-    return _witness_cover(h, tau, rest, r2m, rho.values(), no_pre) is not None
-
-
-def _witness_cover(
-    h: Hypergraph,
-    tau: Correspondence,
-    rest: int,
-    r2m: int,
-    targets: Iterable[EdgeIndex],
-    no_pre: int,
-) -> int | None:
-    """Union of the remaining 1s' corresponding edges and the certificate
-    edges, or None when it swallows an edge of no_pre that misses r2m."""
-    covered = 0
-    for x in bits(rest):
-        covered |= h.edge_members[tau.mapping[x]]
-    for i in targets:
-        covered |= h.edge_members[i]
-    for i in bits(no_pre):
-        e = h.edge_members[i]
-        if not e & ~covered and not e & r2m:
-            return None
-    return covered
-
-
-# ---------------------------------------------------------------------------
 # Definition-level brute-force oracles
 #
 # Each validates its input once and then makes at most |R1| + |R2| + 1 (or
@@ -326,7 +188,8 @@ def _brute_minimal(
 def brute_minimal_rhs(h: Hypergraph, pair: RhsPair) -> bool:
     """Valid, and no single removal from R1 or R2 stays valid."""
     pair.validate(h)
-    return _brute_minimal(partial(_is_rhs, h), pair.r1m, pair.r2m, twos_to_zero=True)
+    valid = partial(_is_rhs, h.edge_members)
+    return _brute_minimal(valid, pair.r1m, pair.r2m, twos_to_zero=True)
 
 
 def brute_minimal_rhf(
@@ -340,10 +203,12 @@ def brute_minimal_rhf(
 
 def brute_minimal_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Valid, and no single one-step lowering of a value stays valid."""
-    return _brute_minimal(partial(_is_rdf, g), *_level_masks(f, g.n_vertices))
+    valid = partial(_is_rhf, *closed_neighborhood_hypergraph(g))
+    return _brute_minimal(valid, *_level_masks(f, g.n_vertices))
 
 
 def brute_minimal_po_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Valid, and zeroing any single nonzero value breaks validity."""
     ones, twos = _level_masks(f, g.n_vertices)
-    return _brute_minimal(partial(_is_rdf, g), ones, twos, twos_to_zero=True)
+    valid = partial(_is_rhf, *closed_neighborhood_hypergraph(g))
+    return _brute_minimal(valid, ones, twos, twos_to_zero=True)

@@ -316,10 +316,13 @@ def _cmd_rvc(args: argparse.Namespace, show: _Printer) -> int:
 
 
 def _cmd_rec(args: argparse.Namespace, show: _Printer) -> int:
-    from .optimize import incidence_hypergraph, rec_min
+    from .optimize import rec_min
 
     g = _graph(args.file).graph
-    print(show.pair(incidence_hypergraph(g), rec_min(g).witness))
+    witness = rec_min(g).witness
+    # R1 names graph vertices and R2 is empty: no derived edge token prints
+    assert not witness.r2m
+    print(show.pair(Hypergraph((), g.vertex_tokens, (0,) * g.n_vertices), witness))
     return 0
 
 

@@ -21,8 +21,9 @@ ints used as bitsets. An RhsPair stores its two sets as such masks; its r1
 and r2 are read-only IdSet views over them that build nothing, so handing a
 pair over costs two ints however large its sets are. All public containers
 are immutable. The validity predicates check their input once, then answer
-through private cores on masks (_is_rhs, _is_rhf, _is_rdf) that callers
-holding validated masks use directly.
+through private cores on masks (_is_rhs, _is_rhf) that callers holding
+validated masks use directly, as they do the minimality cores here
+(_pair_violation, _rhf_violation).
 """
 
 from __future__ import annotations
@@ -474,17 +475,16 @@ def weight_pair(pair: RhsPair) -> int:
 def is_rhs(h: Hypergraph, pair: RhsPair) -> bool:
     """Every index is in R1 or its edge meets R2; the pair must fit h."""
     pair.validate(h)
-    return _is_rhs(h, pair.r1m, pair.r2m)
+    return _is_rhs(h.edge_members, pair.r1m, pair.r2m)
 
 
-def _is_rhs(h: Hypergraph, r1m: int, r2m: int) -> bool:
-    """is_rhs on masks within range."""
-    return not h.all_edges_mask & ~r1m & ~h.incidence_set_mask(r2m)
-
-
-def _covers_edges(members: Sequence[int], r1m: int, r2m: int) -> bool:
-    """_is_rhs on edge masks alone, for instances derived from a graph."""
-    return all(r1m >> i & 1 or m & r2m for i, m in enumerate(members))
+def _is_rhs(members: Sequence[int], r1m: int, r2m: int) -> bool:
+    """is_rhs on edge masks, so instances derived from a graph need no Hypergraph."""
+    # a plain loop takes half the time of all() over a generator
+    for i, m in enumerate(members):
+        if not m & r2m and not r1m >> i & 1:
+            return False
+    return True
 
 
 def is_rhf(h: Hypergraph, tau: Correspondence, f: Sequence[int]) -> bool:
@@ -506,6 +506,40 @@ def _complete(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> int:
         pre = tau.preimage_mask(i)
         ones |= pre & -pre
     return ones
+
+
+def _pair_violation(h: Hypergraph, r1m: int, r2m: int) -> str | None:
+    """characterize.minimal_rhs_violation on validated masks. Once R1 is
+    untouched, the edges a 2 hits alone all lie outside R1."""
+    once, twice = h.hit_counts(r2m)
+    if r1m & once:
+        return "r1-edge-hit-by-r2"
+    if h.all_edges_mask & ~r1m & ~once:
+        return "unhit-edge"
+    for x in bits(r2m):
+        if not h.incidence_mask(x) & ~twice:
+            return "redundant-r2-vertex"
+    return None
+
+
+def _rhf_violation(
+    h: Hypergraph, tau: Correspondence, ones: int, twos: int
+) -> str | None:
+    """characterize.minimal_rhf_violation on a validated correspondence and
+    level masks. The collision test needs no hit counts, so brute sweeps
+    over every assignment drop most candidates before any are computed."""
+    seen = tau.image_mask(ones)
+    if seen.bit_count() != ones.bit_count():
+        return "tau-collision-on-ones"
+    once, twice = h.hit_counts(twos)
+    if seen & once:
+        return "one-vertex-edge-hit-by-two"
+    for x in bits(twos):
+        if not h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x]):
+            return "two-vertex-without-private-edge"
+    if h.all_edges_mask & ~seen & ~once:
+        return "unhit-edge"
+    return None
 
 
 def _require_nonempty_edges(h: Hypergraph) -> None:
@@ -582,12 +616,6 @@ class Graph(_Frozen):
     def neighbors_mask(self, v: VertexId) -> int:
         return self._adjacency[v]
 
-    def closed_set_mask(self, vertex_mask: int) -> int:
-        m = vertex_mask
-        for v in bits(vertex_mask):
-            m |= self._adjacency[v]
-        return m
-
 
 class BoundedRdInstance(_Frozen):
     """Graph with a lower assignment f and an upper assignment h.
@@ -620,14 +648,8 @@ class BoundedRdInstance(_Frozen):
 
 
 def is_rdf(g: Graph, f: Sequence[int]) -> bool:
-    """Every 0-vertex has a neighbor with value 2."""
-    return _is_rdf(g, *_level_masks(f, g.n_vertices))
-
-
-def _is_rdf(g: Graph, ones: int, twos: int) -> bool:
-    """is_rdf on level masks."""
-    zeros = (1 << g.n_vertices) - 1 & ~(ones | twos)
-    return not zeros & ~g.closed_set_mask(twos)
+    """Every 0-vertex has a neighbor with value 2: an rhf on N[.]."""
+    return _is_rhf(*closed_neighborhood_hypergraph(g), *_level_masks(f, g.n_vertices))
 
 
 def _prebuilt(*slots: object) -> Hypergraph:

@@ -47,6 +47,7 @@ from .core import (
     RomanAssignment,
     _Record,
     _level_masks,
+    _rhf_violation,
     bits,
 )
 from .errors import InputError, guard_work
@@ -408,10 +409,6 @@ def brute_enumerate_minimal_rhf(
     by the guard; with a stride only every stride-th of them, starting at
     index part, is scanned.
     """
-    # imported here, its only user: a process that only enumerates pairs
-    # or generates instances does not compile characterize
-    from .characterize import _rhf_violation
-
     guard_work(3**h.n_vertices, "brute rhf enumeration")
     tau.validate(h)
     candidates = itertools.product((0, 1, 2), repeat=h.n_vertices)

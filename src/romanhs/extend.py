@@ -6,15 +6,17 @@ without correspondence preimage to be pre-hit; the general solver falls
 back to bounded exponential search, either by a depth-first sweep over
 the larger assignments that drops a prefix once it breaks a condition no
 completion repairs, or by searching for an extensibility witness after
-the promotion closure. Graph-side, bounded_ext_rd answers the two-sided
-Roman domination extension question by branching on dominators for the
-vertices capped at 0, and ext_ds_split answers minimal-dominating-set
-extension on split graphs by ext_rhs through reduce.ds_split_to_rhs.
+the promotion closure (a planned 2-set plus a privately hit edge for
+each member, whose checker is check_extension_witness). Graph-side,
+bounded_ext_rd answers the two-sided Roman domination extension question
+by branching on dominators for the vertices capped at 0, and ext_ds_split
+answers minimal-dominating-set extension on split graphs by ext_rhs
+through reduce.ds_split_to_rhs.
 
 The public functions validate once; their loops call private cores on
-vertex masks that validate nothing (_promote, _surjective, core's
-_complete, and characterize's _rhf_violation, _pair_violation and
-_witness_cover). Outside the sweep, which carries its own hit counts
+vertex masks that validate nothing (_promote, _surjective,
+_witness_cover, and core's _complete, _rhf_violation and
+_pair_violation). Outside the sweep, which carries its own hit counts
 from prefix to prefix, a 2's private edges come from
 Hypergraph.hit_counts as the edges it hits that are not hit twice.
 is_minimal_dominating_set is the pair check on the closed neighborhoods.
@@ -24,12 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .characterize import _pair_violation, _rhf_violation, _witness_cover
 from .core import (
     BoundedRdInstance,
     Correspondence,
+    EdgeIndex,
     Graph,
     Hypergraph,
     RhsPair,
@@ -38,7 +40,10 @@ from .core import (
     _Frozen,
     _assignment,
     _complete,
+    _id_mask,
     _level_masks,
+    _pair_violation,
+    _rhf_violation,
     _vertex_mask,
     bits,
     closed_neighborhood_hypergraph,
@@ -216,6 +221,101 @@ def _general_sweep(
     return ExtAnswer(False)
 
 
+class ExtensionWitness(_Frozen):
+    """Certificate that an assignment can grow into a minimal rhf.
+
+    r2 is the planned 2-set; it must contain the current 2s and stay inside
+    the current 1s and 2s. rho assigns every member an edge it hits alone,
+    different from its corresponding edge.
+    """
+
+    __slots__ = _fields = ("r2", "rho")
+    r2: frozenset[VertexId]
+    rho: tuple[tuple[VertexId, EdgeIndex], ...]
+
+    def __init__(
+        self, r2: frozenset[VertexId], rho: tuple[tuple[VertexId, EdgeIndex], ...]
+    ) -> None:
+        object.__setattr__(self, "r2", r2)
+        object.__setattr__(self, "rho", rho)
+
+    @classmethod
+    def build(
+        cls, r2: Iterable[VertexId], rho: Mapping[VertexId, EdgeIndex]
+    ) -> "ExtensionWitness":
+        return cls(frozenset(r2), tuple(sorted(rho.items())))
+
+    def rho_map(self) -> dict[VertexId, EdgeIndex]:
+        return dict(self.rho)
+
+
+def check_extension_witness(
+    h: Hypergraph,
+    tau: Correspondence,
+    f: Sequence[int],
+    w: ExtensionWitness,
+) -> bool:
+    """Evaluate the witness constraints against an assignment.
+
+    The correspondence must be injective on the assignment's 1-set (apply
+    the promotion closure first when it is not); a malformed witness is an
+    input error. Constraints: every member's certificate edge differs from
+    its corresponding edge and meets the planned 2-set in that member only;
+    corresponding edges of the remaining 1s avoid the planned 2-set; and
+    every edge without correspondence preimage that is swallowed by the
+    certificate and remaining-1 edges must meet the planned 2-set (such an
+    edge could never gain a private hitter or a fresh 1 later).
+    """
+    tau.validate(h)
+    ones, twos = _level_masks(f, h.n_vertices)
+    if tau.image_mask(ones).bit_count() != ones.bit_count():
+        raise InputError(
+            "correspondence collides on 1-vertices; apply the promotion "
+            "closure before checking witnesses"
+        )
+    r2m = _id_mask(w.r2, "witness 2-set contains an unknown vertex", h.n_vertices - 1)
+    if twos & ~r2m or r2m & ~(ones | twos):
+        raise InputError("witness 2-set must contain the 2s and avoid the 0s")
+    rho = w.rho_map()
+    if set(rho) != set(w.r2) or len(w.rho) != len(w.r2):
+        raise InputError("witness map must cover exactly the witness 2-set")
+    if any(not 0 <= i < h.n_edges for i in rho.values()):
+        raise InputError("witness map targets an unknown edge index")
+
+    if any(
+        i == tau.mapping[x] or h.edge_members[i] & r2m != 1 << x
+        for x, i in rho.items()
+    ):
+        return False
+    rest = ones & ~r2m
+    if any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
+        return False
+    no_pre = h.all_edges_mask & ~tau.range_mask
+    return _witness_cover(h, tau, rest, r2m, rho.values(), no_pre) is not None
+
+
+def _witness_cover(
+    h: Hypergraph,
+    tau: Correspondence,
+    rest: int,
+    r2m: int,
+    targets: Iterable[EdgeIndex],
+    no_pre: int,
+) -> int | None:
+    """Union of the remaining 1s' corresponding edges and the certificate
+    edges, or None when it swallows an edge of no_pre that misses r2m."""
+    covered = 0
+    for x in bits(rest):
+        covered |= h.edge_members[tau.mapping[x]]
+    for i in targets:
+        covered |= h.edge_members[i]
+    for i in bits(no_pre):
+        e = h.edge_members[i]
+        if not e & ~covered and not e & r2m:
+            return None
+    return covered
+
+
 def _witness_masks(
     h: Hypergraph, tau: Correspondence, rest: int, r2m: int, covered: int
 ) -> tuple[int, int]:
@@ -366,7 +466,7 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
     if base is None:
         return ExtAnswer(False)
     pinned = f1 & cap1
-    banned = g.closed_set_mask(pinned) & ~pinned
+    banned = hh.incidence_set_mask(pinned) & ~pinned  # N[pinned] - pinned
     cands = []
     for v in bits(cap0):
         cs = list(bits(g.neighbors_mask(v) & cap2 & ~banned))

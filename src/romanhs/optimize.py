@@ -33,11 +33,11 @@ from .core import (
     RomanAssignment,
     _Frozen,
     _assignment,
-    _covers_edges,
     _edge_masks,
     _edge_token_ids,
     _is_rhf,
     _is_rhs,
+    _prebuilt,
     _require_nonempty_edges,
     bits,
     mask_of,
@@ -105,7 +105,7 @@ def greedy_rhs(h: Hypergraph) -> tuple[RhsPair, int]:
     """
     r1 = frozenset(i for i in range(h.n_edges) if not h.edge_members[i])
     pair = RhsPair(r1, _greedy_cover(h))
-    assert _is_rhs(h, pair.r1m, pair.r2m)
+    assert _is_rhs(h.edge_members, pair.r1m, pair.r2m)
     return pair, weight_pair(pair)
 
 
@@ -250,7 +250,7 @@ def exact_min_rhs(h: Hypergraph) -> OptResult:
     stronger bound prunes more nodes but finds the same witness.
     """
     res = _min_rhs_search(h.edge_members, h.incidence_masks)
-    assert _is_rhs(h, res.witness.r1m, res.witness.r2m)
+    assert _is_rhs(h.edge_members, res.witness.r1m, res.witness.r2m)
     assert weight_pair(res.witness) == res.weight
     return res
 
@@ -262,8 +262,7 @@ def exact_min_rhf(h: Hypergraph, tau: Correspondence) -> OptResult:
     optima agree with hitting-function optima; the backward mapper turns
     the optimal pair into an assignment of the same weight.
     """
-    # imported here, its only user: min-rhs, rvc and rec do not compile
-    # reduce, nor the extend and characterize modules it imports
+    # imported here, its only user, so min-rhs, rvc and rec do not compile it
     from .reduce import rhf_to_rhs
 
     ro = rhf_to_rhs(h, tau)
@@ -281,9 +280,12 @@ def incidence_hypergraph(g: Graph) -> Hypergraph:
     """Each vertex becomes the hyperedge of its incident graph edges.
 
     Hitting pairs here are Roman edge covers of the graph: R1 picks
-    vertices to leave to the cheap guard, R2 picks protecting edges.
+    vertices to leave to the cheap guard, R2 picks protecting edges. It
+    is edge_hypergraph transposed, refusing the same token collisions.
     """
-    return Hypergraph(tuple(_edge_token_ids(g)), g.vertex_tokens, _edge_masks(g)[1])
+    ids = _edge_token_ids(g)
+    members, inc = _edge_masks(g)
+    return _prebuilt(tuple(ids), g.vertex_tokens, inc, ids, g._vertex_ids, members)
 
 
 def _rvc_decide_counted(g: Graph, k: int) -> tuple[bool, int]:
@@ -338,5 +340,5 @@ def rec_min(g: Graph) -> OptResult:
     """
     witness = RhsPair(frozenset(range(g.n_vertices)), frozenset())
     # the incidence hypergraph's edges are the graph's vertex incidences
-    assert _covers_edges(_edge_masks(g)[1], witness.r1m, witness.r2m)
+    assert _is_rhs(_edge_masks(g)[1], witness.r1m, witness.r2m)
     return OptResult(g.n_vertices, witness, 0)

@@ -34,9 +34,7 @@ from .core import (
     _Frozen,
     _assignment,
     _complete,
-    _covers_edges,
     _edge_masks,
-    _is_rdf,
     _is_rhf,
     _is_rhs,
     _level_masks,
@@ -99,7 +97,7 @@ def _rhs(
     pair.validate(h)
     if budget is not None and weight_pair(pair) > budget:
         raise InputError(f"pair weight exceeds the budget {budget}")
-    if not _is_rhs(h, pair.r1m, pair.r2m):
+    if not _is_rhs(h.edge_members, pair.r1m, pair.r2m):
         raise InputError(message)
     return pair
 
@@ -201,7 +199,7 @@ def rhs_to_rhf(h: Hypergraph, k: int) -> ReductionOutput:
         # an index vertex lies in one edge only, so a 1 there claims it as
         # well as a 2; a 1 on an original vertex claims only the edge a
         pair = RhsPair.from_masks((ones | twos) >> n, twos & low)
-        assert _is_rhs(h, pair.r1m, pair.r2m) and weight_pair(pair) <= k
+        assert _is_rhs(h.edge_members, pair.r1m, pair.r2m) and weight_pair(pair) <= k
         return pair
 
     return ReductionOutput((target, tau2), forward, backward, 0)
@@ -239,18 +237,19 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
         pairs += [(v_base + x, u_base + k) for x in bits(h.edge_members[i])]
     gadget = Graph(tuple(tokens), tuple(pairs))
     size = gadget.n_vertices
+    closed = closed_neighborhood_hypergraph(gadget)  # rdfs are its rhfs
 
     def forward(f: Sequence[int]) -> RomanAssignment:
         ones, twos = _rhf(h, tau, f)
         g1, g2 = tau.image_mask(ones) << w_base, 1 | twos << v_base
-        assert _is_rdf(gadget, g1, g2)
+        assert _is_rhf(*closed, g1, g2)
         g = _assignment(size, g1, g2)
         assert weight_assignment(g) <= ones.bit_count() + 2 * twos.bit_count() + 2
         return g
 
     def backward(gv: Sequence[int]) -> RomanAssignment:
         ones, twos = _level_masks(gv, size)
-        if not _is_rdf(gadget, ones, twos):
+        if not _is_rhf(*closed, ones, twos):
             raise InputError("assignment does not dominate the gadget")
         # normalise: the apex never loses (if it is not a 2, both pendants
         # pay >= 1); a 2 on an edge stand-in, or 1s on both stand-ins of
@@ -268,7 +267,7 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
             m = h.edge_members[i]
             r2m |= m & -m
         claimed = (ones >> w_base) & rng
-        assert _is_rdf(gadget, claimed << w_base, 1 | r2m << v_base)
+        assert _is_rhf(*closed, claimed << w_base, 1 | r2m << v_base)
         r1m = 0
         for i in bits(claimed):
             pre = tau.preimage_mask(i)
@@ -303,14 +302,14 @@ def vc_to_rvc(g: Graph) -> ReductionOutput:
         cm = _vertex_mask(g, cover, "cover")
         # the pendant edges the cover leaves open go to R1
         pair = RhsPair.from_masks((low & ~cm) << m, cm)
-        if not _covers_edges(target_members, pair.r1m, pair.r2m):
+        if not _is_rhs(target_members, pair.r1m, pair.r2m):
             raise InputError("not a vertex cover")
         return pair
 
     def backward(pair: RhsPair) -> frozenset[VertexId]:
         if pair.r1m >> (m + n) or pair.r2m >> (2 * n):
             raise InputError("solution indexes outside the gadget")
-        if not _covers_edges(target_members, pair.r1m, pair.r2m):
+        if not _is_rhs(target_members, pair.r1m, pair.r2m):
             raise InputError("pair does not cover the gadget")
         # pendant 2s only cover pendant edges, so the original 2s cover
         # every original edge outside R1; the rest get their lower endpoint
@@ -466,10 +465,11 @@ def hrd_to_rd_two_section(h: Hypergraph) -> ReductionOutput:
     no forward mapper, and the offset is 0.
     """
     g2 = two_section(h)
+    closed = closed_neighborhood_hypergraph(g2)
 
     def backward(f: Sequence[int]) -> RomanAssignment:
         ones, twos = _level_masks(f, g2.n_vertices)
-        if not _is_rdf(g2, ones, twos):
+        if not _is_rhf(*closed, ones, twos):
             raise InputError("assignment does not dominate the two-section")
         assert _hypergraph_rdf(h, ones, twos)
         return _assignment(g2.n_vertices, ones, twos)

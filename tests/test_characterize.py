@@ -22,12 +22,10 @@ from corpus import (
     star_graph,
 )
 from romanhs.characterize import (
-    ExtensionWitness,
     brute_minimal_po_rdf,
     brute_minimal_rdf,
     brute_minimal_rhf,
     brute_minimal_rhs,
-    check_extension_witness,
     is_minimal_rdf_theorem,
     is_minimal_rhf_theorem,
     is_minimal_rhs_theorem,
@@ -49,6 +47,7 @@ from romanhs.core import (
 )
 from romanhs.enumeration import gen_random, iter_minimal_rhs
 from romanhs.errors import InputError
+from romanhs.extend import ExtensionWitness, check_extension_witness
 
 
 # Literal references: scan the whole downward closure instead of single

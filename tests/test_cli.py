@@ -276,6 +276,17 @@ def test_rec(run, write):
     assert code == 0 and out == "R1={a,b,c} R2={} w=3\n"
 
 
+def test_rec_prints_no_derived_edge_token(run, write):
+    # both edges would derive the token a~b~c, but the witness (V, {})
+    # names graph vertices only, so rec answers
+    tilde = write("tilde.g", "vertex a~b c a b~c\ngedge a~b c\ngedge a b~c\n")
+    code, out, err = run("rec", tilde)
+    assert (code, out, err) == (0, "R1={a~b,c,a,b~c} R2={} w=4\n", "")
+    code, out, _ = run("rec", tilde, "--json")
+    assert code == 0
+    assert json.loads(out) == {"r1": ["a~b", "c", "a", "b~c"], "r2": [], "w": 4}
+
+
 def test_reduce_vc_to_rvc(run, write, tmp_path):
     src = write("p3.g", P3)
     out_path = str(tmp_path / "rvc.g")

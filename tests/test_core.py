@@ -51,6 +51,7 @@ from romanhs.core import (
 )
 from romanhs.characterize import brute_minimal_rhf
 from romanhs.errors import InputError
+from romanhs.optimize import incidence_hypergraph
 from romanhs.reduce import rhf_to_rhs
 
 
@@ -212,6 +213,13 @@ class TestClosedNeighborhoodHypergraph:
             assert [h.vertex_id(t) for t in h.vertex_tokens] == [
                 built.vertex_id(t) for t in h.vertex_tokens
             ]
+            assert [h.edge_id(t) for t in h.edge_tokens] == list(range(h.n_edges))
+            # the incidence hypergraph is the same masks with roles swapped
+            h = incidence_hypergraph(g)
+            built = Hypergraph(h.vertex_tokens, h.edge_tokens, h.edge_members)
+            assert h == built and repr(h) == repr(built)
+            assert h.incidence_masks == built.incidence_masks
+            assert [h.vertex_id(t) for t in h.vertex_tokens] == list(range(h.n_vertices))
             assert [h.edge_id(t) for t in h.edge_tokens] == list(range(h.n_edges))
 
     def test_rdf_equals_rhf_on_atlas(self):

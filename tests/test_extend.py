@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -39,7 +40,9 @@ from romanhs.core import (
 from romanhs.enumeration import gen_random
 from romanhs.errors import WORK_LIMIT, GuardRefused, InputError
 from romanhs.extend import (
+    ExtensionWitness,
     bounded_ext_rd,
+    check_extension_witness,
     ext_ds_split,
     ext_rhf_general,
     ext_rhf_surjective,
@@ -463,6 +466,26 @@ def test_witness_guard_refuses_many_private_edge_maps():
     tau = Correspondence(tuple(range(5)))
     with pytest.raises(GuardRefused):
         ext_rhf_general(h, tau, (2,) * 5, strategy="witness")
+
+
+def test_witness_check_refuses_vertex_ids_outside_the_universe():
+    # refused as unknown before any mask is built, so a huge id allocates
+    # nothing as wide as itself
+    h = build_ex1()
+    tau = ex1_tau(h)
+    f = assignment_of(h, {"c": 2})
+    tracemalloc.start()
+    try:
+        for bad in (-1, h.n_vertices, 10**9):
+            w = ExtensionWitness.build([bad], {bad: 0})
+            with pytest.raises(InputError, match="unknown vertex"):
+                check_extension_witness(h, tau, f, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    c = h.vertex_id("c")
+    assert check_extension_witness(h, tau, f, ExtensionWitness.build([c], {c: h.edge_id("5")}))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from corpus import (
     random_assignment,
     random_split_graph,
 )
-from romanhs.characterize import ExtensionWitness, check_extension_witness
+from romanhs.extend import ExtensionWitness, check_extension_witness
 from romanhs.core import (
     BoundedRdInstance,
     Correspondence,

@@ -4,7 +4,8 @@
 is imported from its module on first use. ``import romanhs.cli`` imports
 core, errors and enumeration, which every subcommand or printer needs, and
 leaves characterize, extend, optimize and reduce to the handlers that call
-them. reduce sits on core and errors alone. optimize imports reduce only
+them. reduce and characterize sit on core and errors alone, and no
+solver module imports characterize. optimize imports reduce only
 inside exact_min_rhf, and core imports json only inside its JSON codec
 functions, so a process that prints no JSON does not load it. No module
 of the package imports dataclasses (nor, through it, inspect). Each check
@@ -75,11 +76,13 @@ def test_cli_import_leaves_the_handler_modules():
         (["enum-rhs", "@"], BASE),
         (["oracle", "rhs", "@"], BASE),
         (["check", "witness", "@", "--pair", "R1=e1,e2;R2="], BASE | {"characterize"}),
-        (["ext-rhs", "@"], BASE | {"characterize", "extend"}),
+        (["ext-rhs", "@"], BASE | {"extend"}),
         (["min-rhs", "@"], BASE | {"optimize"}),
         # exact_min_rhf imports reduce, which imports only core and errors
         (["min-rhf", "@"], BASE | {"optimize", "reduce"}),
         (["reduce", "rhf-to-rhs", "@", "@out"], BASE | {"reduce"}),
+        # the brute rhf oracle decides minimality through core's mask core
+        (["oracle", "rhf", "@"], BASE),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -92,6 +95,14 @@ def test_a_subcommand_imports_what_it_runs(tmp_path, argv, modules):
 def test_reduce_imports_only_core_and_errors():
     loaded = _loaded_after("import romanhs.reduce")
     assert _package_modules(loaded) == {"core", "errors", "reduce"}
+
+
+def test_characterize_is_a_leaf():
+    loaded = _loaded_after("import romanhs.characterize")
+    assert _package_modules(loaded) == {"core", "errors", "characterize"}
+    for solver in ("extend", "enumeration"):
+        loaded = _loaded_after(f"import romanhs.{solver}")
+        assert "characterize" not in _package_modules(loaded)
 
 
 def test_json_loads_only_for_json_output(tmp_path):

@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from romanhs.characterize import ExtensionWitness, PrivateNeighborReport
+from romanhs.characterize import PrivateNeighborReport
 from romanhs.core import (
     BoundedRdInstance,
     Correspondence,
@@ -26,7 +26,7 @@ from romanhs.core import (
     SolutionLines,
 )
 from romanhs.enumeration import EnumerationStats
-from romanhs.extend import ExtAnswer
+from romanhs.extend import ExtAnswer, ExtensionWitness
 from romanhs.optimize import OptResult
 from romanhs.reduce import ReductionOutput
 
