@@ -102,6 +102,16 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def submasks(mask: int) -> Iterator[int]:
+    """Iterate the submasks of a mask in ascending order, 0 first."""
+    sub = 0
+    while True:
+        yield sub
+        sub = (sub - mask) & mask
+        if not sub:
+            return
+
+
 def mask_of(ids: Iterable[int]) -> int:
     m = 0
     for i in ids:
@@ -302,11 +312,13 @@ class Correspondence(_Frozen):
                     f"assigned edge"
                 )
 
-    def preimage_mask(self, i: EdgeIndex) -> int:
+    def first_preimages(self, edge_mask: int) -> int:
+        """The smallest preimage of every edge in the mask that has one."""
         m = 0
-        for x, e in enumerate(self.mapping):
-            if e == i:
+        for x, i in enumerate(self.mapping):
+            if edge_mask >> i & 1:
                 m |= 1 << x
+                edge_mask &= ~(1 << i)
         return m
 
     def image_mask(self, vertex_mask: int) -> int:
@@ -317,7 +329,7 @@ class Correspondence(_Frozen):
 
     @property
     def range_mask(self) -> int:
-        return self.image_mask((1 << len(self.mapping)) - 1)
+        return mask_of(self.mapping)
 
 
 # A Roman assignment is a plain tuple of values in {0,1,2}, one per vertex
@@ -502,10 +514,7 @@ def _complete(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> int:
     """The 1s plus a 1 on the smallest preimage member of every edge that
     the 2s miss and the 1s do not claim."""
     claimed = h.incidence_set_mask(twos) | tau.image_mask(ones)
-    for i in bits(h.all_edges_mask & ~claimed):
-        pre = tau.preimage_mask(i)
-        ones |= pre & -pre
-    return ones
+    return ones | tau.first_preimages(h.all_edges_mask & ~claimed)
 
 
 def _pair_violation(h: Hypergraph, r1m: int, r2m: int) -> str | None:

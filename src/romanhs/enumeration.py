@@ -49,6 +49,7 @@ from .core import (
     _level_masks,
     _rhf_violation,
     bits,
+    mask_of,
 )
 from .errors import InputError, guard_work
 
@@ -451,24 +452,24 @@ def gen_random(
     if with_tau and nv > 0 and ne == 0:
         raise InputError("a correspondence needs at least one edge")
     rng = random.Random(seed)
-    vertices = [f"x{k}" for k in range(1, nv + 1)]
     members = [
-        [v for v in vertices if rng.random() < density] for _ in range(ne)
+        mask_of(k for k in range(nv) if rng.random() < density) for _ in range(ne)
     ]
     tau = None
     if with_tau:
         mapping = []
-        for k, v in enumerate(vertices):
-            containing = [i for i, ms in enumerate(members) if v in ms]
+        for k in range(nv):
+            containing = [i for i, m in enumerate(members) if m >> k & 1]
             if not containing:
                 i = rng.randrange(ne)
-                members[i].append(v)
+                members[i] |= 1 << k
                 containing = [i]
             mapping.append(rng.choice(containing))
         tau = Correspondence(tuple(mapping))
-    h = Hypergraph.build(
-        vertices,
-        [(f"e{i + 1}", sorted(ms, key=vertices.index)) for i, ms in enumerate(members)],
+    h = Hypergraph(
+        tuple(f"x{k}" for k in range(1, nv + 1)),
+        tuple(f"e{i}" for i in range(1, ne + 1)),
+        tuple(members),
     )
     preset = RhsPair(frozenset(), frozenset())
     if with_preset:

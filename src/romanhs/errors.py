@@ -10,7 +10,8 @@ sweep and witness search, and the bounded Roman domination extension)
 counts the candidates it would try before it starts, or an upper bound on
 them where it prunes as it goes (the sweep and the witness search), and
 hands the count to guard_work, which refuses past WORK_LIMIT. Polynomial
-routines take no guard, whatever the instance size.
+routines take no guard, whatever the instance size, nor does the witness
+search where its first 2-set decides, as in ext_rhf_surjective.
 """
 
 WORK_LIMIT = 1 << 20

@@ -1,20 +1,20 @@
 """Extension solvers: can a pre-solution grow into a minimal solution?
 
 ext_rhs settles the pair question outright in polynomial time. For
-assignments the polynomial algorithm (ext_rhf_surjective) needs every edge
-without correspondence preimage to be pre-hit; the general solver falls
-back to bounded exponential search, either by a depth-first sweep over
-the larger assignments that drops a prefix once it breaks a condition no
-completion repairs, or by searching for an extensibility witness after
-the promotion closure (a planned 2-set plus a privately hit edge for
-each member, whose checker is check_extension_witness). Graph-side,
-bounded_ext_rd answers the two-sided Roman domination extension question
-by branching on dominators for the vertices capped at 0, and ext_ds_split
-answers minimal-dominating-set extension on split graphs by ext_rhs
-through reduce.ds_split_to_rhs.
+assignments one core, the witness search, looks after the promotion
+closure for a planned 2-set plus a privately hit edge for each member
+(checked by check_extension_witness). Its first 2-set decides in
+polynomial time when the closure's 2s hit every edge without
+correspondence preimage, as ext_rhf_surjective requires; otherwise
+ext_rhf_general searches on under a guard, or by default sweeps the
+larger assignments depth first, dropping a prefix once it breaks a
+condition no completion repairs. Graph-side, bounded_ext_rd branches on
+dominators for the vertices capped at 0 and runs the witness search on
+each closure, and ext_ds_split answers minimal-dominating-set extension
+on split graphs by ext_rhs through reduce.ds_split_to_rhs.
 
 The public functions validate once; their loops call private cores on
-vertex masks that validate nothing (_promote, _surjective,
+vertex masks that validate nothing (_promote, _general_witness,
 _witness_cover, and core's _complete, _rhf_violation and
 _pair_violation). Outside the sweep, which carries its own hit counts
 from prefix to prefix, a 2's private edges come from
@@ -49,6 +49,7 @@ from .core import (
     closed_neighborhood_hypergraph,
     frozenset_of,
     mask_of,
+    submasks,
 )
 from .enumeration import minimal_pair_for_r2
 from .errors import InputError, guard_work
@@ -128,10 +129,11 @@ def ext_rhf_surjective(
     """Polynomial extension check for assignments.
 
     Requires every edge without correspondence preimage to contain a
-    2-vertex of g already (always true for surjective correspondences).
-    Promotes forced 1s, then rejects when some 2 has no private edge other
-    than its corresponding one; otherwise edges still unhit and unclaimed
-    get a 1 on the smallest preimage member.
+    2-vertex of g already (always true for surjective correspondences),
+    so the witness search (ext_rhf_general's witness strategy) decides at
+    its first 2-set: it promotes forced 1s, then rejects when some 2 has
+    no private edge other than its corresponding one; otherwise edges
+    still unhit and unclaimed get a 1 on the smallest preimage member.
     """
     tau.validate(h)
     ones, twos = _level_masks(g, h.n_vertices)
@@ -140,18 +142,7 @@ def ext_rhf_surjective(
             "an edge without correspondence preimage is not pre-hit; "
             "use the general solver"
         )
-    return _surjective(h, tau, *_promote(h, tau, ones, twos))
-
-
-def _surjective(
-    h: Hypergraph, tau: Correspondence, m1: int, m2: int
-) -> ExtAnswer:
-    """ext_rhf_surjective on the promotion closure's 1s and 2s."""
-    twice = h.hit_counts(m2)[1]
-    for x in bits(m2):
-        if not h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x]):
-            return ExtAnswer(False)
-    return ExtAnswer(True, _assignment(h.n_vertices, _complete(h, tau, m1, m2), m2))
+    return _general_witness(h, tau, ones, twos)
 
 
 def _general_sweep(
@@ -290,115 +281,112 @@ def check_extension_witness(
     rest = ones & ~r2m
     if any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
         return False
-    no_pre = h.all_edges_mask & ~tau.range_mask
-    return _witness_cover(h, tau, rest, r2m, rho.values(), no_pre) is not None
+    loose = h.all_edges_mask & ~tau.range_mask & ~h.incidence_set_mask(r2m)
+    return _witness_cover(h, tau, rest, rho.values(), loose) is not None
 
 
 def _witness_cover(
     h: Hypergraph,
     tau: Correspondence,
     rest: int,
-    r2m: int,
     targets: Iterable[EdgeIndex],
-    no_pre: int,
-) -> int | None:
-    """Union of the remaining 1s' corresponding edges and the certificate
-    edges, or None when it swallows an edge of no_pre that misses r2m."""
+    loose: int,
+) -> list[int] | None:
+    """The part of each loose edge (a preimage-free edge that misses the
+    planned 2-set) that neither the remaining 1s' corresponding edges nor
+    the certificate edges touch, or None when some part is empty."""
     covered = 0
-    for x in bits(rest):
-        covered |= h.edge_members[tau.mapping[x]]
-    for i in targets:
+    for i in itertools.chain(bits(tau.image_mask(rest)), targets):
         covered |= h.edge_members[i]
-    for i in bits(no_pre):
-        e = h.edge_members[i]
-        if not e & ~covered and not e & r2m:
-            return None
-    return covered
+    cut = [h.edge_members[i] & ~covered for i in bits(loose)]
+    return cut if all(cut) else None
 
 
-def _witness_masks(
-    h: Hypergraph, tau: Correspondence, rest: int, r2m: int, covered: int
-) -> tuple[int, int]:
-    # leftover preimage-free edges get hit by a fresh minimal hitting set
-    # carved out of the vertices no planned edge touches; the carved set
-    # avoids the corresponding edges of the remaining 1s, which keep them
-    leftover = [
-        i
-        for i in bits(h.all_edges_mask & ~tau.range_mask)
-        if not h.edge_members[i] & r2m
-    ]
-    pool = 0
-    for i in leftover:
-        pool |= h.edge_members[i]
-    pool &= ~covered
-    cut = [h.edge_members[i] & pool for i in leftover]
-    d = pool
-    for x in bits(pool):
-        trimmed = d & ~(1 << x)
-        if all(e & trimmed for e in cut):
-            d = trimmed
-    twos = r2m | d
-    ones = _complete(h, tau, rest, twos)
-    assert _rhf_violation(h, tau, ones, twos) is None
-    return ones, twos
+def _carve(
+    h: Hypergraph, tau: Correspondence, rest: int, cands: list[int], loose: int
+) -> int | None:
+    """Fresh 2s for the loose edges: a minimal hitting set of their parts
+    that the first private-edge map in product order leaves untouched, so
+    the remaining 1s keep their corresponding edges; None when every map
+    swallows a loose edge."""
+    for combo in itertools.product(*(list(bits(c)) for c in cands)):
+        cut = _witness_cover(h, tau, rest, combo, loose)
+        if cut is not None:
+            d = 0
+            for e in cut:
+                d |= e
+            for x in bits(d):
+                trimmed = d & ~(1 << x)
+                if all(e & trimmed for e in cut):
+                    d = trimmed
+            return d
+    return None
 
 
 def _witness_work(
-    h: Hypergraph, tau: Correspondence, ones: int, twos: int, no_pre: int
+    h: Hypergraph, tau: Correspondence, ones: int, once: int, cands: list[int]
 ) -> int:
-    """Bound on the candidates the witness search tries: 2-sets times maps.
+    """Bound on the candidates the witness search tries past its first
+    2-set, the closure's 2s, whose hit-once edges and candidate edges per
+    2 are once and cands: 2-sets times private-edge maps.
 
-    Every 2-set is the closure's 2s plus a subset of its 1s, so there are
-    2^|1s| of them. A vertex x of a 2-set only ever takes as private edge
-    one of its edges other than tau(x) that holds no closure 2 but x, so
-    over all 2-sets the private-edge maps number at most the product of
-    those counts (a 2 without any such edge stops every 2-set at once).
-    The maps are enumerated only when some edge lies outside the
-    correspondence's range (no_pre); otherwise each 2-set tries one.
+    Every 2-set is the closure's 2s plus a subset of its 1s, 2^|1s| of
+    them. A vertex x of a 2-set only ever takes as private edge one of its
+    edges other than tau(x) that holds no closure 2 but x, so over all
+    2-sets the maps number at most the product of those counts.
     """
-    sets = 1 << ones.bit_count()
-    maps = 1
-    if no_pre:
-        once, twice = h.hit_counts(twos)
-        for x in bits(ones | twos):
-            # x's edges that hold no closure 2 but x
-            two = (twos >> x) & 1
-            free = h.incidence_mask(x) & ~(twice if two else once)
-            cands = (free & ~(1 << tau.mapping[x])).bit_count()
-            if not cands and two:
-                return sets
-            maps *= max(cands, 1)
-    return sets * maps
+    maps = math.prod(c.bit_count() for c in cands)
+    for x in bits(ones):
+        free = h.incidence_mask(x) & ~once & ~(1 << tau.mapping[x])
+        maps *= max(free.bit_count(), 1)
+    return (1 << ones.bit_count()) * maps
 
 
 def _general_witness(
     h: Hypergraph, tau: Correspondence, f_ones: int, f_twos: int
 ) -> ExtAnswer:
+    """The witness search on f's 1s and 2s, the one rhf-extension core.
+
+    After the promotion closure it tries the 2-sets its 1s allow, its 2s
+    alone first, and for each the private-edge maps; the first that
+    passes yields the witness. The first 2-set decides without search
+    when a closure 2 has no candidate edge (none has at any larger
+    2-set) or when it hits every preimage-free edge (every map passes);
+    otherwise the search is guarded before it goes on.
+    """
     ones, twos = _promote(h, tau, f_ones, f_twos)
     no_pre = h.all_edges_mask & ~tau.range_mask
-    guard_work(
-        _witness_work(h, tau, ones, twos, no_pre), "witness extension search"
-    )
-    ones_list = list(bits(ones))
-    for pick in range(1 << len(ones_list)):
-        r2m = twos | mask_of(x for j, x in enumerate(ones_list) if (pick >> j) & 1)
-        rest = ones & ~r2m
-        if any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
+    for sub in submasks(ones):
+        r2m = twos | sub
+        rest = ones & ~sub
+        # the closure's 1s keep their corresponding edges free of its 2s
+        if sub and any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
             continue
         # every other witness constraint holds by construction of the
-        # candidate edges; without preimage-free edges the first map passes
-        twice = h.hit_counts(r2m)[1]
+        # candidate edges
+        once, twice = h.hit_counts(r2m)
         cands = [
-            list(bits(h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x])))
+            h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x])
             for x in bits(r2m)
         ]
-        for combo in itertools.product(*cands):
-            covered = _witness_cover(h, tau, rest, r2m, combo, no_pre)
-            if covered is not None:
-                g1, g2 = _witness_masks(h, tau, rest, r2m, covered)
-                # the witness lies above f pointwise
-                assert not f_twos & ~g2 and not f_ones & ~(g1 | g2)
-                return ExtAnswer(True, _assignment(h.n_vertices, g1, g2))
+        if not all(cands):
+            if not sub:
+                break
+            continue
+        loose = no_pre & ~once
+        if loose and not sub:  # the first 2-set does not decide
+            guard_work(
+                _witness_work(h, tau, ones, once, cands),
+                "witness extension search",
+            )
+        d = _carve(h, tau, rest, cands, loose) if loose else 0
+        if d is not None:
+            g2 = r2m | d
+            g1 = _complete(h, tau, rest, g2)
+            assert _rhf_violation(h, tau, g1, g2) is None
+            # the witness lies above f pointwise
+            assert not f_twos & ~g2 and not f_ones & ~(g1 | g2)
+            return ExtAnswer(True, _assignment(h.n_vertices, g1, g2))
     return ExtAnswer(False)
 
 
@@ -419,9 +407,10 @@ def ext_rhf_general(
     minimal rhf it meets. Its bound is every assignment above f,
     3^|0s| 2^|1s| of them, so it is refused from 13 zeros on. The
     witness strategy runs the promotion closure and searches for a 2-set
-    plus private-edge map whose constraints certify extensibility; the
-    0s cost it nothing exponential, so it counts the 2-sets over the
-    closure's 1s times a bound on the private-edge maps.
+    plus private-edge map whose constraints certify extensibility, the
+    core ext_rhf_surjective runs too. The 0s cost it nothing
+    exponential; unless its first 2-set decides, it counts the 2-sets
+    over the closure's 1s times a bound on the private-edge maps.
     """
     tau.validate(h)
     ones, twos = _level_masks(f, h.n_vertices)
@@ -440,7 +429,8 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
     vertex capped at 0 needs a dominator capped at 2 that is not adjacent
     to a pinned 1; the solver branches over those choices, re-closes, and
     finishes with the polynomial extension check on the closed
-    neighborhood hypergraph. The choices are exponential in the vertices
+    neighborhood hypergraph (the witness search, which decides at its
+    first 2-set there). The choices are exponential in the vertices
     capped at 0, so their number is counted and guarded before the first
     is tried. Witnesses never exceed the cap: the final check adds no 2s
     beyond the closure and fills 1s only next to chosen dominators'
@@ -482,8 +472,8 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
         if key is None or key in seen:
             continue
         seen.add(key)
-        # tt is surjective, so the extension check's precondition holds
-        ans = _surjective(hh, tt, *key)
+        # tt is surjective, so the witness search decides at its first 2-set
+        ans = _general_witness(hh, tt, *key)
         if ans.decision:
             assert all(a <= b <= c for a, b, c in zip(f, ans.witness, up))
             return ans

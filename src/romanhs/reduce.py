@@ -268,10 +268,7 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
             r2m |= m & -m
         claimed = (ones >> w_base) & rng
         assert _is_rhf(*closed, claimed << w_base, 1 | r2m << v_base)
-        r1m = 0
-        for i in bits(claimed):
-            pre = tau.preimage_mask(i)
-            r1m |= pre & -pre
+        r1m = tau.first_preimages(claimed)
         assert _is_rhf(h, tau, r1m, r2m)
         f = _assignment(n, r1m, r2m)
         assert weight_assignment(f) <= ones.bit_count() + 2 * twos.bit_count() - 2

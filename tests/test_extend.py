@@ -34,6 +34,7 @@ from romanhs.core import (
     Correspondence,
     Hypergraph,
     RhsPair,
+    bits,
     closed_neighborhood_hypergraph,
     parse_graph_text,
 )
@@ -443,29 +444,101 @@ def test_witness_guard_counts_closure_ones_not_zeros():
 
 
 def test_witness_guard_refuses_many_surviving_ones():
-    # one private edge per vertex: every 1 survives the closure, giving
-    # 2^21 candidate 2-sets
+    # one private edge per vertex: every 1 survives the closure, but no
+    # edge lies outside tau's range, so the first 2-set decides
     n = WORK_LIMIT.bit_length()
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [(f"e{i}", [x]) for i, x in enumerate(names)])
     tau = Correspondence(tuple(range(n)))
     assert promote_closure(h, tau, (1,) * n) == (1,) * n
+    ans = ext_rhf_general(h, tau, (1,) * n, strategy="witness")
+    assert ans.decision and ans.witness == (1,) * n
+    # a preimage-free edge over all of them, which no closure 2 hits, makes
+    # the search count every 2-set: 2^21 of them
+    h = Hypergraph.build(
+        names, [(f"e{i}", [x]) for i, x in enumerate(names)] + [("free", names)]
+    )
     with pytest.raises(GuardRefused):
         ext_rhf_general(h, tau, (1,) * n, strategy="witness")
     assert ext_rhf_general(h, tau, (1,) * (n - 1) + (0,), strategy="witness").decision
 
 
 def test_witness_guard_refuses_many_private_edge_maps():
-    # an edge outside tau's range makes the search try private-edge maps:
-    # five 2s with 17 candidate edges each give 17^5 > 2^20 of them
+    # five 2s with 17 candidate edges each; the preimage-free edges all hold
+    # a 2, so the first private-edge map passes
     names = [f"x{j}" for j in range(5)]
     edges = [(f"t{j}", [x]) for j, x in enumerate(names)]
     edges += [(f"p{j}_{k}", [x]) for j, x in enumerate(names) for k in range(17)]
     edges.append(("free", names))
     h = Hypergraph.build(names, edges)
     tau = Correspondence(tuple(range(5)))
+    ans = ext_rhf_general(h, tau, (2,) * 5, strategy="witness")
+    assert ans.decision and ans.witness == (2,) * 5
+    # a 0-vertex y with a preimage-free edge of its own, which no 2 hits,
+    # makes the search try the maps: 17^5 > 2^20 of them
+    h = Hypergraph.build(names + ["y"], edges + [("ty", ["y"]), ("loose", ["y"])])
+    tau = Correspondence(tuple(range(5)) + (h.edge_id("ty"),))
     with pytest.raises(GuardRefused):
-        ext_rhf_general(h, tau, (2,) * 5, strategy="witness")
+        ext_rhf_general(h, tau, (2,) * 5 + (0,), strategy="witness")
+
+
+def test_witness_stops_when_a_closure_two_has_no_candidate(monkeypatch):
+    # z's edges are its own A and B, which w also hits, so z can never earn
+    # a private edge: the answer is no at the first 2-set, not after the
+    # 2^19 that the 1s on the y_i allow
+    ys = [f"y{i}" for i in range(19)]
+    h = Hypergraph.build(
+        ["z", "w"] + ys,
+        [("A", ["z"]), ("B", ["z", "w"]), ("C", ["w"])]
+        + [(f"E{i}", [y]) for i, y in enumerate(ys)],
+    )
+    tau = Correspondence((0, 2) + tuple(range(3, 22)))
+    f = (2, 2) + (1,) * 19
+    assert not ext_rhf_surjective(h, tau, f).decision
+    assert not ext_rhf_general(h, tau, f, strategy="sweep").decision
+    calls = 0
+    hit_counts = Hypergraph.hit_counts
+
+    def counted(self, mask):
+        nonlocal calls
+        calls += 1
+        return hit_counts(self, mask)
+
+    monkeypatch.setattr(Hypergraph, "hit_counts", counted)
+    assert not ext_rhf_general(h, tau, f, strategy="witness").decision
+    # each 2-set tried reads its hit counts once; allow one more read for
+    # a bound taken before the search
+    assert calls <= 2
+
+
+def test_surjective_is_the_witness_search():
+    # wherever ext_rhf_surjective's precondition holds, it answers as the
+    # witness strategy does, witness included
+    rng = random.Random(2020)
+    cases = []
+    while len(cases) < 300:
+        h, tau = random_instance_with_tau(rng, max_v=7, max_e=7)
+        if 0 in h.edge_members:
+            # an empty edge lies outside tau's range and is never hit
+            continue
+        f = [rng.choice((0, 0, 0, 1, 2)) for _ in range(h.n_vertices)]
+        # a 2 on some member of every preimage-free edge not yet hit
+        for i in bits(h.all_edges_mask & ~tau.range_mask):
+            members = list(bits(h.edge_members[i]))
+            if all(f[x] != 2 for x in members):
+                f[rng.choice(members)] = 2
+        cases.append((h, tau, tuple(f)))
+    n = WORK_LIMIT.bit_length()
+    names = [f"x{i}" for i in range(n)]
+    h = Hypergraph.build(names, [(f"e{i}", [x]) for i, x in enumerate(names)])
+    cases.append((h, Correspondence(tuple(range(n))), (1,) * n))
+    seen = {"yes": 0, "no": 0}
+    for h, tau, f in cases:
+        sur = ext_rhf_surjective(h, tau, f)
+        wit = ext_rhf_general(h, tau, f, strategy="witness")
+        assert (sur.decision, sur.witness) == (wit.decision, wit.witness), (h, tau, f)
+        seen["yes" if sur.decision else "no"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_witness_check_refuses_vertex_ids_outside_the_universe():

@@ -213,6 +213,14 @@ def corpus():
                 f = promote_closure(h, tau, f)
             w = _random_witness(draw, h, tau, f)
             runs.append((f"{label}/{k}", "check_extension_witness", lambda h=h, t=tau, f=f, w=w: check_extension_witness(h, t, f, w)))
+
+    # the two guard instances above with a preimage-free edge that no
+    # closure 2 hits, so the witness search counts every 2-set or map
+    h21f = Hypergraph.build(h21.vertex_tokens, [(f"e{i}", [x]) for i, x in enumerate(h21.vertex_tokens)] + [("free", h21.vertex_tokens)])
+    runs.append(("private21-free/witness", "ext_rhf_general", lambda: ext_rhf_general(h21f, tau21, (1,) * 21, strategy="witness")))
+    h5f = Hypergraph.build(names + ["y"], edges + [("free", names), ("ty", ["y"]), ("loose", ["y"])])
+    tau5f = Correspondence(tuple(range(5)) + (h5f.edge_id("ty"),))
+    runs.append(("maps-17-pow-5-loose/witness", "ext_rhf_general", lambda: ext_rhf_general(h5f, tau5f, (2,) * 5 + (0,), strategy="witness")))
     return runs
 
 
