@@ -9,13 +9,14 @@ it invalid. Validity is upward closed in each order, so single-step
 reductions find a strictly smaller valid object whenever one exists at all;
 tests pit the two checkers against each other on exhaustive corpora.
 
-The structural checkers read privacy from Hypergraph.hit_counts: a 2
-hits alone exactly its edges that are not hit twice, so each check runs
-in time linear in the 2s plus the edges. Graph minimality is hypergraph
+The structural checkers read privacy from core's hit counts: a 2 hits
+alone exactly its edges that are not hit twice, so each check runs in
+time linear in the 2s plus the edges. Graph minimality is hypergraph
 minimality on the closed neighborhoods with the identity correspondence:
 the rdf checkers and extend's is_minimal_dominating_set run the rhf or
-the pair checker there, the rdf checkers renaming its conditions through
-one table, and the rdf oracles test rhf validity there.
+the pair core on the graph's closed-neighborhood masks, building no
+hypergraph, the rdf checkers renaming its conditions through one table,
+and the rdf oracles test rhf validity there.
 
 Public checkers and oracles validate once, then answer through core's
 private mask cores, which the solvers share; no solver imports this module.
@@ -33,6 +34,9 @@ from .core import (
     RhsPair,
     VertexId,
     _Frozen,
+    _closed_masks,
+    _hit_counts,
+    _instance_masks,
     _is_rhf,
     _is_rhs,
     _level_masks,
@@ -40,7 +44,6 @@ from .core import (
     _rhf_violation,
     _vertex_mask,
     bits,
-    closed_neighborhood_hypergraph,
     frozenset_of,
 )
 from .errors import InputError
@@ -53,8 +56,8 @@ def private_neighborhood(
     dm = _vertex_mask(g, d, "vertex set")
     if not (0 <= v and dm >> v & 1):
         raise InputError("vertex is not a member of the given set")
-    hh = closed_neighborhood_hypergraph(g)[0]
-    return frozenset_of(hh.incidence_mask(v) & ~hh.hit_counts(dm)[1])
+    closed = _closed_masks(g)[0]
+    return frozenset_of(closed[v] & ~_hit_counts(closed, dm)[1])
 
 
 class PrivateNeighborReport(_Frozen):
@@ -77,9 +80,9 @@ def private_neighborhood_report(g: Graph, d: Iterable[VertexId]) -> PrivateNeigh
     # on the closed neighborhoods v's edges are N[v], and v reaches alone
     # those that the members do not hit twice
     dm = _vertex_mask(g, d, "vertex set")
-    hh = closed_neighborhood_hypergraph(g)[0]
-    twice = hh.hit_counts(dm)[1]
-    entries = tuple((v, frozenset_of(hh.incidence_mask(v) & ~twice)) for v in bits(dm))
+    closed = _closed_masks(g)[0]
+    twice = _hit_counts(closed, dm)[1]
+    entries = tuple((v, frozenset_of(closed[v] & ~twice)) for v in bits(dm))
     return PrivateNeighborReport(frozenset_of(dm), entries)
 
 
@@ -94,7 +97,7 @@ def private_neighborhood_report(g: Graph, d: Iterable[VertexId]) -> PrivateNeigh
 def minimal_rhs_violation(h: Hypergraph, pair: RhsPair) -> str | None:
     """Minimal rhs: R1 edges untouched by R2, R2 a minimal hitting set of the rest."""
     pair.validate(h)
-    return _pair_violation(h, pair.r1m, pair.r2m)
+    return _pair_violation(h.edge_members, h.incidence_masks, pair.r1m, pair.r2m)
 
 
 def is_minimal_rhs_theorem(h: Hypergraph, pair: RhsPair) -> bool:
@@ -115,7 +118,7 @@ def minimal_rhf_violation(
     edges, so only the hitting part is checked.
     """
     tau.validate(h)
-    return _rhf_violation(h, tau, *_level_masks(f, h.n_vertices))
+    return _rhf_violation(*_instance_masks(h, tau), *_level_masks(f, h.n_vertices))
 
 
 def is_minimal_rhf_theorem(
@@ -141,7 +144,7 @@ def minimal_rdf_violation(g: Graph, f: Sequence[int]) -> str | None:
     """Minimal rdf: no 1 next to a 2, every 2 privately dominates someone
     besides itself, and the 2-set minimally dominates the 0/2 subgraph."""
     ones, twos = _level_masks(f, g.n_vertices)
-    return _RDF_NAMES[_rhf_violation(*closed_neighborhood_hypergraph(g), ones, twos)]
+    return _RDF_NAMES[_rhf_violation(*_closed_masks(g), ones, twos)]
 
 
 def is_minimal_rdf_theorem(g: Graph, f: Sequence[int]) -> bool:
@@ -153,8 +156,8 @@ def po_minimal_rdf_violation(g: Graph, f: Sequence[int]) -> str | None:
     condition is waived, the other two conditions stay. The assignment read
     as the pair (1s, 2s) is checked on the closed neighborhoods."""
     ones, twos = _level_masks(f, g.n_vertices)
-    hh = closed_neighborhood_hypergraph(g)[0]
-    return _RDF_NAMES[_pair_violation(hh, ones, twos)]
+    closed = _closed_masks(g)[0]
+    return _RDF_NAMES[_pair_violation(closed, closed, ones, twos)]
 
 
 def is_po_minimal_rdf_theorem(g: Graph, f: Sequence[int]) -> bool:
@@ -198,17 +201,17 @@ def brute_minimal_rhf(
     """Valid, and no single one-step lowering of a value stays valid."""
     ones, twos = _level_masks(f, h.n_vertices)
     tau.validate(h)
-    return _brute_minimal(partial(_is_rhf, h, tau), ones, twos)
+    return _brute_minimal(partial(_is_rhf, *_instance_masks(h, tau)), ones, twos)
 
 
 def brute_minimal_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Valid, and no single one-step lowering of a value stays valid."""
-    valid = partial(_is_rhf, *closed_neighborhood_hypergraph(g))
+    valid = partial(_is_rhf, *_closed_masks(g))
     return _brute_minimal(valid, *_level_masks(f, g.n_vertices))
 
 
 def brute_minimal_po_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Valid, and zeroing any single nonzero value breaks validity."""
     ones, twos = _level_masks(f, g.n_vertices)
-    valid = partial(_is_rhf, *closed_neighborhood_hypergraph(g))
+    valid = partial(_is_rhf, *_closed_masks(g))
     return _brute_minimal(valid, ones, twos, twos_to_zero=True)

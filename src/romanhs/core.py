@@ -23,7 +23,14 @@ pair over costs two ints however large its sets are. All public containers
 are immutable. The validity predicates check their input once, then answer
 through private cores on masks (_is_rhs, _is_rhf) that callers holding
 validated masks use directly, as they do the minimality cores here
-(_pair_violation, _rhf_violation).
+(_pair_violation, _rhf_violation) and the 1-fill rule _complete. These
+cores take an instance as plain sequences, not objects: the edge member
+masks, the vertex incidence masks and the correspondence (_instance_masks
+of a hypergraph). A graph passes its closed neighborhoods as both members
+and incidences, with the identity correspondence (_closed_masks), and
+builds no Hypergraph. Outside the incremental counts of the enumerator
+and the general-extension sweep, every privacy test reads _hit_counts: a
+member x of a vertex set hits inc[x] & ~twice alone.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from .errors import InputError
 
 VertexId = int
 EdgeIndex = int
+# edge member masks, vertex incidence masks or a correspondence, as the
+# private cores take them
+Masks = Sequence[int]
 
 _TOKEN_RE = re.compile(r"^[^\s#{},=]+$")
 
@@ -256,20 +266,34 @@ class Hypergraph(_Frozen):
         return self._incidence
 
     def incidence_set_mask(self, vertex_mask: int) -> int:
-        m = 0
-        for x in bits(vertex_mask):
-            m |= self._incidence[x]
-        return m
+        return _union(self._incidence, vertex_mask)
 
     def hit_counts(self, vertex_mask: int) -> tuple[int, int]:
         """The edges the vertices hit at least once and at least twice; a
         member x hits the edges incidence_mask(x) & ~twice alone."""
-        once = twice = 0
-        for x in bits(vertex_mask):
-            inc = self._incidence[x]
-            twice |= once & inc
-            once |= inc
-        return once, twice
+        return _hit_counts(self._incidence, vertex_mask)
+
+
+def _union(inc: Masks, vertex_mask: int) -> int:
+    """The edges the vertices hit, from their incidence masks."""
+    m = 0
+    while vertex_mask:
+        low = vertex_mask & -vertex_mask
+        m |= inc[low.bit_length() - 1]
+        vertex_mask ^= low
+    return m
+
+
+def _hit_counts(inc: Masks, vertex_mask: int) -> tuple[int, int]:
+    """Hypergraph.hit_counts on incidence masks, one pass over the vertices."""
+    once = twice = 0
+    while vertex_mask:
+        low = vertex_mask & -vertex_mask
+        m = inc[low.bit_length() - 1]
+        twice |= once & m
+        once |= m
+        vertex_mask ^= low
+    return once, twice
 
 
 def incidence(h: Hypergraph, x: VertexId) -> frozenset[EdgeIndex]:
@@ -314,18 +338,10 @@ class Correspondence(_Frozen):
 
     def first_preimages(self, edge_mask: int) -> int:
         """The smallest preimage of every edge in the mask that has one."""
-        m = 0
-        for x, i in enumerate(self.mapping):
-            if edge_mask >> i & 1:
-                m |= 1 << x
-                edge_mask &= ~(1 << i)
-        return m
+        return _first_preimages(self.mapping, edge_mask)
 
     def image_mask(self, vertex_mask: int) -> int:
-        m = 0
-        for x in bits(vertex_mask):
-            m |= 1 << self.mapping[x]
-        return m
+        return _image(self.mapping, vertex_mask)
 
     @property
     def range_mask(self) -> int:
@@ -502,51 +518,92 @@ def _is_rhs(members: Sequence[int], r1m: int, r2m: int) -> bool:
 def is_rhf(h: Hypergraph, tau: Correspondence, f: Sequence[int]) -> bool:
     """Every edge has a 2-vertex, or a 1-vertex whose corresponding edge it is."""
     tau.validate(h)
-    return _is_rhf(h, tau, *_level_masks(f, h.n_vertices))
+    return _is_rhf(*_instance_masks(h, tau), *_level_masks(f, h.n_vertices))
 
 
-def _is_rhf(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> bool:
-    """is_rhf on a validated correspondence and level masks."""
-    return not h.all_edges_mask & ~h.incidence_set_mask(twos) & ~tau.image_mask(ones)
+def _instance_masks(h: Hypergraph, tau: Correspondence) -> tuple[Masks, Masks, Masks]:
+    """The three sequences the private cores take, for a hypergraph."""
+    return h.edge_members, h._incidence, tau.mapping
 
 
-def _complete(h: Hypergraph, tau: Correspondence, ones: int, twos: int) -> int:
+def _image(mapping: Masks, vertex_mask: int) -> int:
+    """The corresponding edges of the vertices in the mask."""
+    m = 0
+    for x in bits(vertex_mask):
+        m |= 1 << mapping[x]
+    return m
+
+
+def _first_preimages(mapping: Masks, edge_mask: int) -> int:
+    m = 0
+    for x, i in enumerate(mapping):
+        if edge_mask >> i & 1:
+            m |= 1 << x
+            edge_mask &= ~(1 << i)
+    return m
+
+
+def _is_rhf(members: Masks, inc: Masks, mapping: Masks, ones: int, twos: int) -> bool:
+    """is_rhf on level masks."""
+    unhit = (1 << len(members)) - 1 & ~_union(inc, twos)
+    return not unhit & ~_image(mapping, ones)
+
+
+def _complete(members: Masks, inc: Masks, mapping: Masks, ones: int, twos: int) -> int:
     """The 1s plus a 1 on the smallest preimage member of every edge that
     the 2s miss and the 1s do not claim."""
-    claimed = h.incidence_set_mask(twos) | tau.image_mask(ones)
-    return ones | tau.first_preimages(h.all_edges_mask & ~claimed)
+    claimed = _union(inc, twos) | _image(mapping, ones)
+    return ones | _first_preimages(mapping, (1 << len(members)) - 1 & ~claimed)
 
 
-def _pair_violation(h: Hypergraph, r1m: int, r2m: int) -> str | None:
-    """characterize.minimal_rhs_violation on validated masks. Once R1 is
-    untouched, the edges a 2 hits alone all lie outside R1."""
-    once, twice = h.hit_counts(r2m)
+def _pair_violation(members: Masks, inc: Masks, r1m: int, r2m: int) -> str | None:
+    """characterize.minimal_rhs_violation on masks; a pair has no
+    correspondence. Once R1 is untouched, the edges a 2 hits alone all
+    lie outside R1."""
+    once, twice = _hit_counts(inc, r2m)
     if r1m & once:
         return "r1-edge-hit-by-r2"
-    if h.all_edges_mask & ~r1m & ~once:
+    if (1 << len(members)) - 1 & ~r1m & ~once:
         return "unhit-edge"
     for x in bits(r2m):
-        if not h.incidence_mask(x) & ~twice:
+        if not inc[x] & ~twice:
             return "redundant-r2-vertex"
     return None
 
 
+def _minimal_r1(members: Masks, inc: Masks, r1m: int, r2m: int) -> int | None:
+    """The R1 mask of the minimal pair with 2-set r2m, every edge r2m
+    misses, from one hit-count pass; None when r1m meets an edge r2m hits
+    or a 2 hits no edge alone, so that no minimal pair lies above (r1m, r2m)."""
+    once, twice = _hit_counts(inc, r2m)
+    if r1m & once:
+        return None
+    # the bit loop inlined: this is ext_rhs's whole cost past validation
+    m = r2m
+    while m:
+        low = m & -m
+        if not inc[low.bit_length() - 1] & ~twice:
+            return None
+        m ^= low
+    return (1 << len(members)) - 1 & ~once
+
+
 def _rhf_violation(
-    h: Hypergraph, tau: Correspondence, ones: int, twos: int
+    members: Masks, inc: Masks, mapping: Masks, ones: int, twos: int
 ) -> str | None:
-    """characterize.minimal_rhf_violation on a validated correspondence and
-    level masks. The collision test needs no hit counts, so brute sweeps
-    over every assignment drop most candidates before any are computed."""
-    seen = tau.image_mask(ones)
+    """characterize.minimal_rhf_violation on level masks. The collision
+    test needs no hit counts, so brute sweeps over every assignment drop
+    most candidates before any are computed."""
+    seen = _image(mapping, ones)
     if seen.bit_count() != ones.bit_count():
         return "tau-collision-on-ones"
-    once, twice = h.hit_counts(twos)
+    once, twice = _hit_counts(inc, twos)
     if seen & once:
         return "one-vertex-edge-hit-by-two"
     for x in bits(twos):
-        if not h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x]):
+        if not inc[x] & ~twice & ~(1 << mapping[x]):
             return "two-vertex-without-private-edge"
-    if h.all_edges_mask & ~seen & ~once:
+    if (1 << len(members)) - 1 & ~seen & ~once:
         return "unhit-edge"
     return None
 
@@ -658,7 +715,15 @@ class BoundedRdInstance(_Frozen):
 
 def is_rdf(g: Graph, f: Sequence[int]) -> bool:
     """Every 0-vertex has a neighbor with value 2: an rhf on N[.]."""
-    return _is_rhf(*closed_neighborhood_hypergraph(g), *_level_masks(f, g.n_vertices))
+    return _is_rhf(*_closed_masks(g), *_level_masks(f, g.n_vertices))
+
+
+def _closed_masks(g: Graph) -> tuple[Masks, Masks, Masks]:
+    """closed_neighborhood_hypergraph(g) as the cores' three sequences:
+    N[v] is vertex v's edge and, since N[u] holds v exactly when N[v]
+    holds u, also its incidence; the correspondence is the identity."""
+    closed = tuple([a | 1 << v for v, a in enumerate(g._adjacency)])
+    return closed, closed, range(len(closed))
 
 
 def _prebuilt(*slots: object) -> Hypergraph:
@@ -678,11 +743,11 @@ def closed_neighborhood_hypergraph(g: Graph) -> tuple[Hypergraph, Correspondence
     assignment is an rdf of the graph exactly when it is an rhf here, and
     (f^-1(1), f^-1(2)) read as a pair is an rhs exactly when f is an rhf.
 
-    The graph is already checked, and N[u] holds v exactly when N[v] holds
-    u, so every vertex's incidence is its own edge: the hypergraph is built
-    in one pass over the adjacency.
+    The graph is already checked, and every vertex's incidence is its own
+    edge, so the hypergraph is built in one pass over the adjacency
+    (_closed_masks).
     """
-    closed = tuple(a | 1 << v for v, a in enumerate(g._adjacency))
+    closed = _closed_masks(g)[0]
     vids = g._vertex_ids
     h = _prebuilt(g.vertex_tokens, g.vertex_tokens, closed, vids, vids, closed)
     return h, Correspondence(tuple(range(g.n_vertices)))

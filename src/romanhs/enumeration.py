@@ -46,7 +46,9 @@ from .core import (
     RhsPair,
     RomanAssignment,
     _Record,
+    _instance_masks,
     _level_masks,
+    _minimal_r1,
     _rhf_violation,
     bits,
     mask_of,
@@ -376,11 +378,8 @@ def minimal_pair_for_r2(h: Hypergraph, r2_mask: int) -> RhsPair | None:
     a minimal pair exists for the mask exactly when every chosen vertex
     hits some edge alone.
     """
-    once, twice = h.hit_counts(r2_mask)
-    for x in bits(r2_mask):
-        if not h.incidence_mask(x) & ~twice:
-            return None
-    return RhsPair.from_masks(h.all_edges_mask & ~once, r2_mask)
+    r1m = _minimal_r1(h.edge_members, h.incidence_masks, 0, r2_mask)
+    return None if r1m is None else RhsPair.from_masks(r1m, r2_mask)
 
 
 def brute_enumerate_minimal_rhs(
@@ -412,11 +411,12 @@ def brute_enumerate_minimal_rhf(
     """
     guard_work(3**h.n_vertices, "brute rhf enumeration")
     tau.validate(h)
+    inst = _instance_masks(h, tau)
     candidates = itertools.product((0, 1, 2), repeat=h.n_vertices)
     return [
         f
         for f in itertools.islice(candidates, part, None, stride)
-        if _rhf_violation(h, tau, *_level_masks(f, h.n_vertices)) is None
+        if _rhf_violation(*inst, *_level_masks(f, h.n_vertices)) is None
     ]
 
 

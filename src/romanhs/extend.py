@@ -14,12 +14,15 @@ each closure, and ext_ds_split answers minimal-dominating-set extension
 on split graphs by ext_rhs through reduce.ds_split_to_rhs.
 
 The public functions validate once; their loops call private cores on
-vertex masks that validate nothing (_promote, _general_witness,
-_witness_cover, and core's _complete, _rhf_violation and
-_pair_violation). Outside the sweep, which carries its own hit counts
-from prefix to prefix, a 2's private edges come from
-Hypergraph.hit_counts as the edges it hits that are not hit twice.
-is_minimal_dominating_set is the pair check on the closed neighborhoods.
+masks that validate nothing (_promote, _general_witness, _witness_cover,
+and core's _complete, _rhf_violation, _pair_violation and _minimal_r1),
+which take an instance as core's three sequences: a hypergraph's
+_instance_masks, or a graph's closed-neighborhood masks, so the graph
+solvers build no hypergraph. ext_rhs is one hit-count pass over R2's
+incidences (_minimal_r1). Outside the sweep, which carries its own hit
+counts from prefix to prefix, a 2's private edges are the edges it hits
+that are not hit twice. is_minimal_dominating_set is the pair check on
+the closed neighborhoods.
 """
 
 from __future__ import annotations
@@ -34,24 +37,29 @@ from .core import (
     EdgeIndex,
     Graph,
     Hypergraph,
+    Masks,
     RhsPair,
     RomanAssignment,
     VertexId,
     _Frozen,
     _assignment,
+    _closed_masks,
     _complete,
+    _hit_counts,
     _id_mask,
+    _image,
+    _instance_masks,
     _level_masks,
+    _minimal_r1,
     _pair_violation,
     _rhf_violation,
+    _union,
     _vertex_mask,
     bits,
-    closed_neighborhood_hypergraph,
     frozenset_of,
     mask_of,
     submasks,
 )
-from .enumeration import minimal_pair_for_r2
 from .errors import InputError, guard_work
 
 Witness = RhsPair | RomanAssignment | frozenset
@@ -65,8 +73,14 @@ class ExtAnswer(_Frozen):
     witness: Witness | None
 
     def __init__(self, decision: bool, witness: Witness | None = None) -> None:
-        object.__setattr__(self, "decision", decision)
-        object.__setattr__(self, "witness", witness)
+        _SET_DECISION(self, decision)
+        _SET_WITNESS(self, witness)
+
+
+# the slot descriptors' setters bypass the refusing __setattr__ at half the
+# cost of object.__setattr__; ext_rhs builds one answer per call
+_SET_DECISION = ExtAnswer.decision.__set__
+_SET_WITNESS = ExtAnswer.witness.__set__
 
 
 def ext_rhs(h: Hypergraph, u: RhsPair) -> ExtAnswer:
@@ -78,11 +92,10 @@ def ext_rhs(h: Hypergraph, u: RhsPair) -> ExtAnswer:
     is every edge R2 misses, R1 included.
     """
     u.validate(h)
-    r2m = u.r2_mask()
-    if u.r1_mask() & h.incidence_set_mask(r2m):
+    r1m = _minimal_r1(h.edge_members, h.incidence_masks, u.r1m, u.r2m)
+    if r1m is None:
         return ExtAnswer(False)
-    pair = minimal_pair_for_r2(h, r2m)
-    return ExtAnswer(pair is not None, pair)
+    return ExtAnswer(True, RhsPair.from_masks(r1m, u.r2m))
 
 
 def promote_closure(
@@ -96,18 +109,18 @@ def promote_closure(
     result has an injective correspondence on its 1-set.
     """
     tau.validate(h)
-    m1, m2 = _promote(h, tau, *_level_masks(f, h.n_vertices))
+    m1, m2 = _promote(*_instance_masks(h, tau), *_level_masks(f, h.n_vertices))
     return _assignment(h.n_vertices, m1, m2)
 
 
 def _promote(
-    h: Hypergraph, tau: Correspondence, m1: int, m2: int
+    members: Masks, inc: Masks, mapping: Masks, m1: int, m2: int
 ) -> tuple[int, int]:
-    """promote_closure on validated masks: the fixpoint's 1s and 2s."""
+    """promote_closure on masks: the fixpoint's 1s and 2s."""
     first: dict[int, int] = {}
     clash = 0
     for x in bits(m1):
-        y = first.setdefault(tau.mapping[x], x)
+        y = first.setdefault(mapping[x], x)
         if y != x:
             clash |= 1 << x | 1 << y
     m1 &= ~clash
@@ -116,7 +129,7 @@ def _promote(
     while changed:
         changed = False
         for y in bits(m1):
-            if h.edge_members[tau.mapping[y]] & m2:
+            if members[mapping[y]] & m2:
                 m1 &= ~(1 << y)
                 m2 |= 1 << y
                 changed = True
@@ -142,7 +155,8 @@ def ext_rhf_surjective(
             "an edge without correspondence preimage is not pre-hit; "
             "use the general solver"
         )
-    return _general_witness(h, tau, ones, twos)
+    inst = _instance_masks(h, tau)
+    return _general_witness(*inst, *_promote(*inst, ones, twos))
 
 
 def _general_sweep(
@@ -169,10 +183,9 @@ def _general_sweep(
         3 ** (n - n_ones - f_twos.bit_count()) * 2**n_ones,
         "general extension sweep",
     )
-    members, mapping = h.edge_members, tau.mapping
+    members, incidence, mapping = inst = _instance_masks(h, tau)
     if not all(members):
         return ExtAnswer(False)
-    incidence = [h.incidence_mask(x) for x in range(n)]
     # the edges that can be private to x as a 2
     own = [inc & ~(1 << i) for inc, i in zip(incidence, mapping)]
     # the edges whose highest member is x
@@ -187,7 +200,7 @@ def _general_sweep(
     while stack:
         x, m1, m2, img, cover, hit, multi = pop()
         if x == n:
-            assert _rhf_violation(h, tau, m1, m2) is None
+            assert _rhf_violation(*inst, m1, m2) is None
             return ExtAnswer(True, _assignment(n, m1, m2))
         bit = 1 << x
         # the edges that x must hit or claim now; a 2 on x hits them all
@@ -282,35 +295,33 @@ def check_extension_witness(
     if any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
         return False
     loose = h.all_edges_mask & ~tau.range_mask & ~h.incidence_set_mask(r2m)
-    return _witness_cover(h, tau, rest, rho.values(), loose) is not None
+    inst = _instance_masks(h, tau)
+    return _witness_cover(*inst, rest, rho.values(), loose) is not None
 
 
 def _witness_cover(
-    h: Hypergraph,
-    tau: Correspondence,
-    rest: int,
-    targets: Iterable[EdgeIndex],
-    loose: int,
+    members: Masks, inc: Masks, mapping: Masks,
+    rest: int, targets: Iterable[EdgeIndex], loose: int,
 ) -> list[int] | None:
     """The part of each loose edge (a preimage-free edge that misses the
     planned 2-set) that neither the remaining 1s' corresponding edges nor
     the certificate edges touch, or None when some part is empty."""
     covered = 0
-    for i in itertools.chain(bits(tau.image_mask(rest)), targets):
-        covered |= h.edge_members[i]
-    cut = [h.edge_members[i] & ~covered for i in bits(loose)]
+    for i in itertools.chain(bits(_image(mapping, rest)), targets):
+        covered |= members[i]
+    cut = [members[i] & ~covered for i in bits(loose)]
     return cut if all(cut) else None
 
 
 def _carve(
-    h: Hypergraph, tau: Correspondence, rest: int, cands: list[int], loose: int
+    members: Masks, inc: Masks, mapping: Masks, rest: int, cands: list[int], loose: int
 ) -> int | None:
     """Fresh 2s for the loose edges: a minimal hitting set of their parts
     that the first private-edge map in product order leaves untouched, so
     the remaining 1s keep their corresponding edges; None when every map
     swallows a loose edge."""
     for combo in itertools.product(*(list(bits(c)) for c in cands)):
-        cut = _witness_cover(h, tau, rest, combo, loose)
+        cut = _witness_cover(members, inc, mapping, rest, combo, loose)
         if cut is not None:
             d = 0
             for e in cut:
@@ -324,7 +335,7 @@ def _carve(
 
 
 def _witness_work(
-    h: Hypergraph, tau: Correspondence, ones: int, once: int, cands: list[int]
+    members: Masks, inc: Masks, mapping: Masks, ones: int, once: int, cands: list[int]
 ) -> int:
     """Bound on the candidates the witness search tries past its first
     2-set, the closure's 2s, whose hit-once edges and candidate edges per
@@ -337,38 +348,36 @@ def _witness_work(
     """
     maps = math.prod(c.bit_count() for c in cands)
     for x in bits(ones):
-        free = h.incidence_mask(x) & ~once & ~(1 << tau.mapping[x])
+        free = inc[x] & ~once & ~(1 << mapping[x])
         maps *= max(free.bit_count(), 1)
     return (1 << ones.bit_count()) * maps
 
 
 def _general_witness(
-    h: Hypergraph, tau: Correspondence, f_ones: int, f_twos: int
+    members: Masks, inc: Masks, mapping: Masks, ones: int, twos: int
 ) -> ExtAnswer:
-    """The witness search on f's 1s and 2s, the one rhf-extension core.
+    """The witness search on a promotion closure's 1s and 2s, the one
+    rhf-extension core; each caller closes f first (_promote).
 
-    After the promotion closure it tries the 2-sets its 1s allow, its 2s
-    alone first, and for each the private-edge maps; the first that
-    passes yields the witness. The first 2-set decides without search
-    when a closure 2 has no candidate edge (none has at any larger
-    2-set) or when it hits every preimage-free edge (every map passes);
-    otherwise the search is guarded before it goes on.
+    It tries the 2-sets the closure's 1s allow, its 2s alone first, and
+    for each the private-edge maps; the first that passes yields the
+    witness. The first 2-set decides without search when a closure 2 has
+    no candidate edge (none has at any larger 2-set) or when it hits every
+    preimage-free edge (every map passes); otherwise the search is
+    guarded before it goes on.
     """
-    ones, twos = _promote(h, tau, f_ones, f_twos)
-    no_pre = h.all_edges_mask & ~tau.range_mask
+    inst = members, inc, mapping
+    no_pre = (1 << len(members)) - 1 & ~mask_of(mapping)
     for sub in submasks(ones):
         r2m = twos | sub
         rest = ones & ~sub
         # the closure's 1s keep their corresponding edges free of its 2s
-        if sub and any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
+        if sub and any(members[mapping[x]] & r2m for x in bits(rest)):
             continue
         # every other witness constraint holds by construction of the
         # candidate edges
-        once, twice = h.hit_counts(r2m)
-        cands = [
-            h.incidence_mask(x) & ~twice & ~(1 << tau.mapping[x])
-            for x in bits(r2m)
-        ]
+        once, twice = _hit_counts(inc, r2m)
+        cands = [inc[x] & ~twice & ~(1 << mapping[x]) for x in bits(r2m)]
         if not all(cands):
             if not sub:
                 break
@@ -376,17 +385,17 @@ def _general_witness(
         loose = no_pre & ~once
         if loose and not sub:  # the first 2-set does not decide
             guard_work(
-                _witness_work(h, tau, ones, once, cands),
+                _witness_work(*inst, ones, once, cands),
                 "witness extension search",
             )
-        d = _carve(h, tau, rest, cands, loose) if loose else 0
+        d = _carve(*inst, rest, cands, loose) if loose else 0
         if d is not None:
             g2 = r2m | d
-            g1 = _complete(h, tau, rest, g2)
-            assert _rhf_violation(h, tau, g1, g2) is None
-            # the witness lies above f pointwise
-            assert not f_twos & ~g2 and not f_ones & ~(g1 | g2)
-            return ExtAnswer(True, _assignment(h.n_vertices, g1, g2))
+            g1 = _complete(*inst, rest, g2)
+            assert _rhf_violation(*inst, g1, g2) is None
+            # the witness lies above the closure, so above f, pointwise
+            assert not twos & ~g2 and not ones & ~(g1 | g2)
+            return ExtAnswer(True, _assignment(len(inc), g1, g2))
     return ExtAnswer(False)
 
 
@@ -417,7 +426,8 @@ def ext_rhf_general(
     if strategy == "sweep":
         return _general_sweep(h, tau, ones, twos)
     if strategy == "witness":
-        return _general_witness(h, tau, ones, twos)
+        inst = _instance_masks(h, tau)
+        return _general_witness(*inst, *_promote(*inst, ones, twos))
     raise InputError(f"unknown strategy {strategy!r}")
 
 
@@ -444,19 +454,19 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
     # some lower value lies above its cap
     if f2 & ~cap2 or f1 & cap0:
         return ExtAnswer(False)
-    hh, tt = closed_neighborhood_hypergraph(g)
+    nbhd = _closed_masks(g)
 
     def close(m1: int, m2: int) -> tuple[int, int] | None:
         # on N[.] with the identity correspondence the promotion closure
         # raises exactly the 1s next to a 2
-        m1, m2 = _promote(hh, tt, m1, m2)
+        m1, m2 = _promote(*nbhd, m1, m2)
         return None if m2 & ~cap2 else (m1, m2)
 
     base = close(f1, f2)
     if base is None:
         return ExtAnswer(False)
     pinned = f1 & cap1
-    banned = hh.incidence_set_mask(pinned) & ~pinned  # N[pinned] - pinned
+    banned = _union(nbhd[1], pinned) & ~pinned  # N[pinned] - pinned
     cands = []
     for v in bits(cap0):
         cs = list(bits(g.neighbors_mask(v) & cap2 & ~banned))
@@ -472,8 +482,9 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
         if key is None or key in seen:
             continue
         seen.add(key)
-        # tt is surjective, so the witness search decides at its first 2-set
-        ans = _general_witness(hh, tt, *key)
+        # the key is closed, and the identity is surjective, so the witness
+        # search decides at its first 2-set
+        ans = _general_witness(*nbhd, *key)
         if ans.decision:
             assert all(a <= b <= c for a, b, c in zip(f, ans.witness, up))
             return ans
@@ -483,8 +494,8 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
 def is_minimal_dominating_set(g: Graph, d: Iterable[VertexId]) -> bool:
     """Every vertex is in or next to d, and every member has a private
     dominee: d is a minimal hitting set of the closed neighborhoods."""
-    hh = closed_neighborhood_hypergraph(g)[0]
-    return _pair_violation(hh, 0, _vertex_mask(g, d, "vertex set")) is None
+    closed = _closed_masks(g)[0]
+    return _pair_violation(closed, closed, 0, _vertex_mask(g, d, "vertex set")) is None
 
 
 def ext_ds_split(

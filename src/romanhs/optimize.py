@@ -35,6 +35,7 @@ from .core import (
     _assignment,
     _edge_masks,
     _edge_token_ids,
+    _instance_masks,
     _is_rhf,
     _is_rhs,
     _prebuilt,
@@ -116,7 +117,7 @@ def greedy_rhf(
     tau.validate(h)
     _require_nonempty_edges(h)
     cover = mask_of(_greedy_cover(h))
-    assert _is_rhf(h, tau, 0, cover)
+    assert _is_rhf(*_instance_masks(h, tau), 0, cover)
     return _assignment(h.n_vertices, 0, cover), 2 * cover.bit_count()
 
 

@@ -33,8 +33,10 @@ from .core import (
     VertexId,
     _Frozen,
     _assignment,
+    _closed_masks,
     _complete,
     _edge_masks,
+    _instance_masks,
     _is_rhf,
     _is_rhs,
     _level_masks,
@@ -85,7 +87,7 @@ def _rhf(
     ones, twos = _level_masks(f, h.n_vertices)
     if budget is not None and ones.bit_count() + 2 * twos.bit_count() > budget:
         raise InputError(f"assignment weight exceeds the budget {budget}")
-    if not _is_rhf(h, tau, ones, twos):
+    if not _is_rhf(*_instance_masks(h, tau), ones, twos):
         raise InputError("assignment is not a hitting function")
     return ones, twos
 
@@ -152,8 +154,9 @@ def rhf_to_rhs(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
                 # both slots were occupied; trade them for hitting the edge
                 r2m |= e & -e
         # every edge the 2s now miss is in R1 and has a preimage
-        ones = _complete(h, tau, 0, r2m)
-        assert _is_rhf(h, tau, ones, r2m)
+        inst = _instance_masks(h, tau)
+        ones = _complete(*inst, 0, r2m)
+        assert _is_rhf(*inst, ones, r2m)
         f = _assignment(h.n_vertices, ones, r2m)
         assert weight_assignment(f) <= weight_pair(pair)
         return f
@@ -191,7 +194,7 @@ def rhs_to_rhf(h: Hypergraph, k: int) -> ReductionOutput:
 
     def forward(pair: RhsPair) -> RomanAssignment:
         _rhs(h, pair, "pair is not a Roman hitting set", k)
-        assert _is_rhf(target, tau2, pair.r1m << n, pair.r2m)
+        assert _is_rhf(*_instance_masks(target, tau2), pair.r1m << n, pair.r2m)
         return _assignment(target.n_vertices, pair.r1m << n, pair.r2m)
 
     def backward(f: Sequence[int]) -> RhsPair:
@@ -237,7 +240,7 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
         pairs += [(v_base + x, u_base + k) for x in bits(h.edge_members[i])]
     gadget = Graph(tuple(tokens), tuple(pairs))
     size = gadget.n_vertices
-    closed = closed_neighborhood_hypergraph(gadget)  # rdfs are its rhfs
+    closed = _closed_masks(gadget)  # rdfs are its rhfs
 
     def forward(f: Sequence[int]) -> RomanAssignment:
         ones, twos = _rhf(h, tau, f)
@@ -269,7 +272,7 @@ def rhf_to_rd_gadget(h: Hypergraph, tau: Correspondence) -> ReductionOutput:
         claimed = (ones >> w_base) & rng
         assert _is_rhf(*closed, claimed << w_base, 1 | r2m << v_base)
         r1m = tau.first_preimages(claimed)
-        assert _is_rhf(h, tau, r1m, r2m)
+        assert _is_rhf(*_instance_masks(h, tau), r1m, r2m)
         f = _assignment(n, r1m, r2m)
         assert weight_assignment(f) <= ones.bit_count() + 2 * twos.bit_count() - 2
         return f
@@ -462,7 +465,7 @@ def hrd_to_rd_two_section(h: Hypergraph) -> ReductionOutput:
     no forward mapper, and the offset is 0.
     """
     g2 = two_section(h)
-    closed = closed_neighborhood_hypergraph(g2)
+    closed = _closed_masks(g2)
 
     def backward(f: Sequence[int]) -> RomanAssignment:
         ones, twos = _level_masks(f, g2.n_vertices)

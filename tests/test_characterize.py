@@ -21,6 +21,7 @@ from corpus import (
     random_pair,
     star_graph,
 )
+from romanhs import characterize, core, extend
 from romanhs.characterize import (
     brute_minimal_po_rdf,
     brute_minimal_rdf,
@@ -38,6 +39,7 @@ from romanhs.characterize import (
     private_neighborhood_report,
 )
 from romanhs.core import (
+    BoundedRdInstance,
     Graph,
     RhsPair,
     closed_neighborhood_hypergraph,
@@ -47,7 +49,12 @@ from romanhs.core import (
 )
 from romanhs.enumeration import gen_random, iter_minimal_rhs
 from romanhs.errors import InputError
-from romanhs.extend import ExtensionWitness, check_extension_witness
+from romanhs.extend import (
+    ExtensionWitness,
+    bounded_ext_rd,
+    check_extension_witness,
+    is_minimal_dominating_set,
+)
 
 
 # Literal references: scan the whole downward closure instead of single
@@ -376,3 +383,48 @@ class TestGuards:
             is_po_minimal_rdf_theorem(g, f) for f in fs
         ]
         assert set(verdicts) == {False, True}
+
+
+def _graph_answers(g):
+    """Every graph check's answer on every assignment, vertex set and
+    bounded instance of g; a record a monkeypatched library must repeat."""
+    n = g.n_vertices
+    fs = list(all_assignments(n))
+    sets = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+    out = [
+        [is_rdf(g, f) for f in fs],
+        [minimal_rdf_violation(g, f) for f in fs],
+        [po_minimal_rdf_violation(g, f) for f in fs],
+        [brute_minimal_rdf(g, f) for f in fs],
+        [brute_minimal_po_rdf(g, f) for f in fs],
+        [is_minimal_dominating_set(g, d) for d in sets],
+        [private_neighborhood(g, d, v) for d in sets for v in d],
+        [private_neighborhood_report(g, d) for d in sets],
+    ]
+    # every lower bound below a cap of 0 or 2 per vertex, or of 1 everywhere,
+    # and one crossed pair
+    ups = [up for up in fs if 1 not in up] + [(1,) * n]
+    boxes = [(lo, up) for up in ups for lo in fs if all(map(int.__le__, lo, up))]
+    boxes.append(((2,) * n, (1,) * n))
+    out.append([bounded_ext_rd(BoundedRdInstance.build(g, lo, up)) for lo, up in boxes])
+    return out
+
+
+def test_graph_checks_build_no_hypergraph(monkeypatch):
+    # the graph checks run the mask cores on the closed neighborhoods; none
+    # of them builds the closed-neighborhood hypergraph
+    graphs = [
+        Graph(tuple(f"v{i}" for i in range(n)), edges)
+        for n in range(1, 5)
+        for k in range(len(list(itertools.combinations(range(n), 2))) + 1)
+        for edges in itertools.combinations(itertools.combinations(range(n), 2), k)
+    ]
+    assert len(graphs) == 1 + 2 + 8 + 64
+    expected = [_graph_answers(g) for g in graphs]
+
+    def refuse(g):
+        raise AssertionError("a graph check built the closed-neighborhood hypergraph")
+
+    for module in (core, characterize, extend):
+        monkeypatch.setattr(module, "closed_neighborhood_hypergraph", refuse, raising=False)
+    assert [_graph_answers(g) for g in graphs] == expected

@@ -497,14 +497,14 @@ def test_witness_stops_when_a_closure_two_has_no_candidate(monkeypatch):
     assert not ext_rhf_surjective(h, tau, f).decision
     assert not ext_rhf_general(h, tau, f, strategy="sweep").decision
     calls = 0
-    hit_counts = Hypergraph.hit_counts
+    hit_counts = extend._hit_counts
 
-    def counted(self, mask):
+    def counted(inc, mask):
         nonlocal calls
         calls += 1
-        return hit_counts(self, mask)
+        return hit_counts(inc, mask)
 
-    monkeypatch.setattr(Hypergraph, "hit_counts", counted)
+    monkeypatch.setattr(extend, "_hit_counts", counted)
     assert not ext_rhf_general(h, tau, f, strategy="witness").decision
     # each 2-set tried reads its hit counts once; allow one more read for
     # a bound taken before the search
@@ -627,6 +627,30 @@ def test_bounded_guard_counts_dominator_choices():
     small = parse_graph_text(capped_paths_text(8))
     inst = BoundedRdInstance.build(small.graph, small.assignment, small.upper)
     assert not bounded_ext_rd(inst).decision
+
+
+def test_bounded_closes_once_per_dominator_choice(monkeypatch):
+    # z, capped at 0, has five dominator choices; w and v, pinned at 2 and
+    # adjacent to each other and to z, keep no private neighbor, so every
+    # choice is tried and the answer is no. Choosing w or v gives one key.
+    text = (
+        "vertex z a b c w v\ngedge z a\ngedge z b\ngedge z c\n"
+        "gedge z w\ngedge z v\ngedge w v\nassign w 2\nassign v 2\nupper z 0\n"
+    )
+    gf = parse_graph_text(text)
+    inst = BoundedRdInstance.build(gf.graph, gf.assignment, gf.upper)
+    calls = 0
+    promote = extend._promote
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return promote(*args)
+
+    monkeypatch.setattr(extend, "_promote", counted)
+    assert not bounded_ext_rd(inst).decision
+    # the lower assignment's closure, then one per choice
+    assert calls == 1 + 5
 
 
 def test_bounded_unbounded_top_equals_surjective_extension():
