@@ -16,12 +16,19 @@ at least two R2 vertices (plus the outcome of its extension check). An
 R2 vertex x keeps a private edge exactly when ``inc[x] & once & ~twice``
 is non-empty, so the extension check only re-tests the vertices a child
 adds to R2 and the R2 owners of edges the child moves from ``once`` to
-``twice``. One pass over the live edges of a node applies both reduction
-rules and builds bit-sliced live-degree masks (degree at least 1, 2 and
-3), from which the branch rule is chosen. Each child is described by
-what it adds to R2, what it deletes and the drained edge it moves to R1,
-and the children are pushed in reverse so they are expanded in rule
-order.
+``twice``. A node's live-edge summary applies both reduction rules and
+chooses the branch rule: bit-sliced live-degree masks (degree at least 1,
+2 and 3), the members of 2-member edges, and the live edges with 1, 2 and
+3 live members. A node builds it in one pass over its live edges, except
+the first child of a node with many live edges: it is popped right after
+its parent and starts from the parent's summary, held in local variables
+only. It resizes the edges that lost a member, recounts the degrees of
+the members of edges that left, and rechecks the members of edges that
+left size 2. The descent to the first pair then costs what changes on
+the way down, not its depth times the live edges. Each child is
+described by what it adds to R2, what it deletes and the drained edge it
+moves to R1, and the children are pushed in reverse so they are expanded
+in rule order.
 
 An optional weight cap turns the enumerator into a bounded-weight lister
 (used for Roman vertex covers). The cap prune adds to the weight so far
@@ -129,6 +136,14 @@ def _load_order(members: Sequence[int], inc: Sequence[int]) -> list[int]:
     return sorted(range(len(members)), key=load.__getitem__)
 
 
+# the first child of a node with more live edges than this derives its
+# live-edge summary from the parent's; below it a full pass is cheaper.
+# Deriving after every expansion cost the enumerate benchmark 22% of its
+# pairs per second, cutoffs 4 to 32 timed alike and 64 slowed the deep
+# descents (BENCH_22.json, "cutoff")
+_DERIVE_ABOVE = 16
+
+
 def _search(
     members: Sequence[int], inc: Sequence[int], cap: int | None, stats: EnumerationStats
 ) -> Iterator[tuple[int, int]]:
@@ -143,34 +158,82 @@ def _search(
     stack = [((1 << len(inc)) - 1, (1 << len(members)) - 1, 0, 0, 0, 0, True)]
     push = stack.append
     pop = stack.pop
+    derive = False
     while stack:
         livev, live_e, r1m, r2m, once, twice, private = pop()
-        # one pass over the live edges: drained edges, live-degree masks
-        # d1/d2/d3, members of 2-edges, first live edge of 1, 2, 3 members
-        d1 = d2 = d3 = s2 = drained = 0
-        e1 = e2 = e3 = -1
-        rest = live_e
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            cur = members[i] & livev
-            if not cur:
-                drained |= low
-                continue
-            d3 |= d2 & cur
-            d2 |= d1 & cur
-            d1 |= cur
-            size = cur.bit_count()
-            if size == 1:
-                if e1 < 0:
-                    e1 = i
-            elif size == 2:
-                s2 |= cur
-                if e2 < 0:
-                    e2 = i
-            elif size == 3 and e3 < 0:
-                e3 = i
+        if derive:
+            # the first child of the node just expanded, whose summary is
+            # still in pv, pe, d1/d2/d3, s2 and m1/m2/m3: resize the edges
+            # that lost a member, recount the degrees of the members of
+            # edges that left, recheck s2 for members of edges that left
+            # size 2
+            derive = False
+            gone = pe ^ live_e
+            lost = redo = recheck = drained = 0
+            for x in bits(pv ^ livev):
+                lost |= inc[x]
+            lost &= live_e
+            for i in bits(gone):
+                redo |= members[i]
+            for i in bits(m2 & (gone | lost)):
+                recheck |= members[i]
+            same = live_e & ~lost
+            m1 &= same
+            m2 &= same
+            m3 &= same
+            s2 &= livev
+            for i in bits(lost):
+                cur = members[i] & livev
+                size = cur.bit_count()
+                if not size:
+                    drained |= 1 << i
+                elif size == 1:
+                    m1 |= 1 << i
+                elif size == 2:
+                    m2 |= 1 << i
+                    s2 |= cur
+                elif size == 3:
+                    m3 |= 1 << i
+            redo &= livev
+            keep = livev & ~redo
+            d1 &= keep
+            d2 &= keep
+            d3 &= keep
+            for x in bits(redo):
+                deg = (inc[x] & live_e).bit_count()
+                if deg:
+                    d1 |= 1 << x
+                    if deg > 1:
+                        d2 |= 1 << x
+                        if deg > 2:
+                            d3 |= 1 << x
+            for x in bits(recheck & s2):
+                if not inc[x] & m2:
+                    s2 ^= 1 << x
+        else:
+            # one pass over the live edges: drained edges, live-degree
+            # masks d1/d2/d3, members of 2-edges, live edges of 1, 2, 3
+            # members
+            d1 = d2 = d3 = s2 = m1 = m2 = m3 = drained = 0
+            rest = live_e
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cur = members[low.bit_length() - 1] & livev
+                if not cur:
+                    drained |= low
+                    continue
+                d3 |= d2 & cur
+                d2 |= d1 & cur
+                d1 |= cur
+                size = cur.bit_count()
+                if size == 1:
+                    m1 |= low
+                elif size == 2:
+                    s2 |= cur
+                    m2 |= low
+                elif size == 3:
+                    m3 |= low
         if livev != d1:
             # vertices out of live edges can never earn a private edge
             rc["RR1"] = rc.get("RR1", 0) + (livev ^ d1).bit_count()
@@ -204,8 +267,9 @@ def _search(
 
         # children as (measure drop, R2 additions, deletions, R1 edge)
         deg1 = d1 & ~d2
-        if e1 >= 0:
+        if m1:
             rule = "BR1"
+            e1 = (m1 & -m1).bit_length() - 1
             xb = members[e1] & livev
             kids = ((2, 0, xb, 1 << e1), (2, xb, 0, 0))
         elif d3:
@@ -242,13 +306,15 @@ def _search(
                 rule = "BR5"
                 xb, yb = 1 << twins[0], 1 << twins[1]
                 kids = ((4, xb, yb, 0), (4, yb, xb, 0), (2, 0, xb | yb, 0))
-            elif e2 >= 0:
+            elif m2:
                 rule = "BR6"
+                e2 = (m2 & -m2).bit_length() - 1
                 cur = members[e2] & livev
                 xb = cur & -cur
                 kids = ((3, xb, 0, 0), (4, cur ^ xb, xb, 0), (3, 0, cur, 1 << e2))
-            elif e3 >= 0:
+            elif m3:
                 rule = "BR7"
+                e3 = (m3 & -m3).bit_length() - 1
                 cur = members[e3] & livev
                 xb = cur & -cur
                 yb = (cur ^ xb) & -(cur ^ xb)
@@ -315,6 +381,10 @@ def _search(
                         ok = False
                         break
             push((c_livev, c_live_e, r1m | r1b, r2m | add, c_once, c_twice, ok))
+        if live_e.bit_count() > _DERIVE_ABOVE:
+            # the next pop is the first child pushed last
+            derive = True
+            pv, pe = livev, live_e
     stats.emitted = emitted
     stats.nodes = nodes
     stats.max_gap = max(max_gap, gap)
@@ -382,6 +452,11 @@ def minimal_pair_for_r2(h: Hypergraph, r2_mask: int) -> RhsPair | None:
     return None if r1m is None else RhsPair.from_masks(r1m, r2_mask)
 
 
+def _check_split(part: int, stride: int) -> None:
+    if not 0 <= part < stride:
+        raise InputError("a brute scan needs 0 <= part < stride")
+
+
 def brute_enumerate_minimal_rhs(
     h: Hypergraph, part: int = 0, stride: int = 1
 ) -> list[RhsPair]:
@@ -391,6 +466,7 @@ def brute_enumerate_minimal_rhs(
     With a stride only the masks part, part + stride, ... are scanned: the
     stride parts of one instance together give the full result.
     """
+    _check_split(part, stride)
     guard_work(1 << h.n_vertices, "brute rhs enumeration")
     out = []
     for r2m in range(part, 1 << h.n_vertices, stride):
@@ -409,6 +485,7 @@ def brute_enumerate_minimal_rhf(
     by the guard; with a stride only every stride-th of them, starting at
     index part, is scanned.
     """
+    _check_split(part, stride)
     guard_work(3**h.n_vertices, "brute rhf enumeration")
     tau.validate(h)
     inst = _instance_masks(h, tau)

@@ -140,12 +140,43 @@ def test_iter_deep_prefix():
     h = gen_tight(1000)
     masks = []
     sample = []
+    first = []
     for k, pair in enumerate(itertools.islice(iter_minimal_rhs(h), 1000)):
         masks.append((pair.r1_mask(), pair.r2_mask()))
+        if k < 3:
+            first.append(pair)
         if k % 200 == 0:
             sample.append(pair)
     assert len(masks) == len(set(masks)) == 1000
     assert all(is_minimal_rhs_theorem(h, p) for p in sample)
+    # the lowest vertex of every edge at 2, then the last edge's other
+    # vertex, then that edge in R1; on the way down every first child of a
+    # node with more than 16 live edges derives its summary from its parent's
+    evens = frozenset(range(0, 2000, 2))
+    assert first == [
+        RhsPair(frozenset(), evens),
+        RhsPair(frozenset(), evens - {1998} | {1999}),
+        RhsPair(frozenset({999}), evens - {1998}),
+    ]
+
+
+def _masks_and_stats(h, cap):
+    st = enumeration.EnumerationStats()
+    masks = list(enumeration._search(h.edge_members, h.incidence_masks, cap, st))
+    return masks, (st.emitted, st.nodes, st.max_gap, st.rule_counts)
+
+
+def test_derived_summaries_match_the_full_pass(monkeypatch):
+    # a first child below the cutoff rescans its live edges; at cutoff 0
+    # every first child derives its summary from its parent's instead, and
+    # the search must not notice: same masks in the same order, same stats
+    from test_enumeration_golden import corpus
+
+    runs = corpus()
+    want = [_masks_and_stats(h, cap) for _, h, cap in runs]
+    monkeypatch.setattr(enumeration, "_DERIVE_ABOVE", 0)
+    for (label, h, cap), expected in zip(runs, want):
+        assert _masks_and_stats(h, cap) == expected, (label, cap)
 
 
 class _Enough(Exception):
@@ -198,15 +229,29 @@ def test_brute_rhs_guard():
 
 
 def test_brute_parts_cover_the_scan():
+    # for every stride the parts are disjoint and together give the single
+    # scan, in its order once sorted
     h = build_ex1()
-    whole = brute_enumerate_minimal_rhs(h)
-    parts = [brute_enumerate_minimal_rhs(h, p, 3) for p in range(3)]
-    assert sorted(sum(parts, []), key=lambda p: p.r2_mask()) == whole
     h2 = gen_tight(2)
     tau = Correspondence((0, 0, 1, 1))
-    whole = brute_enumerate_minimal_rhf(h2, tau)
-    parts = [brute_enumerate_minimal_rhf(h2, tau, p, 2) for p in range(2)]
-    assert sorted(sum(parts, [])) == whole
+    whole = brute_enumerate_minimal_rhs(h)
+    whole_f = brute_enumerate_minimal_rhf(h2, tau)
+    for stride in range(1, 5):
+        parts = sum((brute_enumerate_minimal_rhs(h, p, stride) for p in range(stride)), [])
+        assert len(parts) == len(set(parts))
+        assert sorted(parts, key=lambda p: p.r2_mask()) == whole
+        parts = sum((brute_enumerate_minimal_rhf(h2, tau, p, stride) for p in range(stride)), [])
+        assert len(parts) == len(set(parts))
+        assert sorted(parts) == whole_f
+
+
+@pytest.mark.parametrize("part, stride", [(-1, 1), (-1, 2), (0, 0), (0, -1), (2, 2), (3, 2)])
+def test_brute_scans_refuse_a_bad_split(part, stride):
+    h = gen_tight(2)
+    with pytest.raises(InputError):
+        brute_enumerate_minimal_rhs(h, part, stride)
+    with pytest.raises(InputError):
+        brute_enumerate_minimal_rhf(h, Correspondence((0, 0, 1, 1)), part, stride)
 
 
 def test_brute_rhf_guard_and_small_case():
