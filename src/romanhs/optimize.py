@@ -5,14 +5,20 @@ cheap vertices out of R2 (degree at most 2) and force obligatory ones in
 (three or more private singleton edges), so branches only ever touch
 vertices of degree 3 and up. It runs depth first from an explicit stack
 of four-int nodes (live vertices, live edges, R1, R2). Each node is
-reduced to a fixpoint from one pass over the live edges, which builds
-bit-sliced degree and singleton-edge masks so a whole batch of vertices
-leaves at once. Two lower bounds, shared with the enumerator's weight
-cap, prune against the best weight so far: the covering bound
-ceil(2d / max(2, maxdeg)) and a greedy packing of live edges, in index
-order, in which no vertex lies in more than two of them. Because the
-tree does not depend on the incumbent, the witness is always the first
-optimum leaf in depth-first order, whatever the bounds prune.
+reduced to a fixpoint on a summary of bit-sliced live-degree and
+singleton-edge masks, so a whole batch of vertices leaves at once. A
+node builds the summary in one pass over its live edges, except the
+first child of an expansion: it is popped right after its parent and
+starts from the parent's summary, still in local variables. From there
+two exact updates keep the summary current. Dropping vertices re-reads
+only the live edges they were in; taking a vertex into R2 recounts only
+the degrees of the other members of its live edges. Two lower bounds,
+shared with the enumerator's weight cap, prune against the best weight
+so far: the covering bound ceil(2d / max(2, maxdeg)) and a greedy
+packing of live edges, in index order, in which no vertex lies in more
+than two of them. Because the tree does not depend on the incumbent, the
+witness is always the first optimum leaf in depth-first order, whatever
+the bounds prune.
 exact_min_rhf rides on the edge-twinning reduction. The search takes
 edge and incidence masks, not a Hypergraph, so rvc_decide runs it on a
 graph's edge masks with the weight budget as its starting incumbent,
@@ -144,9 +150,13 @@ def _min_rhs_search(
     stack = [((1 << len(inc)) - 1, (1 << len(members)) - 1, 0, 0)]
     push = stack.append
     pop = stack.pop
+    # pending updates of the summary d1..d4, s1..s3: the live edges that
+    # lost a dropped member (reread) or left with a taken vertex (recount);
+    # an expansion sets one for its first child, popped next
+    reread = recount = 0
     while stack:
         livev, live_e, r1m, r2m = pop()
-        while True:
+        if not reread | recount:
             # one pass over the live edges: drained edges, live-degree masks
             # d1..d4 and the vertices alone in 1, 2, 3+ live edges (s1..s3)
             d1 = d2 = d3 = d4 = s1 = s2 = s3 = drained = 0
@@ -166,14 +176,69 @@ def _min_rhs_search(
                     s3 |= s2 & cur
                     s2 |= s1 & cur
                     s1 |= cur
-            # drained edges go to R1, vertices of live degree at most 2
-            # leave (R1 does their job at no extra cost); dropping vertices
-            # drains more edges but changes no remaining degree
             r1m |= drained
             live_e ^= drained
+        while True:
+            if reread | recount:
+                d1 &= livev
+                d2 &= livev
+                d3 &= livev
+                d4 &= livev
+                s1 &= livev
+                s2 &= livev
+                s3 &= livev
+            if reread:
+                # drop: the other vertices keep their degrees; an edge with
+                # no live member left drains to R1, one with one left adds
+                # to that member's singleton count
+                drained = 0
+                while reread:
+                    low = reread & -reread
+                    reread ^= low
+                    cur = members[low.bit_length() - 1] & livev
+                    if not cur:
+                        drained |= low
+                    elif not cur & (cur - 1):
+                        s3 |= s2 & cur
+                        s2 |= s1 & cur
+                        s1 |= cur
+                r1m |= drained
+                live_e ^= drained
+            elif recount:
+                # take: nothing drains and no singleton count moves; the
+                # other live members of the edges that left recount degrees
+                hit = 0
+                while recount:
+                    low = recount & -recount
+                    recount ^= low
+                    hit |= members[low.bit_length() - 1]
+                hit &= livev
+                d1 &= ~hit
+                d2 &= ~hit
+                d3 &= ~hit
+                d4 &= ~hit
+                while hit:
+                    yb = hit & -hit
+                    hit ^= yb
+                    deg = (inc[yb.bit_length() - 1] & live_e).bit_count()
+                    if deg:
+                        d1 |= yb
+                        if deg > 1:
+                            d2 |= yb
+                            if deg > 2:
+                                d3 |= yb
+                                if deg > 3:
+                                    d4 |= yb
+            # vertices of live degree at most 2 leave at once (R1 does their
+            # job at no extra cost)
             weak = livev & ~d3
             if weak:
                 livev ^= weak
+                while weak:
+                    low = weak & -weak
+                    weak ^= low
+                    reread |= inc[low.bit_length() - 1]
+                reread &= live_e
                 continue
             if not s3:
                 break
@@ -181,7 +246,8 @@ def _min_rhs_search(
             xb = s3 & -s3
             r2m |= xb
             livev ^= xb
-            live_e &= ~inc[xb.bit_length() - 1]
+            recount = inc[xb.bit_length() - 1] & live_e
+            live_e ^= recount
         nodes += 1
         w = r1m.bit_count() + 2 * r2m.bit_count()
         if not live_e:
@@ -212,11 +278,14 @@ def _min_rhs_search(
                 others |= members[low.bit_length() - 1]
             push((livev & ~(xb | others), live_e & ~ex, r1m, r2m | xb))
             push((livev ^ xb, live_e, r1m, r2m))
+            reread = ex
         else:
             # include the lowest vertex first, then exclude it
             xb = livev & -livev
+            ex = inc[xb.bit_length() - 1] & live_e
             push((livev ^ xb, live_e, r1m, r2m))
-            push((livev ^ xb, live_e & ~inc[xb.bit_length() - 1], r1m, r2m | xb))
+            push((livev ^ xb, live_e ^ ex, r1m, r2m | xb))
+            recount = ex
     if budget is not None and best_w > budget:
         best_w = -1
     return OptResult(best_w, RhsPair.from_masks(*best), nodes)
@@ -227,14 +296,28 @@ def exact_min_rhs(h: Hypergraph) -> OptResult:
 
     The search runs depth first from an explicit stack whose nodes are
     four ints: the live vertices and live edges and the R1 and R2 masks.
-    Each node is first reduced to a fixpoint. One pass over the live
-    edges builds bit-sliced live-degree masks and masks of the vertices
-    alone in one, two and three or more live edges. Drained edges move
-    to R1 and every vertex of live degree at most 2 leaves at once (R1
-    can do its job at no extra cost), until neither applies; then the
-    lowest vertex carrying three or more singleton edges enters R2 (any
-    solution without it pays more), and the pass repeats. Nodes are
-    counted after the reduction.
+    Each node is first reduced to a fixpoint on a summary: bit-sliced
+    live-degree masks d1..d4 and masks s1..s3 of the vertices alone in
+    one, two and three or more live edges. Drained edges move to R1 and
+    every vertex of live degree at most 2 leaves at once (R1 can do its
+    job at no extra cost); then the lowest vertex carrying three or more
+    singleton edges enters R2 (any solution without it pays more), one
+    at a time, until neither applies. Nodes are counted after the
+    reduction.
+
+    The root, and every node popped after a leaf or a prune, builds the
+    summary in one pass over its live edges. The child popped right
+    after an expansion (the exclude child of the degree-3 branch, the
+    include child of the other) starts from its parent's summary,
+    still in local variables. Two exact updates then keep it current.
+    Dropping a set of vertices re-reads only the live edges they were
+    in: the other vertices keep their degrees, an edge left with no
+    live member drains to R1, and one left with one adds to that
+    member's singleton count. Taking a vertex into R2 removes its live
+    edges and recounts only the degrees of their other live members;
+    nothing drains and no singleton count moves. Every state the
+    reduction passes through is the one a full pass after each step
+    gives, so the tree, the node counts and the witnesses are too.
 
     Branching takes the lowest vertex of live degree exactly 3, excluded
     first and then included with no co-member in R2 (an exchange

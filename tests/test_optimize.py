@@ -27,6 +27,8 @@ from romanhs.enumeration import (
 )
 from romanhs.errors import InputError
 from romanhs.optimize import (
+    OptResult,
+    _min_rhs_search,
     exact_min_rhf,
     exact_min_rhs,
     greedy_rhf,
@@ -53,6 +55,7 @@ from corpus import (
     random_instance_with_tau,
     star_graph,
 )
+from test_optimize_golden import FIXED
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +218,120 @@ def test_packing_bound_beats_degree_bound():
     assert _root_bounds(h) == (3, 4)
     assert brute_min_rhs_weight(h) == 4
     assert exact_min_rhs(h).weight == 4
+
+
+def _full_pass_search(members, inc, budget=None):
+    """The exact search as it was when every reduction step re-read all
+    live edges: a test-only reference for the incremental summary."""
+    order = range(len(members))
+    best_w = -1 if budget is None else budget + 1
+    best = (0, 0)
+    nodes = 0
+    stack = [((1 << len(inc)) - 1, (1 << len(members)) - 1, 0, 0)]
+    while stack:
+        livev, live_e, r1m, r2m = stack.pop()
+        while True:
+            d1 = d2 = d3 = d4 = s1 = s2 = s3 = drained = 0
+            rest = live_e
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cur = members[low.bit_length() - 1] & livev
+                if not cur:
+                    drained |= low
+                    continue
+                d4 |= d3 & cur
+                d3 |= d2 & cur
+                d2 |= d1 & cur
+                d1 |= cur
+                if not cur & (cur - 1):
+                    s3 |= s2 & cur
+                    s2 |= s1 & cur
+                    s1 |= cur
+            r1m |= drained
+            live_e ^= drained
+            weak = livev & ~d3
+            if weak:
+                livev ^= weak
+                continue
+            if not s3:
+                break
+            xb = s3 & -s3
+            r2m |= xb
+            livev ^= xb
+            live_e &= ~inc[xb.bit_length() - 1]
+        nodes += 1
+        w = r1m.bit_count() + 2 * r2m.bit_count()
+        if not live_e:
+            if best_w < 0 or w < best_w:
+                best_w = w
+                best = (r1m, r2m)
+                if budget is not None:
+                    break
+            continue
+        if best_w >= 0 and (
+            w + _degree_bound(inc, livev, live_e) >= best_w
+            or w + _packing_bound(members, order, livev, live_e) >= best_w
+        ):
+            continue
+        x3 = d3 & ~d4
+        if x3:
+            xb = x3 & -x3
+            ex = inc[xb.bit_length() - 1] & live_e
+            others = 0
+            rest = ex
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                others |= members[low.bit_length() - 1]
+            stack.append((livev & ~(xb | others), live_e & ~ex, r1m, r2m | xb))
+            stack.append((livev ^ xb, live_e, r1m, r2m))
+        else:
+            xb = livev & -livev
+            stack.append((livev ^ xb, live_e, r1m, r2m))
+            stack.append((livev ^ xb, live_e & ~inc[xb.bit_length() - 1], r1m, r2m | xb))
+    if budget is not None and best_w > budget:
+        best_w = -1
+    return OptResult(best_w, RhsPair.from_masks(*best), nodes)
+
+
+def _reference_corpus():
+    """(label, members, inc): seeded random hypergraphs, the tight family,
+    the exact golden's fixed instances (twinned where they carry a
+    correspondence) and the edge masks of seeded graphs."""
+    from romanhs.reduce import rhf_to_rhs
+
+    rng = random.Random(2323)
+    for seed in range(320):
+        nv, ne = rng.randint(1, 18), rng.randint(0, 30)
+        h = gen_random(nv, ne, rng.choice((0.1, 0.2, 0.3, 0.4, 0.5)), seed).hypergraph
+        yield f"random{seed}", h.edge_members, h.incidence_masks
+    for n in range(1, 9):
+        h = gen_tight(n)
+        yield f"tight{n}", h.edge_members, h.incidence_masks
+    for nv, ne, density, seed, tau in FIXED:
+        hf = gen_random(nv, ne, density, seed, with_tau=tau)
+        h = rhf_to_rhs(hf.hypergraph, hf.tau).instance if tau else hf.hypergraph
+        yield f"fixed{nv}x{ne}s{seed}", h.edge_members, h.incidence_masks
+    for seed in range(40):
+        n = rng.randint(2, 14)
+        g = _sampled_graph(n, rng.randint(1, min(2 * n, n * (n - 1) // 2)), seed)
+        yield f"graph{seed}", *core._edge_masks(g)
+
+
+def test_search_matches_the_full_pass_reference():
+    """Weight, witness masks and node count agree with the full-pass
+    search, unbudgeted and at every budget from 0 to the optimum + 1."""
+    def run(search, members, inc, budget=None):
+        res = search(members, inc, budget)
+        return res.weight, res.witness.r1m, res.witness.r2m, res.nodes
+
+    for label, members, inc in _reference_corpus():
+        want = run(_full_pass_search, members, inc)
+        assert run(_min_rhs_search, members, inc) == want, label
+        for k in range(want[0] + 2):
+            got = run(_min_rhs_search, members, inc, k)
+            assert got == run(_full_pass_search, members, inc, k), (label, k)
 
 
 # ---------------------------------------------------------------------------
