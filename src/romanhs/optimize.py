@@ -4,15 +4,14 @@ exact_min_rhs is a branch-and-reduce search whose reduction rules commit
 cheap vertices out of R2 (degree at most 2) and force obligatory ones in
 (three or more private singleton edges), so branches only ever touch
 vertices of degree 3 and up. It runs depth first from an explicit stack
-of four-int nodes (live vertices, live edges, R1, R2). Each node is
+of mask nodes (live vertices, live edges, R1, R2). Each node is
 reduced to a fixpoint on a summary of bit-sliced live-degree and
-singleton-edge masks, so a whole batch of vertices leaves at once. A
-node builds the summary in one pass over its live edges, except the
-first child of an expansion: it is popped right after its parent and
-starts from the parent's summary, still in local variables. From there
-two exact updates keep the summary current. Dropping vertices re-reads
-only the live edges they were in; taking a vertex into R2 recounts only
-the degrees of the other members of its live edges. Two lower bounds,
+singleton-edge masks, so a whole batch of vertices leaves at once. Only
+the root builds the summary in one pass over its edges; every child
+carries its parent's summary on the stack and derives its own through
+two exact updates. Dropping vertices re-reads only the live edges they
+were in; taking a vertex into R2 recounts only the degrees of the other
+members of its live edges. Two lower bounds,
 shared with the enumerator's weight cap, prune against the best weight
 so far: the covering bound ceil(2d / max(2, maxdeg)) and a greedy
 packing of live edges, in index order, in which no vertex lies in more
@@ -146,40 +145,38 @@ def _min_rhs_search(
     best_w = -1 if budget is None else budget + 1
     best = (0, 0)
     nodes = 0
-    # livev, live_e, r1m, r2m
-    stack = [((1 << len(inc)) - 1, (1 << len(members)) - 1, 0, 0)]
+    # the root's summary, in one pass over its edges: drained edges,
+    # live-degree masks d1..d4 and the vertices alone in 1, 2, 3+ live
+    # edges (s1..s3)
+    d1 = d2 = d3 = d4 = s1 = s2 = s3 = drained = 0
+    for i, cur in enumerate(members):
+        if not cur:
+            drained |= 1 << i
+            continue
+        d4 |= d3 & cur
+        d3 |= d2 & cur
+        d2 |= d1 & cur
+        d1 |= cur
+        if not cur & (cur - 1):
+            s3 |= s2 & cur
+            s2 |= s1 & cur
+            s1 |= cur
+    # livev, live_e, r1m, r2m, the parent's summary, and the pending
+    # updates of it: the live edges that lost a dropped member (reread)
+    # or left with a taken vertex (recount)
+    stack = [(
+        (1 << len(inc)) - 1, ((1 << len(members)) - 1) ^ drained, drained, 0,
+        (d1, d2, d3, d4, s1, s2, s3), 0, 0,
+    )]
     push = stack.append
     pop = stack.pop
-    # pending updates of the summary d1..d4, s1..s3: the live edges that
-    # lost a dropped member (reread) or left with a taken vertex (recount);
-    # an expansion sets one for its first child, popped next
-    reread = recount = 0
     while stack:
-        livev, live_e, r1m, r2m = pop()
-        if not reread | recount:
-            # one pass over the live edges: drained edges, live-degree masks
-            # d1..d4 and the vertices alone in 1, 2, 3+ live edges (s1..s3)
-            d1 = d2 = d3 = d4 = s1 = s2 = s3 = drained = 0
-            rest = live_e
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                cur = members[low.bit_length() - 1] & livev
-                if not cur:
-                    drained |= low
-                    continue
-                d4 |= d3 & cur
-                d3 |= d2 & cur
-                d2 |= d1 & cur
-                d1 |= cur
-                if not cur & (cur - 1):
-                    s3 |= s2 & cur
-                    s2 |= s1 & cur
-                    s1 |= cur
-            r1m |= drained
-            live_e ^= drained
+        livev, live_e, r1m, r2m, summary, reread, recount = pop()
+        d1, d2, d3, d4, s1, s2, s3 = summary
         while True:
-            if reread | recount:
+            # drop the vertices that left from the summary (every mask
+            # lies within d1)
+            if d1 & ~livev:
                 d1 &= livev
                 d2 &= livev
                 d3 &= livev
@@ -264,28 +261,36 @@ def _min_rhs_search(
             continue
         # every live vertex has live degree 3 or more
         assert livev == d3
+        summary = (d1, d2, d3, d4, s1, s2, s3)
         x3 = d3 & ~d4
         if x3:
             # children are pushed in reverse: exclude first, then include
-            # with no co-member in R2 (exchange)
+            # with no co-member in R2 (exchange); the include child drops
+            # xb's live co-members, whose other live edges it re-reads, and
+            # no vertex left loses a live edge
             xb = x3 & -x3
             ex = inc[xb.bit_length() - 1] & live_e
-            others = 0
+            gone = 0
             rest = ex
             while rest:
                 low = rest & -rest
                 rest ^= low
-                others |= members[low.bit_length() - 1]
-            push((livev & ~(xb | others), live_e & ~ex, r1m, r2m | xb))
-            push((livev ^ xb, live_e, r1m, r2m))
-            reread = ex
+                gone |= members[low.bit_length() - 1]
+            gone &= livev
+            reread = 0
+            rest = gone ^ xb
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reread |= inc[low.bit_length() - 1]
+            push((livev ^ gone, live_e ^ ex, r1m, r2m | xb, summary, reread & live_e & ~ex, 0))
+            push((livev ^ xb, live_e, r1m, r2m, summary, ex, 0))
         else:
             # include the lowest vertex first, then exclude it
             xb = livev & -livev
             ex = inc[xb.bit_length() - 1] & live_e
-            push((livev ^ xb, live_e, r1m, r2m))
-            push((livev ^ xb, live_e ^ ex, r1m, r2m | xb))
-            recount = ex
+            push((livev ^ xb, live_e, r1m, r2m, summary, ex, 0))
+            push((livev ^ xb, live_e ^ ex, r1m, r2m | xb, summary, 0, ex))
     if budget is not None and best_w > budget:
         best_w = -1
     return OptResult(best_w, RhsPair.from_masks(*best), nodes)
@@ -295,7 +300,7 @@ def exact_min_rhs(h: Hypergraph) -> OptResult:
     """Global minimum pair weight by branch and reduce.
 
     The search runs depth first from an explicit stack whose nodes are
-    four ints: the live vertices and live edges and the R1 and R2 masks.
+    four masks: the live vertices and live edges and the R1 and R2 masks.
     Each node is first reduced to a fixpoint on a summary: bit-sliced
     live-degree masks d1..d4 and masks s1..s3 of the vertices alone in
     one, two and three or more live edges. Drained edges move to R1 and
@@ -305,19 +310,22 @@ def exact_min_rhs(h: Hypergraph) -> OptResult:
     at a time, until neither applies. Nodes are counted after the
     reduction.
 
-    The root, and every node popped after a leaf or a prune, builds the
-    summary in one pass over its live edges. The child popped right
-    after an expansion (the exclude child of the degree-3 branch, the
-    include child of the other) starts from its parent's summary,
-    still in local variables. Two exact updates then keep it current.
-    Dropping a set of vertices re-reads only the live edges they were
-    in: the other vertices keep their degrees, an edge left with no
-    live member drains to R1, and one left with one adds to that
-    member's singleton count. Taking a vertex into R2 removes its live
-    edges and recounts only the degrees of their other live members;
-    nothing drains and no singleton count moves. Every state the
-    reduction passes through is the one a full pass after each step
-    gives, so the tree, the node counts and the witnesses are too.
+    Only the root builds the summary in one pass over its edges. Each
+    stack entry carries, next to its node's four masks, the parent's
+    summary and the update that turns it into the child's; two exact
+    updates keep the summary current from there. Dropping a set of vertices
+    re-reads only the live edges they were in: the other vertices keep
+    their degrees, an edge left with no live member drains to R1, and
+    one left with one adds to that member's singleton count. Taking a
+    vertex into R2 removes its live edges and recounts only the degrees
+    of their other live members; nothing drains and no singleton count
+    moves. Every child derives its summary so: the exclude child of
+    either branch drops the branch vertex, the include child of the
+    degree-3 branch drops it with its live co-members, which leaves every
+    other vertex its degree, and the include child of the other branch
+    takes it. Every state the reduction passes through is the one a full
+    pass after each step gives, so the tree, the node counts and the
+    witnesses are too.
 
     Branching takes the lowest vertex of live degree exactly 3, excluded
     first and then included with no co-member in R2 (an exchange

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from romanhs.core import (
     edge_hypergraph,
     is_rhf,
     is_rhs,
+    mask_of,
     weight_pair,
 )
 from romanhs.enumeration import (
@@ -298,7 +300,8 @@ def _full_pass_search(members, inc, budget=None):
 def _reference_corpus():
     """(label, members, inc): seeded random hypergraphs, the tight family,
     the exact golden's fixed instances (twinned where they carry a
-    correspondence) and the edge masks of seeded graphs."""
+    correspondence), the edge masks of seeded graphs and one instance
+    built by hand."""
     from romanhs.reduce import rhf_to_rhs
 
     rng = random.Random(2323)
@@ -317,11 +320,20 @@ def _reference_corpus():
         n = rng.randint(2, 14)
         g = _sampled_graph(n, rng.randint(1, min(2 * n, n * (n - 1) // 2)), seed)
         yield f"graph{seed}", *core._edge_masks(g)
+    # three equal edges on {0, 1, 2} beside the 3-sets of {3, ..., 7},
+    # whose bounds (4 and 3) stay below their optimum (5): the include
+    # child of vertex 0 drops its whole component and re-reads no edge,
+    # yet must drop 1 and 2 from its summary before it branches
+    members = [0b111] * 3 + [mask_of(c) for c in combinations(range(3, 8), 3)]
+    yield "equal-edges", members, [mask_of(i for i, m in enumerate(members) if m >> v & 1) for v in range(8)]
 
 
 def test_search_matches_the_full_pass_reference():
     """Weight, witness masks and node count agree with the full-pass
-    search, unbudgeted and at every budget from 0 to the optimum + 1."""
+    search, unbudgeted and at every budget from 0 to the optimum + 1 on
+    the reference corpus; on gen_random(34, 68, 0.1, 3), whose children
+    derive their summaries through long chains over 30 and more live
+    edges, unbudgeted and at the optimum - 1 (no) and the optimum."""
     def run(search, members, inc, budget=None):
         res = search(members, inc, budget)
         return res.weight, res.witness.r1m, res.witness.r2m, res.nodes
@@ -332,6 +344,15 @@ def test_search_matches_the_full_pass_reference():
         for k in range(want[0] + 2):
             got = run(_min_rhs_search, members, inc, k)
             assert got == run(_full_pass_search, members, inc, k), (label, k)
+
+    h = gen_random(34, 68, 0.1, 3).hypergraph
+    members, inc = h.edge_members, h.incidence_masks
+    want = run(_full_pass_search, members, inc)
+    assert want[::3] == (30, 2935)
+    assert run(_min_rhs_search, members, inc) == want
+    for k, weight in ((29, -1), (30, 30)):
+        got = run(_min_rhs_search, members, inc, k)
+        assert got[0] == weight and got == run(_full_pass_search, members, inc, k), k
 
 
 # ---------------------------------------------------------------------------
