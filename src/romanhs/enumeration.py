@@ -60,7 +60,7 @@ from .core import (
     bits,
     mask_of,
 )
-from .errors import InputError, guard_work
+from .errors import InputError, WorkBudget
 
 Sink = Callable[[RhsPair], None]
 
@@ -462,12 +462,13 @@ def brute_enumerate_minimal_rhs(
 ) -> list[RhsPair]:
     """All minimal rhs by scanning the 2-sets; small instances only.
 
-    The scan visits 2^|X| vertex masks, all of them counted by the guard.
-    With a stride only the masks part, part + stride, ... are scanned: the
-    stride parts of one instance together give the full result.
+    The scan visits 2^|X| vertex masks, all spent from the work budget
+    before it starts. With a stride only the masks part, part + stride, ...
+    are scanned: the stride parts of one instance together give the full
+    result.
     """
     _check_split(part, stride)
-    guard_work(1 << h.n_vertices, "brute rhs enumeration")
+    WorkBudget("brute rhs enumeration").spend(1 << h.n_vertices)
     out = []
     for r2m in range(part, 1 << h.n_vertices, stride):
         pair = minimal_pair_for_r2(h, r2m)
@@ -481,12 +482,12 @@ def brute_enumerate_minimal_rhf(
 ) -> list[RomanAssignment]:
     """All minimal rhf by scanning every assignment; small instances only.
 
-    The 3^|X| assignments come in lexicographic order, all of them counted
-    by the guard; with a stride only every stride-th of them, starting at
-    index part, is scanned.
+    The 3^|X| assignments come in lexicographic order, all spent from the
+    work budget before the scan starts; with a stride only every stride-th
+    of them, starting at index part, is scanned.
     """
     _check_split(part, stride)
-    guard_work(3**h.n_vertices, "brute rhf enumeration")
+    WorkBudget("brute rhf enumeration").spend(3**h.n_vertices)
     tau.validate(h)
     inst = _instance_masks(h, tau)
     candidates = itertools.product((0, 1, 2), repeat=h.n_vertices)

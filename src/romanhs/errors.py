@@ -7,11 +7,13 @@ The command line maps them to exit codes 1 and 2 respectively.
 
 Every exponential routine (the brute enumerators, the general extension
 sweep and witness search, and the bounded Roman domination extension)
-counts the candidates it would try before it starts, or an upper bound on
-them where it prunes as it goes (the sweep and the witness search), and
-hands the count to guard_work, which refuses past WORK_LIMIT. Polynomial
-routines take no guard, whatever the instance size, nor does the witness
-search where its first 2-set decides, as in ext_rhf_surjective.
+spends its work from one WorkBudget, which refuses once the total passes
+WORK_LIMIT. The sweep and the witness search spend as they run, one unit
+per node, 2-set or private-edge map they try, so an input that needs little
+work runs whatever its size and a refusal comes after the limit's worth of
+work. The others know their count exactly before they start and spend it
+at once, so they refuse at once. Polynomial routines take no guard,
+whatever the instance size.
 """
 
 WORK_LIMIT = 1 << 20
@@ -22,15 +24,25 @@ class InputError(ValueError):
 
 
 class GuardRefused(RuntimeError):
-    """A guarded routine refused to run (it would try too many candidates,
+    """A guarded routine refused to run (it needs more work than the limit,
     or the answer is trivially known and constructing the output would be
     degenerate)."""
 
 
-def guard_work(work: int, what: str) -> None:
-    """Refuse to start `what`, which would try at most `work` candidates, past
-    the limit."""
-    if work > WORK_LIMIT:
-        raise GuardRefused(
-            f"{what} would try {work} candidates, over the limit of {WORK_LIMIT}"
-        )
+class WorkBudget:
+    """The work one run of the routine `what` has spent, refused past
+    WORK_LIMIT."""
+
+    __slots__ = ("what", "spent")
+
+    def __init__(self, what: str) -> None:
+        self.what = what
+        self.spent = 0
+
+    def spend(self, n: int) -> None:
+        """Spend n units; GuardRefused once the total passes the limit."""
+        self.spent += n
+        if self.spent > WORK_LIMIT:
+            raise GuardRefused(
+                f"{self.what} needs more than the work limit of {WORK_LIMIT}"
+            )

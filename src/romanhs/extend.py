@@ -6,9 +6,11 @@ closure for a planned 2-set plus a privately hit edge for each member
 (checked by check_extension_witness). Its first 2-set decides in
 polynomial time when the closure's 2s hit every edge without
 correspondence preimage, as ext_rhf_surjective requires; otherwise
-ext_rhf_general searches on under a guard, or by default sweeps the
-larger assignments depth first, dropping a prefix once it breaks a
-condition no completion repairs. Graph-side, bounded_ext_rd branches on
+ext_rhf_general searches on, or by default sweeps the larger assignments
+depth first, dropping a prefix once it breaks a condition no completion
+repairs. Both searches spend a work budget (errors.WorkBudget) as they
+run, one unit per node, 2-set or private-edge map tried, and are refused
+once it passes the limit. Graph-side, bounded_ext_rd branches on
 dominators for the vertices capped at 0 and runs the witness search on
 each closure, and ext_ds_split answers minimal-dominating-set extension
 on split graphs by ext_rhs through reduce.ds_split_to_rhs.
@@ -60,7 +62,7 @@ from .core import (
     mask_of,
     submasks,
 )
-from .errors import InputError, guard_work
+from .errors import InputError, WorkBudget
 
 Witness = RhsPair | RomanAssignment | frozenset
 
@@ -175,14 +177,10 @@ def _general_sweep(
     from the 2s they share an edge with, so a new 2 rechecks itself and,
     when it makes an edge of earlier 2s hit twice, the earlier 2s. So
     every complete candidate is a minimal rhf (an empty edge, never hit,
-    answers no at once). The guard counts every assignment above f.
+    answers no at once). Each node popped costs one unit of work.
     """
     n = h.n_vertices
-    n_ones = f_ones.bit_count()
-    guard_work(
-        3 ** (n - n_ones - f_twos.bit_count()) * 2**n_ones,
-        "general extension sweep",
-    )
+    spend = WorkBudget("general extension sweep").spend
     members, incidence, mapping = inst = _instance_masks(h, tau)
     if not all(members):
         return ExtAnswer(False)
@@ -198,6 +196,7 @@ def _general_sweep(
     stack = [(0, 0, 0, 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
+        spend(1)
         x, m1, m2, img, cover, hit, multi = pop()
         if x == n:
             assert _rhf_violation(*inst, m1, m2) is None
@@ -314,13 +313,15 @@ def _witness_cover(
 
 
 def _carve(
-    members: Masks, inc: Masks, mapping: Masks, rest: int, cands: list[int], loose: int
+    members: Masks, inc: Masks, mapping: Masks,
+    rest: int, cands: list[int], loose: int, budget: WorkBudget,
 ) -> int | None:
     """Fresh 2s for the loose edges: a minimal hitting set of their parts
     that the first private-edge map in product order leaves untouched, so
     the remaining 1s keep their corresponding edges; None when every map
-    swallows a loose edge."""
+    swallows a loose edge. Each map tried costs one unit of work."""
     for combo in itertools.product(*(list(bits(c)) for c in cands)):
+        budget.spend(1)
         cut = _witness_cover(members, inc, mapping, rest, combo, loose)
         if cut is not None:
             d = 0
@@ -334,25 +335,6 @@ def _carve(
     return None
 
 
-def _witness_work(
-    members: Masks, inc: Masks, mapping: Masks, ones: int, once: int, cands: list[int]
-) -> int:
-    """Bound on the candidates the witness search tries past its first
-    2-set, the closure's 2s, whose hit-once edges and candidate edges per
-    2 are once and cands: 2-sets times private-edge maps.
-
-    Every 2-set is the closure's 2s plus a subset of its 1s, 2^|1s| of
-    them. A vertex x of a 2-set only ever takes as private edge one of its
-    edges other than tau(x) that holds no closure 2 but x, so over all
-    2-sets the maps number at most the product of those counts.
-    """
-    maps = math.prod(c.bit_count() for c in cands)
-    for x in bits(ones):
-        free = inc[x] & ~once & ~(1 << mapping[x])
-        maps *= max(free.bit_count(), 1)
-    return (1 << ones.bit_count()) * maps
-
-
 def _general_witness(
     members: Masks, inc: Masks, mapping: Masks, ones: int, twos: int
 ) -> ExtAnswer:
@@ -363,12 +345,14 @@ def _general_witness(
     for each the private-edge maps; the first that passes yields the
     witness. The first 2-set decides without search when a closure 2 has
     no candidate edge (none has at any larger 2-set) or when it hits every
-    preimage-free edge (every map passes); otherwise the search is
-    guarded before it goes on.
+    preimage-free edge (every map passes). Each 2-set and each map tried
+    costs one unit of work.
     """
     inst = members, inc, mapping
+    budget = WorkBudget("witness extension search")
     no_pre = (1 << len(members)) - 1 & ~mask_of(mapping)
     for sub in submasks(ones):
+        budget.spend(1)
         r2m = twos | sub
         rest = ones & ~sub
         # the closure's 1s keep their corresponding edges free of its 2s
@@ -383,12 +367,7 @@ def _general_witness(
                 break
             continue
         loose = no_pre & ~once
-        if loose and not sub:  # the first 2-set does not decide
-            guard_work(
-                _witness_work(*inst, ones, once, cands),
-                "witness extension search",
-            )
-        d = _carve(*inst, rest, cands, loose) if loose else 0
+        d = _carve(*inst, rest, cands, loose, budget) if loose else 0
         if d is not None:
             g2 = r2m | d
             g1 = _complete(*inst, rest, g2)
@@ -407,19 +386,17 @@ def ext_rhf_general(
 ) -> ExtAnswer:
     """Is there a minimal rhf above f, for arbitrary correspondences?
 
-    Both strategies are exponential, so each counts a bound on the
-    candidates it would try before it starts and is refused past the
-    shared limit of errors.guard_work; both return the same decision.
-    The sweep strategy walks the assignments above f depth first in
-    lexicographic order, drops a prefix once it breaks a condition of a
-    minimal rhf that no completion repairs, and returns the first
-    minimal rhf it meets. Its bound is every assignment above f,
-    3^|0s| 2^|1s| of them, so it is refused from 13 zeros on. The
-    witness strategy runs the promotion closure and searches for a 2-set
-    plus private-edge map whose constraints certify extensibility, the
-    core ext_rhf_surjective runs too. The 0s cost it nothing
-    exponential; unless its first 2-set decides, it counts the 2-sets
-    over the closure's 1s times a bound on the private-edge maps.
+    Both strategies are exponential, so each spends a work budget
+    (errors.WorkBudget) as it runs and is refused once that passes the
+    shared limit; both return the same decision. The sweep strategy walks
+    the assignments above f depth first in lexicographic order, drops a
+    prefix once it breaks a condition of a minimal rhf that no completion
+    repairs, and returns the first minimal rhf it meets; each node costs
+    one unit. The witness strategy runs the promotion closure and searches
+    for a 2-set plus private-edge map whose constraints certify
+    extensibility, the core ext_rhf_surjective runs too; each 2-set over
+    the closure's 1s and each map costs one unit, and the 0s cost it
+    nothing exponential.
     """
     tau.validate(h)
     ones, twos = _level_masks(f, h.n_vertices)
@@ -441,9 +418,9 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
     finishes with the polynomial extension check on the closed
     neighborhood hypergraph (the witness search, which decides at its
     first 2-set there). The choices are exponential in the vertices
-    capped at 0, so their number is counted and guarded before the first
-    is tried. Witnesses never exceed the cap: the final check adds no 2s
-    beyond the closure and fills 1s only next to chosen dominators'
+    capped at 0, so their number is spent from the work budget before the
+    first is tried. Witnesses never exceed the cap: the final check adds
+    no 2s beyond the closure and fills 1s only next to chosen dominators'
     undominated slack.
     """
     g, f, up = inst.graph, inst.lower, inst.upper
@@ -473,8 +450,8 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
         if not cs:
             return ExtAnswer(False)
         cands.append(cs)
-    guard_work(
-        math.prod(len(cs) for cs in cands), "bounded extension dominator search"
+    WorkBudget("bounded extension dominator search").spend(
+        math.prod(len(cs) for cs in cands)
     )
     seen: set[tuple[int, int]] = set()
     for combo in itertools.product(*cands):

@@ -23,7 +23,7 @@ from corpus import (
     random_split_graph,
     star_graph,
 )
-from romanhs import extend
+from romanhs import errors, extend
 from romanhs.characterize import (
     is_minimal_rdf_theorem,
     is_minimal_rhf_theorem,
@@ -287,20 +287,74 @@ def test_general_no_solution_over_empty_edge():
         assert not ext_rhf_general(h, tau, (0,), strategy=strategy).decision
 
 
-def test_general_guard_and_bad_strategy():
+def assert_extends(h, tau, f, ans):
+    """ans is yes, with a minimal rhf above f as its witness."""
+    assert ans.decision
+    assert is_minimal_rhf_theorem(h, tau, ans.witness)
+    assert all(a <= b for a, b in zip(f, ans.witness))
+
+
+def gap_instance(n):
+    """n vertices at 1, each with a singleton corresponding edge and a second
+    singleton edge, plus one preimage-free edge over all of them. A second
+    edge can be hit only by a 2 on its vertex, so the one witness is all
+    2s: the sweep goes straight to it, the witness search meets it at the
+    last of the 2^n 2-sets."""
+    names = [f"x{i}" for i in range(n)]
+    edges = [(f"t{i}", [x]) for i, x in enumerate(names)]
+    edges += [(f"p{i}", [x]) for i, x in enumerate(names)]
+    h = Hypergraph.build(names, edges + [("free", names)])
+    return h, Correspondence(tuple(range(n))), (1,) * n
+
+
+def pairs_instance(k):
+    """k pairs a_i, b_i sharing their corresponding edge {a_i, b_i}, then z
+    pinned at 2, whose one edge is its corresponding one. z never earns a
+    private edge, so the answer is no. The witness search sees it at its
+    first 2-set; the sweep only at z, after the 2^k ways of putting one 1
+    on each pair, having popped 4 * 2^k - 3 nodes."""
+    names = [v for i in range(k) for v in (f"a{i}", f"b{i}")] + ["z"]
+    edges = [(f"E{i}", [f"a{i}", f"b{i}"]) for i in range(k)] + [("T", ["z"])]
+    h = Hypergraph.build(names, edges)
+    tau = Correspondence(tuple(i // 2 for i in range(2 * k)) + (k,))
+    return h, tau, (0,) * (2 * k) + (2,)
+
+
+def swallowed_maps_instance(k, m):
+    """k vertices pinned at 2, each with a singleton corresponding edge and
+    m candidate edges {x_j, y}, and a preimage-free edge {y} that no 2
+    hits. Every private-edge map covers y, so the witness search tries all
+    m^k maps of its one 2-set and answers no."""
+    names = [f"x{j}" for j in range(k)] + ["y"]
+    edges = [(f"t{j}", [x]) for j, x in enumerate(names[:k])]
+    edges += [(f"p{j}_{i}", [x, "y"]) for j, x in enumerate(names[:k]) for i in range(m)]
+    h = Hypergraph.build(names, edges + [("ty", ["y"]), ("loose", ["y"])])
+    tau = Correspondence(tuple(range(k)) + (h.edge_id("ty"),))
+    return h, tau, (2,) * k + (0,)
+
+
+def test_general_guard_and_bad_strategy(monkeypatch):
+    # 21 vertices at 0 on one edge: the default sweep pops a node per
+    # vertex on its way to the first minimal rhf, whatever their number
     n = WORK_LIMIT.bit_length()
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [("e", names)])
     tau = Correspondence((0,) * n)
-    with pytest.raises(GuardRefused):
-        ext_rhf_general(h, tau, (0,) * n)
+    assert_extends(h, tau, (0,) * n, ext_rhf_general(h, tau, (0,) * n))
+    # it refuses an instance whose 1,021 nodes pass a limit of 1,000
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1000)
+    h, tau, f = pairs_instance(8)
+    with pytest.raises(
+        GuardRefused, match="general extension sweep needs more than the work limit of 1000"
+    ):
+        ext_rhf_general(h, tau, f)
     with pytest.raises(InputError):
         ext_rhf_general(build_ex1(), ex1_tau(build_ex1()), (0, 0, 0, 0), strategy="fast")
 
 
 def test_general_guard_ignores_twos():
-    # 21 vertices, but the witness search counts only the closure's 1s,
-    # of which there are none, so the guard lets it through
+    # 21 vertices, but the closure keeps no 1, so the witness search tries
+    # a single 2-set
     n = WORK_LIMIT.bit_length()
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [("e", names)])
@@ -311,21 +365,31 @@ def test_general_guard_ignores_twos():
     assert not ans.decision
 
 
-def test_sweep_guard_counts_assignments():
-    # the sweep tries 3^|0s| 2^|1s| assignments: 3^12 <= 2^20 < 3^13 and
-    # 3^12 * 2 > 2^20
+def test_sweep_guard_counts_assignments(monkeypatch):
+    # the sweep spends one unit per node it pops, not one per assignment
+    # above f: 3^13 of them on one edge of 13 vertices at 0, but a few dozen
+    # nodes lead to the first minimal rhf
     def one_edge(n):
         names = [f"x{i}" for i in range(n)]
         return Hypergraph.build(names, [("e", names)]), Correspondence((0,) * n)
 
-    h, tau = one_edge(12)
-    ans = ext_rhf_general(h, tau, (0,) * 12, strategy="sweep")
-    assert ans.decision and is_minimal_rhf_theorem(h, tau, ans.witness)
-    h, tau = one_edge(13)
-    for f in ((0,) * 13, (1,) + (0,) * 12):
+    for h, tau, f in (
+        (*one_edge(12), (0,) * 12),
+        (*one_edge(13), (0,) * 13),
+        (*one_edge(13), (1,) + (0,) * 12),
+    ):
+        for strategy in ("sweep", "witness"):
+            assert_extends(h, tau, f, ext_rhf_general(h, tau, f, strategy=strategy))
+    # a no that the sweep sees only after 4 * 2^k - 3 nodes: it answers at a
+    # limit of exactly that many and refuses at one less
+    for k in (1, 3, 8):
+        h, tau, f = pairs_instance(k)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 4 * 2**k - 3)
+        assert not ext_rhf_general(h, tau, f, strategy="sweep").decision
+        monkeypatch.setattr(errors, "WORK_LIMIT", 4 * 2**k - 4)
         with pytest.raises(GuardRefused):
             ext_rhf_general(h, tau, f, strategy="sweep")
-        assert ext_rhf_general(h, tau, f, strategy="witness").decision
+        assert not ext_rhf_general(h, tau, f, strategy="witness").decision
 
 
 def first_minimal_rhf_above(h, tau, f):
@@ -431,19 +495,23 @@ def test_sweep_leaves_are_minimal_rhfs(monkeypatch):
     assert calls == (yes if __debug__ else 0)
 
 
-def test_witness_guard_counts_closure_ones_not_zeros():
-    # 30 vertices at 0: the sweep's guard refuses them, but the closure
-    # keeps no 1, so the witness search tries a single 2-set
+def test_witness_guard_counts_closure_ones_not_zeros(monkeypatch):
+    # 30 vertices at 0: the closure keeps no 1, so the witness search tries
+    # a single 2-set, and answers under a limit of 64 units
+    monkeypatch.setattr(errors, "WORK_LIMIT", 64)
     hf = gen_random(30, 40, 0.15, seed=4, with_tau=True)
     h, tau, f = hf.hypergraph, hf.tau, (0,) * 30
-    with pytest.raises(GuardRefused):
-        ext_rhf_general(h, tau, f, strategy="sweep")
-    ans = ext_rhf_general(h, tau, f, strategy="witness")
-    assert ans.decision
-    assert is_minimal_rhf_theorem(h, tau, ans.witness)
+    for strategy in ("sweep", "witness"):
+        assert_extends(h, tau, f, ext_rhf_general(h, tau, f, strategy=strategy))
+    # 12 closure 1s whose witness is the last of their 2^12 2-sets pass it
+    h, tau, f = gap_instance(12)
+    with pytest.raises(
+        GuardRefused, match="witness extension search needs more than the work limit of 64"
+    ):
+        ext_rhf_general(h, tau, f, strategy="witness")
 
 
-def test_witness_guard_refuses_many_surviving_ones():
+def test_witness_guard_refuses_many_surviving_ones(monkeypatch):
     # one private edge per vertex: every 1 survives the closure, but no
     # edge lies outside tau's range, so the first 2-set decides
     n = WORK_LIMIT.bit_length()
@@ -453,17 +521,22 @@ def test_witness_guard_refuses_many_surviving_ones():
     assert promote_closure(h, tau, (1,) * n) == (1,) * n
     ans = ext_rhf_general(h, tau, (1,) * n, strategy="witness")
     assert ans.decision and ans.witness == (1,) * n
-    # a preimage-free edge over all of them, which no closure 2 hits, makes
-    # the search count every 2-set: 2^21 of them
+    # a preimage-free edge over all of them, which no closure 2 hits: the
+    # second 2-set, a 2 on x0, hits it and passes
     h = Hypergraph.build(
         names, [(f"e{i}", [x]) for i, x in enumerate(names)] + [("free", names)]
     )
+    for f in ((1,) * n, (1,) * (n - 1) + (0,)):
+        assert_extends(h, tau, f, ext_rhf_general(h, tau, f, strategy="witness"))
+    # the gap instance's 12 ones need the last of their 2^12 2-sets, more
+    # than a limit of 2^12 units
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1 << 12)
+    h, tau, f = gap_instance(12)
     with pytest.raises(GuardRefused):
-        ext_rhf_general(h, tau, (1,) * n, strategy="witness")
-    assert ext_rhf_general(h, tau, (1,) * (n - 1) + (0,), strategy="witness").decision
+        ext_rhf_general(h, tau, f, strategy="witness")
 
 
-def test_witness_guard_refuses_many_private_edge_maps():
+def test_witness_guard_refuses_many_private_edge_maps(monkeypatch):
     # five 2s with 17 candidate edges each; the preimage-free edges all hold
     # a 2, so the first private-edge map passes
     names = [f"x{j}" for j in range(5)]
@@ -474,12 +547,21 @@ def test_witness_guard_refuses_many_private_edge_maps():
     tau = Correspondence(tuple(range(5)))
     ans = ext_rhf_general(h, tau, (2,) * 5, strategy="witness")
     assert ans.decision and ans.witness == (2,) * 5
-    # a 0-vertex y with a preimage-free edge of its own, which no 2 hits,
-    # makes the search try the maps: 17^5 > 2^20 of them
+    # a 0-vertex y with a preimage-free edge of its own, which no 2 hits:
+    # the first map leaves y uncovered, so a fresh 2 on y hits it
     h = Hypergraph.build(names + ["y"], edges + [("ty", ["y"]), ("loose", ["y"])])
     tau = Correspondence(tuple(range(5)) + (h.edge_id("ty"),))
+    f = (2,) * 5 + (0,)
+    assert_extends(h, tau, f, ext_rhf_general(h, tau, f, strategy="witness"))
+    # when every map covers y, the search spends one unit on its 2-set and
+    # one on each of the 4^5 maps: it answers at a limit of exactly that
+    # many and refuses at one less
+    h, tau, f = swallowed_maps_instance(5, 4)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1 + 4**5)
+    assert not ext_rhf_general(h, tau, f, strategy="witness").decision
+    monkeypatch.setattr(errors, "WORK_LIMIT", 4**5)
     with pytest.raises(GuardRefused):
-        ext_rhf_general(h, tau, (2,) * 5 + (0,), strategy="witness")
+        ext_rhf_general(h, tau, f, strategy="witness")
 
 
 def test_witness_stops_when_a_closure_two_has_no_candidate(monkeypatch):
@@ -506,9 +588,33 @@ def test_witness_stops_when_a_closure_two_has_no_candidate(monkeypatch):
 
     monkeypatch.setattr(extend, "_hit_counts", counted)
     assert not ext_rhf_general(h, tau, f, strategy="witness").decision
-    # each 2-set tried reads its hit counts once; allow one more read for
-    # a bound taken before the search
-    assert calls <= 2
+    # each 2-set tried reads its hit counts once
+    assert calls == 1
+
+
+def test_general_strategies_answer_the_seeded_corpus():
+    # 16 to 24 vertices, f alternating 0 and 1 by vertex id: every
+    # assignment above f passes the limit, yet both searches answer each
+    # instance well inside it
+    for i in range(200):
+        nv = 16 + i % 9
+        hf = gen_random(nv, nv + 4, 0.2, i, with_tau=True)
+        h, tau, f = hf.hypergraph, hf.tau, tuple(x % 2 for x in range(nv))
+        sweep = ext_rhf_general(h, tau, f, strategy="sweep")
+        wit = ext_rhf_general(h, tau, f, strategy="witness")
+        assert sweep.decision == wit.decision, i
+        for ans in (sweep, wit):
+            if ans.decision:
+                assert_extends(h, tau, f, ans)
+
+
+def test_witness_answers_the_gap_instance():
+    # about 2^13 units of work, though 2-sets times private-edge maps bound
+    # it by 2^24
+    h, tau, f = gap_instance(12)
+    ans = ext_rhf_general(h, tau, f, strategy="witness")
+    assert ans.decision and ans.witness == (2,) * 12
+    assert is_minimal_rhf_theorem(h, tau, ans.witness)
 
 
 def test_surjective_is_the_witness_search():

@@ -215,7 +215,7 @@ def corpus():
             runs.append((f"{label}/{k}", "check_extension_witness", lambda h=h, t=tau, f=f, w=w: check_extension_witness(h, t, f, w)))
 
     # the two guard instances above with a preimage-free edge that no
-    # closure 2 hits, so the witness search counts every 2-set or map
+    # closure 2 hits, so the witness search goes on past its first 2-set
     h21f = Hypergraph.build(h21.vertex_tokens, [(f"e{i}", [x]) for i, x in enumerate(h21.vertex_tokens)] + [("free", h21.vertex_tokens)])
     runs.append(("private21-free/witness", "ext_rhf_general", lambda: ext_rhf_general(h21f, tau21, (1,) * 21, strategy="witness")))
     h5f = Hypergraph.build(names + ["y"], edges + [("free", names), ("ty", ["y"]), ("loose", ["y"])])

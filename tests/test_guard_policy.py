@@ -1,10 +1,10 @@
 """One guard policy for exponential work.
 
-Every exponential routine counts the candidates it would try and calls
-errors.guard_work, the only place that refuses for size. The scan below
-keeps it that way: a GuardRefused constructed anywhere else in the package
-fails it, except reduce.rhs_to_rhf's refusal of a trivially-yes instance,
-which is about the output, not the work.
+Every exponential routine spends its work from an errors.WorkBudget, the
+only place that refuses for size. The scan below keeps it that way: a
+GuardRefused constructed anywhere else in the package fails it, except
+reduce.rhs_to_rhf's refusal of a trivially-yes instance, which is about
+the output, not the work.
 """
 
 import ast
@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import romanhs
-from romanhs.errors import WORK_LIMIT, GuardRefused, guard_work
+from romanhs.errors import WORK_LIMIT, GuardRefused, WorkBudget
 
-ALLOWED = {("errors.py", "guard_work"), ("reduce.py", "rhs_to_rhf")}
+ALLOWED = {("errors.py", "WorkBudget"), ("reduce.py", "rhs_to_rhf")}
 
 
 def _refusals():
@@ -39,6 +39,17 @@ def test_only_the_work_guard_refuses():
 
 
 def test_guard_work_boundary():
-    guard_work(WORK_LIMIT, "at the limit")
-    with pytest.raises(GuardRefused, match="past the limit"):
-        guard_work(WORK_LIMIT + 1, "past the limit")
+    WorkBudget("at the limit").spend(WORK_LIMIT)
+    with pytest.raises(GuardRefused, match=f"past the limit .* {WORK_LIMIT}$"):
+        WorkBudget("past the limit").spend(WORK_LIMIT + 1)
+
+
+def test_budget_refuses_once_the_spends_add_up():
+    budget = WorkBudget("a running count")
+    for _ in range(4):
+        budget.spend(WORK_LIMIT // 4)
+    assert budget.spent == WORK_LIMIT
+    with pytest.raises(GuardRefused, match="a running count"):
+        budget.spend(1)
+    # each run has a budget of its own
+    WorkBudget("a running count").spend(WORK_LIMIT)
