@@ -32,8 +32,9 @@ in rule order.
 
 An optional weight cap turns the enumerator into a bounded-weight lister
 (used for Roman vertex covers). The cap prune adds to the weight so far
-two lower bounds on the cost still needed for the live edges, the ones
-the exact solver prunes with: the covering bound ceil(2d / max(2, maxdeg))
+two lower bounds on the cost still needed for the live edges, both
+computed afresh at the node (the exact solver carries its packing on its
+stack instead): the covering bound ceil(2d / max(2, maxdeg))
 and a greedy packing of live edges in which no vertex lies in more than
 two packed edges, taken in a load order fixed once per run. The prune
 only drops subtrees that hold no pair within the cap, so the emissions

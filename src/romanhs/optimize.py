@@ -11,13 +11,15 @@ the root builds the summary in one pass over its edges; every child
 carries its parent's summary on the stack and derives its own through
 two exact updates. Dropping vertices re-reads only the live edges they
 were in; taking a vertex into R2 recounts only the degrees of the other
-members of its live edges. Two lower bounds,
-shared with the enumerator's weight cap, prune against the best weight
-so far: the covering bound ceil(2d / max(2, maxdeg)) and a greedy
-packing of live edges, in index order, in which no vertex lies in more
-than two of them. Because the tree does not depend on the incumbent, the
-witness is always the first optimum leaf in depth-first order, whatever
-the bounds prune.
+members of its live edges. Two lower bounds prune against the best
+weight so far: the covering bound ceil(2d / max(2, maxdeg)), whose
+maxdeg the summary narrows to the d4 vertices, and a maximal packing of
+live edges in which no vertex lies in more than two of them. The packing
+is carried on the stack like the summary: a node drops what left of the
+last packing on its path and tops it up only around the vertices that
+freed. Because the tree does not depend on the incumbent, the witness is
+always the first optimum leaf in depth-first order, whatever the bounds
+prune.
 exact_min_rhf rides on the edge-twinning reduction. The search takes
 edge and incidence masks, not a Hypergraph, so rvc_decide runs it on a
 graph's edge masks with the weight budget as its starting incumbent,
@@ -49,12 +51,7 @@ from .core import (
     mask_of,
     weight_pair,
 )
-from .enumeration import (
-    EnumerationStats,
-    _degree_bound,
-    _enumerate,
-    _packing_bound,
-)
+from .enumeration import EnumerationStats, _enumerate
 from .errors import InputError
 
 
@@ -129,6 +126,70 @@ def greedy_rhf(
 # ---------------------------------------------------------------------------
 # Exact minimum Roman hitting set
 
+# a packing of live edges: the packed-edge mask and the live vertices in
+# at least one (u1) and at least two (u2) packed edges
+Packing = tuple[int, int, int]
+
+
+def _repack(
+    members: Sequence[int], inc: Sequence[int], livev: int, live_e: int,
+    pack: Packing | None,
+) -> Packing:
+    """A maximal packing of the live edges, in which no live vertex lies
+    in more than two packed edges, derived from an earlier one.
+
+    pack was maximal for a superset of today's live vertices and edges
+    (None: the empty packing, every live edge a candidate). Removing
+    edges or vertices keeps a packing a packing: the packed edges that
+    left go, the live members of those edges recount, and the vertices
+    that left clear. An unpacked live edge was blocked by a vertex of
+    the old u2, so only edges through a vertex that left u2 can join;
+    they are tried greedily in index order, which leaves it maximal.
+    """
+    if pack is None:
+        packed = u1 = u2 = 0
+        cand = live_e
+    else:
+        packed, u1, u2 = pack
+        freed = u2
+        gone = packed & ~live_e
+        if gone:
+            packed ^= gone
+            hit = 0
+            while gone:
+                low = gone & -gone
+                gone ^= low
+                hit |= members[low.bit_length() - 1]
+            u1 &= ~hit
+            u2 &= ~hit
+            hit &= livev
+            while hit:
+                yb = hit & -hit
+                hit ^= yb
+                c = inc[yb.bit_length() - 1] & packed
+                if c:
+                    u1 |= yb
+                    if c & (c - 1):
+                        u2 |= yb
+        u1 &= livev
+        u2 &= livev
+        freed ^= u2
+        cand = 0
+        while freed:
+            yb = freed & -freed
+            freed ^= yb
+            cand |= inc[yb.bit_length() - 1]
+        cand &= live_e & ~packed
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        cur = members[low.bit_length() - 1] & livev
+        if not cur & u2:
+            u2 |= u1 & cur
+            u1 |= cur
+            packed |= low
+    return packed, u1, u2
+
 
 def _min_rhs_search(
     members: Sequence[int], inc: Sequence[int], budget: int | None = None
@@ -141,7 +202,6 @@ def _min_rhs_search(
     weight at most budget; weight -1 with an empty witness says there is
     none.
     """
-    order = range(len(members))  # the packing takes live edges by index
     best_w = -1 if budget is None else budget + 1
     best = (0, 0)
     nodes = 0
@@ -161,17 +221,17 @@ def _min_rhs_search(
             s3 |= s2 & cur
             s2 |= s1 & cur
             s1 |= cur
-    # livev, live_e, r1m, r2m, the parent's summary, and the pending
-    # updates of it: the live edges that lost a dropped member (reread)
-    # or left with a taken vertex (recount)
+    # livev, live_e, r1m, r2m, the parent's summary, the pending updates
+    # of it (the live edges that lost a dropped member, reread, or left
+    # with a taken vertex, recount), and the last packing on the path
     stack = [(
         (1 << len(inc)) - 1, ((1 << len(members)) - 1) ^ drained, drained, 0,
-        (d1, d2, d3, d4, s1, s2, s3), 0, 0,
+        (d1, d2, d3, d4, s1, s2, s3), 0, 0, None,
     )]
     push = stack.append
     pop = stack.pop
     while stack:
-        livev, live_e, r1m, r2m, summary, reread, recount = pop()
+        livev, live_e, r1m, r2m, summary, reread, recount, pack = pop()
         d1, d2, d3, d4, s1, s2, s3 = summary
         while True:
             # drop the vertices that left from the summary (every mask
@@ -254,13 +314,23 @@ def _min_rhs_search(
                 if budget is not None:
                     break
             continue
-        if best_w >= 0 and (
-            w + _degree_bound(inc, livev, live_e) >= best_w
-            or w + _packing_bound(members, order, livev, live_e) >= best_w
-        ):
-            continue
         # every live vertex has live degree 3 or more
         assert livev == d3
+        if best_w >= 0:
+            # the covering bound: only d4 vertices have live degree above 3
+            delta = 3
+            rest = d4
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                deg = (inc[low.bit_length() - 1] & live_e).bit_count()
+                if deg > delta:
+                    delta = deg
+            if w + -(-2 * live_e.bit_count() // delta) >= best_w:
+                continue
+            pack = _repack(members, inc, livev, live_e, pack)
+            if w + pack[0].bit_count() >= best_w:
+                continue
         summary = (d1, d2, d3, d4, s1, s2, s3)
         x3 = d3 & ~d4
         if x3:
@@ -283,14 +353,14 @@ def _min_rhs_search(
                 low = rest & -rest
                 rest ^= low
                 reread |= inc[low.bit_length() - 1]
-            push((livev ^ gone, live_e ^ ex, r1m, r2m | xb, summary, reread & live_e & ~ex, 0))
-            push((livev ^ xb, live_e, r1m, r2m, summary, ex, 0))
+            push((livev ^ gone, live_e ^ ex, r1m, r2m | xb, summary, reread & live_e & ~ex, 0, pack))
+            push((livev ^ xb, live_e, r1m, r2m, summary, ex, 0, pack))
         else:
             # include the lowest vertex first, then exclude it
             xb = livev & -livev
             ex = inc[xb.bit_length() - 1] & live_e
-            push((livev ^ xb, live_e, r1m, r2m, summary, ex, 0))
-            push((livev ^ xb, live_e ^ ex, r1m, r2m | xb, summary, 0, ex))
+            push((livev ^ xb, live_e, r1m, r2m, summary, ex, 0, pack))
+            push((livev ^ xb, live_e ^ ex, r1m, r2m | xb, summary, 0, ex, pack))
     if budget is not None and best_w > budget:
         best_w = -1
     return OptResult(best_w, RhsPair.from_masks(*best), nodes)
@@ -331,10 +401,22 @@ def exact_min_rhs(h: Hypergraph) -> OptResult:
     first and then included with no co-member in R2 (an exchange
     argument), and otherwise the lowest live vertex, included first. A
     node is pruned when its weight plus a lower bound on the rest reaches
-    the best weight so far. There are two bounds: the covering bound
-    ceil(2d / max(2, maxdeg)) over the d live edges, and, only when that
-    one does not prune, the size of a greedy packing of live edges, taken
-    in index order, in which no vertex lies in more than two packed edges.
+    the best weight so far. There are two bounds. The first is the
+    covering bound ceil(2d / max(2, maxdeg)) over the d live edges; every
+    live vertex has live degree 3 or more there, so maxdeg is 3 or the
+    largest degree among the d4 vertices. The second, only when the
+    first does not prune, is the size of a maximal packing of live edges
+    in which no vertex lies in more than two packed edges. Each stack
+    entry also carries the last packing computed on its path, shared by
+    both children. A node drops the packed edges that left, recounts
+    their live members and clears the vertices that left; then it tries,
+    greedily in index order, only the unpacked live edges through a
+    vertex that is no longer in two packed edges, since every other one
+    is still blocked. The first node on a path to need the bound starts
+    from the empty packing, with every live edge a candidate. Removing edges and vertices keeps a packing a
+    packing, and the top-up leaves it maximal, so the bound is valid;
+    its value can differ from a packing built afresh, and so can the
+    node counts.
 
     The tree does not depend on the incumbent, both bounds are valid and
     the incumbent changes only on a strictly lower weight, so the witness

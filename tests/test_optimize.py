@@ -31,6 +31,7 @@ from romanhs.errors import InputError
 from romanhs.optimize import (
     OptResult,
     _min_rhs_search,
+    _repack,
     exact_min_rhf,
     exact_min_rhs,
     greedy_rhf,
@@ -222,16 +223,62 @@ def test_packing_bound_beats_degree_bound():
     assert exact_min_rhs(h).weight == 4
 
 
+def _assert_maximal_packing(members, inc, livev, live_e, pack):
+    packed, u1, u2 = pack
+    assert not packed & ~live_e
+    want1 = want2 = 0
+    for v in core.bits(livev):
+        count = (inc[v] & packed).bit_count()
+        assert count <= 2, v
+        if count:
+            want1 |= 1 << v
+        if count > 1:
+            want2 |= 1 << v
+    assert (u1, u2) == (want1, want2)
+    for i in core.bits(live_e & ~packed):
+        assert members[i] & livev & u2, i
+
+
+def test_carried_packing_stays_a_maximal_packing():
+    """Through seeded sequences of vertex and edge removals, each step
+    derived from the last: packed edges are live, no live vertex lies in
+    three of them, every unpacked live edge meets a vertex of u2, and
+    u1/u2 match a recount. At the root it is the enumerator's packing in
+    index order."""
+    rng = random.Random(2626)
+    for _ in range(300):
+        nv, ne = rng.randint(1, 16), rng.randint(1, 28)
+        members = [mask_of(v for v in range(nv) if rng.random() < 0.3) for _ in range(ne)]
+        inc = [mask_of(i for i, m in enumerate(members) if m >> v & 1) for v in range(nv)]
+        livev = (1 << nv) - 1
+        live_e = mask_of(i for i, m in enumerate(members) if m)
+        pack = _repack(members, inc, livev, live_e, None)
+        assert pack[0].bit_count() == _packing_bound(members, range(ne), livev, live_e)
+        while True:
+            _assert_maximal_packing(members, inc, livev, live_e, pack)
+            if not live_e:
+                break
+            # drop some vertices, some edges, or both; an edge left with no
+            # live member leaves too, as it drains in the search
+            if rng.random() < 0.7:
+                livev &= ~mask_of(v for v in core.bits(livev) if rng.random() < 0.2)
+            if rng.random() < 0.5:
+                live_e &= ~mask_of(i for i in core.bits(live_e) if rng.random() < 0.2)
+            live_e &= ~mask_of(i for i in core.bits(live_e) if not members[i] & livev)
+            pack = _repack(members, inc, livev, live_e, pack)
+
+
 def _full_pass_search(members, inc, budget=None):
     """The exact search as it was when every reduction step re-read all
-    live edges: a test-only reference for the incremental summary."""
-    order = range(len(members))
+    live edges: a test-only reference for the incremental summary. Its
+    bounds are the enumerator's covering bound and the search's own
+    carried packing, so its tree is the search's."""
     best_w = -1 if budget is None else budget + 1
     best = (0, 0)
     nodes = 0
-    stack = [((1 << len(inc)) - 1, (1 << len(members)) - 1, 0, 0)]
+    stack = [((1 << len(inc)) - 1, (1 << len(members)) - 1, 0, 0, None)]
     while stack:
-        livev, live_e, r1m, r2m = stack.pop()
+        livev, live_e, r1m, r2m, pack = stack.pop()
         while True:
             d1 = d2 = d3 = d4 = s1 = s2 = s3 = drained = 0
             rest = live_e
@@ -271,11 +318,12 @@ def _full_pass_search(members, inc, budget=None):
                 if budget is not None:
                     break
             continue
-        if best_w >= 0 and (
-            w + _degree_bound(inc, livev, live_e) >= best_w
-            or w + _packing_bound(members, order, livev, live_e) >= best_w
-        ):
-            continue
+        if best_w >= 0:
+            if w + _degree_bound(inc, livev, live_e) >= best_w:
+                continue
+            pack = _repack(members, inc, livev, live_e, pack)
+            if w + pack[0].bit_count() >= best_w:
+                continue
         x3 = d3 & ~d4
         if x3:
             xb = x3 & -x3
@@ -286,12 +334,12 @@ def _full_pass_search(members, inc, budget=None):
                 low = rest & -rest
                 rest ^= low
                 others |= members[low.bit_length() - 1]
-            stack.append((livev & ~(xb | others), live_e & ~ex, r1m, r2m | xb))
-            stack.append((livev ^ xb, live_e, r1m, r2m))
+            stack.append((livev & ~(xb | others), live_e & ~ex, r1m, r2m | xb, pack))
+            stack.append((livev ^ xb, live_e, r1m, r2m, pack))
         else:
             xb = livev & -livev
-            stack.append((livev ^ xb, live_e, r1m, r2m))
-            stack.append((livev ^ xb, live_e & ~inc[xb.bit_length() - 1], r1m, r2m | xb))
+            stack.append((livev ^ xb, live_e, r1m, r2m, pack))
+            stack.append((livev ^ xb, live_e & ~inc[xb.bit_length() - 1], r1m, r2m | xb, pack))
     if budget is not None and best_w > budget:
         best_w = -1
     return OptResult(best_w, RhsPair.from_masks(*best), nodes)
@@ -348,7 +396,7 @@ def test_search_matches_the_full_pass_reference():
     h = gen_random(34, 68, 0.1, 3).hypergraph
     members, inc = h.edge_members, h.incidence_masks
     want = run(_full_pass_search, members, inc)
-    assert want[::3] == (30, 2935)
+    assert want[::3] == (30, 2365)
     assert run(_min_rhs_search, members, inc) == want
     for k, weight in ((29, -1), (30, 30)):
         got = run(_min_rhs_search, members, inc, k)
