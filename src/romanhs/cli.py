@@ -28,7 +28,6 @@ import os
 import re
 import sys
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
@@ -345,30 +344,11 @@ def _cmd_gen(args: argparse.Namespace, show: _Printer) -> int:
 def _cmd_oracle(args: argparse.Namespace, show: _Printer) -> int:
     hf = _hypergraph(args.file)
     h = hf.hypergraph
-    jobs = args.jobs
-    if jobs < 1:
-        raise InputError("job count must be at least 1")
-    # every split prints the same lines, so more workers than cores buys
-    # nothing, and an unbounded count would start that many processes
-    jobs = min(jobs, os.cpu_count() or 1)
     if args.kind == "rhs":
-        scan, inputs = brute_enumerate_minimal_rhs, (h,)
-        order, line = RhsPair.r2_mask, partial(show.pair, h)
+        found, line = brute_enumerate_minimal_rhs(h), partial(show.pair, h)
     else:
-        scan, inputs = brute_enumerate_minimal_rhf, (h, _require_tau(hf, "oracle rhf"))
-        order, line = None, partial(show.assignment, h.vertex_tokens)
-    if jobs == 1:
-        found = scan(*inputs)
-    else:
-        # imported here: only the parallel oracle needs it, and its import
-        # costs every other subcommand several milliseconds
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.starmap(scan, [(*inputs, p, jobs) for p in range(jobs)])
-        # every part comes in scan order, so sorting restores the order of
-        # the single scan
-        found = sorted(chain.from_iterable(parts), key=order)
+        found = brute_enumerate_minimal_rhf(h, _require_tau(hf, "oracle rhf"))
+        line = partial(show.assignment, h.vertex_tokens)
     for sol in found:
         print(line(sol))
     _stats(solutions=len(found))
@@ -572,9 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, required=True)
     pr.add_argument("--with-tau", action="store_true")
     pr.add_argument("--with-preset", action="store_true")
-    p = command("oracle", _cmd_oracle, "brute-force enumeration oracle",
-                ("kind", ["rhs", "rhf"]), "file")
-    p.add_argument("--jobs", type=int, default=1)
+    command("oracle", _cmd_oracle, "brute-force enumeration oracle",
+            ("kind", ["rhs", "rhf"]), "file")
     # --json goes last, where each subcommand's help has always listed it
     for p in with_json:
         p.add_argument("--json", action="store_true")

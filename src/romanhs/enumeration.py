@@ -453,25 +453,15 @@ def minimal_pair_for_r2(h: Hypergraph, r2_mask: int) -> RhsPair | None:
     return None if r1m is None else RhsPair.from_masks(r1m, r2_mask)
 
 
-def _check_split(part: int, stride: int) -> None:
-    if not 0 <= part < stride:
-        raise InputError("a brute scan needs 0 <= part < stride")
-
-
-def brute_enumerate_minimal_rhs(
-    h: Hypergraph, part: int = 0, stride: int = 1
-) -> list[RhsPair]:
+def brute_enumerate_minimal_rhs(h: Hypergraph) -> list[RhsPair]:
     """All minimal rhs by scanning the 2-sets; small instances only.
 
-    The scan visits 2^|X| vertex masks, all spent from the work budget
-    before it starts. With a stride only the masks part, part + stride, ...
-    are scanned: the stride parts of one instance together give the full
-    result.
+    The scan visits the 2^|X| vertex masks in ascending order, all spent
+    from the work budget before it starts.
     """
-    _check_split(part, stride)
     WorkBudget("brute rhs enumeration").spend(1 << h.n_vertices)
     out = []
-    for r2m in range(part, 1 << h.n_vertices, stride):
+    for r2m in range(1 << h.n_vertices):
         pair = minimal_pair_for_r2(h, r2m)
         if pair is not None:
             out.append(pair)
@@ -479,22 +469,19 @@ def brute_enumerate_minimal_rhs(
 
 
 def brute_enumerate_minimal_rhf(
-    h: Hypergraph, tau: Correspondence, part: int = 0, stride: int = 1
+    h: Hypergraph, tau: Correspondence
 ) -> list[RomanAssignment]:
     """All minimal rhf by scanning every assignment; small instances only.
 
     The 3^|X| assignments come in lexicographic order, all spent from the
-    work budget before the scan starts; with a stride only every stride-th
-    of them, starting at index part, is scanned.
+    work budget before the scan starts.
     """
-    _check_split(part, stride)
     WorkBudget("brute rhf enumeration").spend(3**h.n_vertices)
     tau.validate(h)
     inst = _instance_masks(h, tau)
-    candidates = itertools.product((0, 1, 2), repeat=h.n_vertices)
     return [
         f
-        for f in itertools.islice(candidates, part, None, stride)
+        for f in itertools.product((0, 1, 2), repeat=h.n_vertices)
         if _rhf_violation(*inst, *_level_masks(f, h.n_vertices)) is None
     ]
 

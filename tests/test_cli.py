@@ -372,20 +372,20 @@ def test_gen_random_deterministic(run):
     assert hf.tau is not None
 
 
-def test_oracle_rhs_jobs(run, write):
+def test_oracle_rhs(run, write):
     f = write("ex1.hg", EX1)
     code, one, err1 = run("oracle", "rhs", f)
-    code2, two, err2 = run("oracle", "rhs", f, "--jobs", "2")
+    code2, two, err2 = run("oracle", "rhs", f)
     assert code == code2 == 0
     assert one == two and err1 == err2
     h = parse_hypergraph_text(EX1).hypergraph
     assert len(one.splitlines()) == len(brute_enumerate_minimal_rhs(h))
 
 
-def test_oracle_rhf_jobs(run, write):
+def test_oracle_rhf(run, write):
     f = write("ex2.hg", EX2)
     _, one, _ = run("oracle", "rhf", f)
-    _, two, _ = run("oracle", "rhf", f, "--jobs", "3")
+    _, two, _ = run("oracle", "rhf", f)
     assert one == two
     hf = parse_hypergraph_text(EX2)
     want = brute_enumerate_minimal_rhf(hf.hypergraph, hf.tau)
@@ -394,37 +394,10 @@ def test_oracle_rhf_jobs(run, write):
         assert format_assignment(hf.hypergraph.vertex_tokens, f_tuple) == line
 
 
-class _FakePool:
-    """multiprocessing.Pool stand-in that records its size and runs the
-    parts in this process, so no worker is ever started."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, func, iterable):
-        return [func(*args) for args in iterable]
-
-
-@pytest.mark.parametrize("cpus", [None, 1, 3])
-@pytest.mark.parametrize("kind, text", [("rhs", EX1), ("rhf", EX2)])
-def test_oracle_jobs_capped_at_cpu_count(run, write, monkeypatch, cpus, kind, text):
-    import multiprocessing
-
-    monkeypatch.setattr(_FakePool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    f = write("x.hg", text)
-    assert run("oracle", kind, f, "--jobs", 10**6) == run("oracle", kind, f)
-    # one worker runs the single scan in this process, with no pool
-    assert _FakePool.sizes == ([] if (cpus or 1) == 1 else [cpus])
+def test_oracle_has_no_jobs_option(run, write):
+    code, out, err = run("oracle", "rhs", write("ex1.hg", EX1), "--jobs", "2")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --jobs 2" in err
 
 
 def test_oracle_guard_refusal(run, write):
@@ -432,8 +405,6 @@ def test_oracle_guard_refusal(run, write):
     f = write("t11.hg", text)
     code, _, err = run("oracle", "rhs", f)
     assert code == 2 and "refused:" in err
-    code, _, err = run("oracle", "rhs", f, "--jobs", "2")
-    assert code == 2
 
 
 def test_oracle_rhs_guard_counts_vertices(run, write):

@@ -258,17 +258,12 @@ CASES = [
      "--with-preset"],
     # brute-force oracles
     ["oracle", "rhs", "@ex1.hg"],
-    ["oracle", "rhs", "@ex1.hg", "--jobs", "1", "--json"],
+    ["oracle", "rhs", "@ex1.hg", "--json"],
     ["oracle", "rhs", "@ex1.hg", "--jobs", "2"],
-    ["oracle", "rhs", "@ex1.hg", "--jobs", "2", "--json"],
-    ["oracle", "rhs", "@ex1.hg", "--jobs", "0"],
     ["oracle", "rhs", "@t11.hg"],
-    ["oracle", "rhs", "@t11.hg", "--jobs", "2"],
-    ["oracle", "rhf", "@ex2.hg", "--jobs", "1"],
+    ["oracle", "rhf", "@ex2.hg"],
     ["oracle", "rhf", "@ex2.hg", "--json"],
-    ["oracle", "rhf", "@ex2.hg", "--jobs", "2"],
-    ["oracle", "rhf", "@ex2.hg", "--jobs", "2", "--json"],
-    ["oracle", "rhf", "@v13.hg", "--jobs", "2"],
+    ["oracle", "rhf", "@v13.hg"],
     ["oracle", "rhf", "@ex1.hg"],
     # usage errors
     [],

@@ -228,32 +228,6 @@ def test_brute_rhs_guard():
         brute_enumerate_minimal_rhs(h)
 
 
-def test_brute_parts_cover_the_scan():
-    # for every stride the parts are disjoint and together give the single
-    # scan, in its order once sorted
-    h = build_ex1()
-    h2 = gen_tight(2)
-    tau = Correspondence((0, 0, 1, 1))
-    whole = brute_enumerate_minimal_rhs(h)
-    whole_f = brute_enumerate_minimal_rhf(h2, tau)
-    for stride in range(1, 5):
-        parts = sum((brute_enumerate_minimal_rhs(h, p, stride) for p in range(stride)), [])
-        assert len(parts) == len(set(parts))
-        assert sorted(parts, key=lambda p: p.r2_mask()) == whole
-        parts = sum((brute_enumerate_minimal_rhf(h2, tau, p, stride) for p in range(stride)), [])
-        assert len(parts) == len(set(parts))
-        assert sorted(parts) == whole_f
-
-
-@pytest.mark.parametrize("part, stride", [(-1, 1), (-1, 2), (0, 0), (0, -1), (2, 2), (3, 2)])
-def test_brute_scans_refuse_a_bad_split(part, stride):
-    h = gen_tight(2)
-    with pytest.raises(InputError):
-        brute_enumerate_minimal_rhs(h, part, stride)
-    with pytest.raises(InputError):
-        brute_enumerate_minimal_rhf(h, Correspondence((0, 0, 1, 1)), part, stride)
-
-
 def test_brute_rhf_guard_and_small_case():
     h = Hypergraph.build([f"x{i}" for i in range(13)], [("e", ["x0"])])
     with pytest.raises(GuardRefused):

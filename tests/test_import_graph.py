@@ -8,7 +8,9 @@ them. reduce and characterize sit on core and errors alone, and no
 solver module imports characterize. optimize imports reduce only
 inside exact_min_rhf, and core imports json only inside its JSON codec
 functions, so a process that prints no JSON does not load it. No module
-of the package imports dataclasses (nor, through it, inspect). Each check
+of the package imports dataclasses (nor, through it, inspect). The library
+starts no process or thread: no module imports multiprocessing, concurrent,
+subprocess or threading, at top level or in a function body. Each check
 runs in a fresh interpreter without bytecode caching, as a command line
 process runs.
 """
@@ -132,6 +134,21 @@ def test_every_public_name_resolves():
     )
     assert HANDLER_MODULES <= _package_modules(loaded)
     assert "dataclasses" not in loaded
+
+
+def test_the_library_starts_no_process():
+    banned = {"multiprocessing", "concurrent", "subprocess", "threading"}
+    found = []
+    for path in sorted(Path(romanhs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] in banned]
+    assert found == []
 
 
 def test_public_names_are_the_defining_objects():

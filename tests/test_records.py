@@ -5,9 +5,9 @@ Equal records are the same class with equal fields; a record never equals
 an instance of another class holding the same values. Frozen records hash
 their fields and refuse assignment and deletion with AttributeError. The
 two mutable records, EnumerationStats and SolutionLines, are unhashable and
-never share a default container between instances. Every record pickles
-(``oracle --jobs`` sends hypergraphs, correspondences and pairs to worker
-processes).
+never share a default container between instances. Every record pickles:
+that is public behaviour of the records, which callers may store or send
+to other processes.
 """
 
 import pickle
