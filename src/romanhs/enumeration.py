@@ -31,14 +31,17 @@ moves to R1, and the children are pushed in reverse so they are expanded
 in rule order.
 
 An optional weight cap turns the enumerator into a bounded-weight lister
-(used for Roman vertex covers). The cap prune adds to the weight so far
-two lower bounds on the cost still needed for the live edges, both
-computed afresh at the node (the exact solver carries its packing on its
-stack instead): the covering bound ceil(2d / max(2, maxdeg))
-and a greedy packing of live edges in which no vertex lies in more than
-two packed edges, taken in a load order fixed once per run. The prune
-only drops subtrees that hold no pair within the cap, so the emissions
-are those of the uncapped run filtered by weight, in the same order.
+(used for Roman vertex covers). The cap prune tests two lower bounds on
+the cost still needed for the live edges against what the cap leaves.
+The covering bound ceil(2d / max(2, maxdeg)) reads its degrees from the
+node's summary mask d3 and stops once the answer is known: it falls as
+maxdeg grows, so the walk stops at the first d3 vertex that takes it to
+the cap's room or below. The greedy packing of live edges, in which no
+vertex lies in more than two packed edges, is rebuilt at the node in a
+load order fixed once per run (the exact solver carries its packing on
+its stack instead). The prune only drops subtrees that hold no pair
+within the cap, so the emissions are those of the uncapped run filtered
+by weight, in the same order.
 """
 
 from __future__ import annotations
@@ -88,21 +91,29 @@ class EnumerationStats(_Record):
         self.rule_counts = {} if rule_counts is None else rule_counts
 
 
-def _degree_bound(inc: Sequence[int], livev: int, live_e: int) -> int:
-    """ceil(2d / max(2, maxdeg)) for the d live edges.
+def _degree_prunes(inc: Sequence[int], d3: int, live_e: int, need: int) -> bool:
+    """Does the covering bound ceil(2d / max(2, maxdeg)) over the d live
+    edges pass need?
 
     An R2 vertex hits at most maxdeg live edges at cost 2 and an R1 edge
-    costs 1, so every live edge costs at least 2 / max(2, maxdeg).
+    costs 1, so every live edge costs at least 2 / max(2, maxdeg). d3
+    holds the vertices of live degree 3 or more. The bound falls as
+    maxdeg grows, so the walk over d3 stops at the first vertex whose
+    degree brings it to need or below, and is skipped when ceil(2d / 3)
+    already is.
     """
-    delta = 2
-    rest = livev
+    d = live_e.bit_count()
+    if not d3:
+        return d > need
+    if -(-2 * d // 3) <= need:
+        return False
+    rest = d3
     while rest:
         low = rest & -rest
         rest ^= low
-        deg = (inc[low.bit_length() - 1] & live_e).bit_count()
-        if deg > delta:
-            delta = deg
-    return -(-2 * live_e.bit_count() // delta)
+        if -(-2 * d // (inc[low.bit_length() - 1] & live_e).bit_count()) <= need:
+            return False
+    return True
 
 
 def _packing_bound(
@@ -252,7 +263,7 @@ def _search(
             # the packing is computed only where the degree bound passes
             w = r1m.bit_count() + 2 * r2m.bit_count()
             if w + live_e.bit_count() > cap and (
-                w + _degree_bound(inc, d3, live_e) > cap
+                _degree_prunes(inc, d3, live_e, cap - w)
                 or w + _packing_bound(members, order, livev, live_e) > cap
             ):
                 continue

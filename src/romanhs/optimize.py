@@ -14,12 +14,15 @@ were in; taking a vertex into R2 recounts only the degrees of the other
 members of its live edges. Two lower bounds prune against the best
 weight so far: the covering bound ceil(2d / max(2, maxdeg)), whose
 maxdeg the summary narrows to the d4 vertices, and a maximal packing of
-live edges in which no vertex lies in more than two of them. The packing
-is carried on the stack like the summary: a node drops what left of the
-last packing on its path and tops it up only around the vertices that
-freed. Because the tree does not depend on the incumbent, the witness is
-always the first optimum leaf in depth-first order, whatever the bounds
-prune.
+live edges in which no vertex lies in more than two of them. The
+covering test stops once its answer is known: the bound falls as maxdeg
+grows, so the d4 walk stops at the first vertex that takes it below what
+the node still needs, and is skipped when ceil(2d / 4) already is. The
+packing is carried on the stack like the summary: a node drops what left
+of the last packing on its path and tops it up only around the vertices
+that freed. Because the tree does not depend on the incumbent, the
+witness is always the first optimum leaf in depth-first order, whatever
+the bounds prune.
 exact_min_rhf rides on the edge-twinning reduction. The search takes
 edge and incidence masks, not a Hypergraph, so rvc_decide runs it on a
 graph's edge masks with the weight budget as its starting incumbent,
@@ -76,9 +79,12 @@ class OptResult(_Frozen):
 def _greedy_cover(h: Hypergraph) -> frozenset[int]:
     """Max-coverage greedy hitting set over the distinct edge contents.
 
-    Each vertex keeps the number of live edges it would hit; hitting an
-    edge decrements its members' counts, and the pick is the first
-    maximum, so ties go to the smallest vertex id.
+    Each vertex keeps the number of live edges it would hit, and one
+    bucket mask per count holds the vertices at that count. The pick is
+    the lowest vertex of the highest non-empty bucket, the first maximum,
+    so ties go to the smallest vertex id; hitting an edge moves each
+    member down one bucket. Counts only fall, so the top bucket only
+    moves down, and the whole run is linear in the incidences.
     """
     live = {m for m in h.edge_members if m}
     count = [0] * h.n_vertices
@@ -87,15 +93,24 @@ def _greedy_cover(h: Hypergraph) -> frozenset[int]:
         for x in bits(m):
             count[x] += 1
             edges_of[x].append(m)
+    bucket = [0] * (max(count, default=0) + 1)
+    for x, c in enumerate(count):
+        bucket[c] |= 1 << x
+    top = len(bucket) - 1
     chosen = []
     while live:
-        best = max(range(h.n_vertices), key=count.__getitem__)
+        while not bucket[top]:
+            top -= 1
+        best = (bucket[top] & -bucket[top]).bit_length() - 1
         chosen.append(best)
         for m in edges_of[best]:
             if m in live:
                 live.remove(m)
                 for x in bits(m):
-                    count[x] -= 1
+                    c = count[x]
+                    bucket[c] ^= 1 << x
+                    bucket[c - 1] |= 1 << x
+                    count[x] = c - 1
     return frozenset(chosen)
 
 
@@ -317,17 +332,24 @@ def _min_rhs_search(
         # every live vertex has live degree 3 or more
         assert livev == d3
         if best_w >= 0:
-            # the covering bound: only d4 vertices have live degree above 3
-            delta = 3
-            rest = d4
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                deg = (inc[low.bit_length() - 1] & live_e).bit_count()
-                if deg > delta:
-                    delta = deg
-            if w + -(-2 * live_e.bit_count() // delta) >= best_w:
-                continue
+            # the covering bound ceil(2d / maxdeg) falls as maxdeg grows and
+            # only d4 vertices have degree above 3: it cannot prune when
+            # ceil(2d / 4) is below need, else it prunes unless a d4 vertex
+            # brings it below need
+            need = best_w - w
+            d = live_e.bit_count()
+            if not d4:
+                if -(-2 * d // 3) >= need:
+                    continue
+            elif -(-2 * d // 4) >= need:
+                rest = d4
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if -(-2 * d // (inc[low.bit_length() - 1] & live_e).bit_count()) < need:
+                        break
+                else:
+                    continue
             pack = _repack(members, inc, livev, live_e, pack)
             if w + pack[0].bit_count() >= best_w:
                 continue
@@ -404,19 +426,26 @@ def exact_min_rhs(h: Hypergraph) -> OptResult:
     the best weight so far. There are two bounds. The first is the
     covering bound ceil(2d / max(2, maxdeg)) over the d live edges; every
     live vertex has live degree 3 or more there, so maxdeg is 3 or the
-    largest degree among the d4 vertices. The second, only when the
-    first does not prune, is the size of a maximal packing of live edges
-    in which no vertex lies in more than two packed edges. Each stack
-    entry also carries the last packing computed on its path, shared by
-    both children. A node drops the packed edges that left, recounts
-    their live members and clears the vertices that left; then it tries,
-    greedily in index order, only the unpacked live edges through a
-    vertex that is no longer in two packed edges, since every other one
-    is still blocked. The first node on a path to need the bound starts
-    from the empty packing, with every live edge a candidate. Removing edges and vertices keeps a packing a
-    packing, and the top-up leaves it maximal, so the bound is valid;
-    its value can differ from a packing built afresh, and so can the
-    node counts.
+    largest degree among the d4 vertices. The bound falls as maxdeg
+    grows, so its test stops once the answer is known: with no d4
+    vertex maxdeg is 3 without a walk; when ceil(2d / 4) is below what
+    the node still needs (the best weight less its own) the test cannot
+    prune and walks nothing; otherwise the walk stops at the first d4
+    vertex whose degree takes the bound below that need, and the node is
+    pruned only when none does. The prune decisions are those of the
+    full maximum. The second bound, only when the first does not prune,
+    is the size of a maximal packing of live edges in which no vertex
+    lies in more than two packed edges. Each stack entry also carries
+    the last packing computed on its path, shared by both children. A
+    node drops the packed edges that left, recounts their live members
+    and clears the vertices that left; then it tries, greedily in index
+    order, only the unpacked live edges through a vertex that is no
+    longer in two packed edges, since every other one is still blocked.
+    The first node on a path to need the bound starts from the empty
+    packing, with every live edge a candidate. Removing edges and
+    vertices keeps a packing a packing, and the top-up leaves it
+    maximal, so the bound is valid; its value can differ from a packing
+    built afresh, and so can the node counts.
 
     The tree does not depend on the incumbent, both bounds are valid and
     the incumbent changes only on a strictly lower weight, so the witness

@@ -19,7 +19,7 @@ from romanhs.core import (
     weight_pair,
 )
 from romanhs.enumeration import (
-    _degree_bound,
+    _degree_prunes,
     _load_order,
     _packing_bound,
     brute_enumerate_minimal_rhs,
@@ -109,12 +109,45 @@ def _rescan_cover(h):
     return frozenset(chosen)
 
 
+def _relabelled_path(n, seed):
+    """A path on n vertices whose ids are shuffled by the seed: edge k
+    holds the k-th and (k+1)-th vertices of the shuffle."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    tokens = [f"p{k}" for k in range(1, n + 1)]
+    return Hypergraph.build(
+        tokens, [(f"q{k}", [tokens[order[k]], tokens[order[k + 1]]]) for k in range(n - 1)]
+    )
+
+
 def test_greedy_matches_rescan_rule():
+    """The bucket greedy picks what a rescan of every vertex picks, on
+    small seeded instances and on larger ones where many vertices tie and
+    counts drop across several buckets at each pick."""
     rng = random.Random(4242)
     for _ in range(200):
         nv, ne = rng.randint(0, 25), rng.randint(0, 30)
         h = gen_random(nv, ne, rng.choice((0.05, 0.1, 0.2, 0.4)), rng.randrange(10**6)).hypergraph
         assert greedy_rhs(h)[0].r2 == _rescan_cover(h)
+    for h in (
+        _relabelled_path(200, 13),
+        _relabelled_path(200, 26),
+        gen_random(34, 68, 0.1, 3).hypergraph,
+        gen_random(60, 120, 0.08, 12).hypergraph,
+    ):
+        assert greedy_rhs(h)[0].r2 == _rescan_cover(h)
+
+
+def test_greedy_path_witness():
+    # every vertex but the ends ties at two edges: each pick takes the
+    # lowest vertex of count 2, which leaves its right neighbour at one
+    n = 200
+    h = Hypergraph.build(
+        [f"p{k}" for k in range(1, n + 1)], [(f"q{k}", [f"p{k}", f"p{k + 1}"]) for k in range(1, n)]
+    )
+    pair, w = greedy_rhs(h)
+    assert pair == RhsPair(frozenset(), frozenset(range(1, n - 2, 2)) | {n - 2})
+    assert w == n
 
 
 def test_greedy_ratio_bound_random():
@@ -185,6 +218,16 @@ def test_exact_vs_brute_random():
         assert res.nodes <= 2 ** (h.n_vertices + h.n_edges)
 
 
+def _degree_bound(inc, livev, live_e):
+    """ceil(2d / max(2, maxdeg)) for the d live edges, walking every live
+    vertex: the full value that the searches only compare against what
+    they still need."""
+    delta = 2
+    for x in core.bits(livev):
+        delta = max(delta, (inc[x] & live_e).bit_count())
+    return -(-2 * live_e.bit_count() // delta)
+
+
 def _root_bounds(h, order=None):
     """The degree and packing bounds at the root; packing by index by default."""
     inc = [h.incidence_mask(x) for x in range(h.n_vertices)]
@@ -207,6 +250,27 @@ def test_lower_bounds_are_sound():
         assert packing <= opt
         # the enumerator's cap prune packs in load order
         assert _root_bounds(h, _load_order(h.edge_members, h.incidence_masks))[1] <= opt
+
+
+def test_degree_prunes_matches_the_full_bound():
+    """The enumerator's short-circuit predicate answers as the full
+    covering bound compared against need, for every need from -1 to one
+    past the live edge count, so on both sides of each ceil(2d / k), on
+    seeded live vertex and edge sets with and without degree-3 vertices."""
+    rng = random.Random(2828)
+    kinds = set()
+    for _ in range(400):
+        nv, ne = rng.randint(1, 14), rng.randint(0, 24)
+        members = [mask_of(v for v in range(nv) if rng.random() < rng.choice((0.1, 0.3, 0.5))) for _ in range(ne)]
+        inc = [mask_of(i for i, m in enumerate(members) if m >> v & 1) for v in range(nv)]
+        livev = mask_of(v for v in range(nv) if rng.random() < 0.8)
+        live_e = mask_of(i for i in range(ne) if rng.random() < 0.8)
+        d3 = mask_of(v for v in core.bits(livev) if (inc[v] & live_e).bit_count() >= 3)
+        kinds.add(bool(d3))
+        bound = _degree_bound(inc, livev, live_e)
+        for need in range(-1, live_e.bit_count() + 2):
+            assert _degree_prunes(inc, d3, live_e, need) == (bound > need), (members, livev, live_e, need)
+    assert kinds == {False, True}
 
 
 def test_packing_bound_beats_degree_bound():
