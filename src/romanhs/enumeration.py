@@ -15,20 +15,25 @@ masks ``once`` and ``twice`` holding the edges hit by at least one and
 at least two R2 vertices (plus the outcome of its extension check). An
 R2 vertex x keeps a private edge exactly when ``inc[x] & once & ~twice``
 is non-empty, so the extension check only re-tests the vertices a child
-adds to R2 and the R2 owners of edges the child moves from ``once`` to
-``twice``. A node's live-edge summary applies both reduction rules and
-chooses the branch rule: bit-sliced live-degree masks (degree at least 1,
-2 and 3), the members of 2-member edges, and the live edges with 1, 2 and
-3 live members. A node builds it in one pass over its live edges, except
-the first child of a node with many live edges: it is popped right after
-its parent and starts from the parent's summary, held in local variables
-only. It resizes the edges that lost a member, recounts the degrees of
-the members of edges that left, and rechecks the members of edges that
-left size 2. The descent to the first pair then costs what changes on
-the way down, not its depth times the live edges. Each child is
-described by what it adds to R2, what it deletes and the drained edge it
-moves to R1, and the children are pushed in reverse so they are expanded
-in rule order.
+adds to R2, when it adds more than one (a lone one keeps its live edges,
+which no R2 vertex hit), and the R2 owners of edges the child moves from
+``once`` to ``twice``. A node's live-edge summary applies both reduction
+rules and chooses the branch rule: bit-sliced live-degree masks (degree
+at least 1, 2 and 3), the members of 2-member edges, and the live edges
+with 1, 2 and 3 live members. A node builds it in one pass over its live
+edges, except the first child of a node with many live edges: it is
+popped right after its parent and starts from the parent's summary, held
+in local variables only. It resizes the edges that lost a member,
+recounts the degrees of the members of edges that left, and rechecks the
+members of edges that left size 2. The descent to the first pair then
+costs what changes on the way down, not its depth times the live edges.
+A node popped with no live edge is a leaf and skips the pass: its
+summary is empty, so its live vertices go under RR1 and, under a cap, it
+is dropped exactly when its weight passes the cap. A leaf that survives
+emits its pair, an ``RhsPair`` the search builds where it finds it. Each
+child is described by what it adds to R2, what it deletes and the
+drained edge it moves to R1, and the children are pushed in reverse so
+they are expanded in rule order.
 
 An optional weight cap turns the enumerator into a bounded-weight lister
 (used for Roman vertex covers). The cap prune tests two lower bounds on
@@ -158,9 +163,9 @@ _DERIVE_ABOVE = 16
 
 def _search(
     members: Sequence[int], inc: Sequence[int], cap: int | None, stats: EnumerationStats
-) -> Iterator[tuple[int, int]]:
-    """Yield the (R1, R2) masks of the minimal pairs of the instance given
-    by its edge member and vertex incidence masks; fill stats at the end."""
+) -> Iterator[RhsPair]:
+    """Yield the minimal pairs, as RhsPairs, of the instance given by its
+    edge member and vertex incidence masks; fill stats at the end."""
     rc = stats.rule_counts
     order = None if cap is None else _load_order(members, inc)
     nodes = emitted = gap = max_gap = 0
@@ -171,9 +176,17 @@ def _search(
     push = stack.append
     pop = stack.pop
     derive = False
+    from_masks = RhsPair.from_masks
     while stack:
         livev, live_e, r1m, r2m, once, twice, private = pop()
-        if derive:
+        if not live_e:
+            # a leaf: no live edge, so an empty summary; the shared tail
+            # then puts every live vertex under RR1, and the cap prune,
+            # with no live edge, drops the node exactly when its weight
+            # passes the cap
+            derive = False
+            d1 = d3 = drained = 0
+        elif derive:
             # the first child of the node just expanded, whose summary is
             # still in pv, pe, d1/d2/d3, s2 and m1/m2/m3: resize the edges
             # that lost a member, recount the degrees of the members of
@@ -274,7 +287,7 @@ def _search(
             if gap > max_gap:
                 max_gap = gap
             gap = 0
-            yield r1m, r2m
+            yield from_masks(r1m, r2m)
             continue
 
         # children as (measure drop, R2 additions, deletions, R1 edge)
@@ -379,8 +392,10 @@ def _search(
             ok = True
             if add:
                 # only new R2 vertices and the owners of edges that just
-                # gained a second R2 hit can have lost their private edge
-                suspects = add
+                # gained a second R2 hit can have lost their private edge;
+                # a lone new vertex keeps one: RR1 left it a live edge,
+                # which no R2 vertex hit
+                suspects = add if add & (add - 1) else 0
                 newly = c_twice & ~twice
                 if newly:
                     for i in bits(newly):
@@ -413,13 +428,13 @@ def iter_minimal_rhs(
 ) -> Iterator[RhsPair]:
     """Yield every minimal rhs of h exactly once, lazily.
 
-    The order and the weight cap are those of enumerate_minimal_rhs, and
-    the search advances only as far as the consumer reads, so
+    The order and the weight cap are those of enumerate_minimal_rhs. The
+    generator is the search itself, which builds each pair where it finds
+    it, so it advances only as far as the consumer reads, and
     itertools.islice stops it early.
     """
     cap = _checked_cap(weight_cap)
-    masks = _search(h.edge_members, h.incidence_masks, cap, EnumerationStats())
-    return itertools.starmap(RhsPair.from_masks, masks)
+    return _search(h.edge_members, h.incidence_masks, cap, EnumerationStats())
 
 
 def enumerate_minimal_rhs(
@@ -442,14 +457,13 @@ def _enumerate(
 ) -> EnumerationStats:
     """enumerate_minimal_rhs on edge member and vertex incidence masks."""
     stats = EnumerationStats()
-    masks = _search(members, inc, cap, stats)
+    pairs = _search(members, inc, cap, stats)
     if sink is None:
-        for _ in masks:
+        for _ in pairs:
             pass
     else:
-        from_masks = RhsPair.from_masks
-        for r1m, r2m in masks:
-            sink(from_masks(r1m, r2m))
+        for pair in pairs:
+            sink(pair)
     return stats
 
 

@@ -121,6 +121,23 @@ def test_weight_cap_rejects_negative():
         enumerate_minimal_rhs(build_ex1(), weight_cap=-1)
 
 
+def test_leaf_popped_after_a_derived_parent():
+    # x0 is in 17 edges, above _DERIVE_ABOVE, so its first child, the leaf
+    # with x0 at 2, is popped while the search would derive its summary; no
+    # golden run pops a leaf there. The leaf must hand the next node a full
+    # pass: at cap 2 that node, x0 deleted, is pruned. The figures are those
+    # of the search that ran the summary pass at every node
+    h = Hypergraph.build(
+        [f"x{i}" for i in range(18)],
+        [(f"e{i}", ["x0", f"x{i}"]) for i in range(1, 18)],
+    )
+    out, stats = collect(h, weight_cap=2)
+    assert [(p.r1m, p.r2m) for p in out] == [(0, 1)]
+    assert (stats.emitted, stats.nodes, stats.max_gap) == (1, 2, 2)
+    assert stats.rule_counts == {"BR2": 1, "RR1": 17}
+    assert list(iter_minimal_rhs(h, weight_cap=2)) == out
+
+
 def test_iter_matches_sink_order():
     rng = random.Random(7)
     for _ in range(30):
