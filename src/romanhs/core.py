@@ -28,7 +28,10 @@ cores take an instance as plain sequences, not objects: the edge member
 masks, the vertex incidence masks and the correspondence (_instance_masks
 of a hypergraph). A graph passes its closed neighborhoods as both members
 and incidences, with the identity correspondence (_closed_masks), and
-builds no Hypergraph. Outside the incremental counts of the enumerator
+builds no Hypergraph; the Roman vertex cover searches take its edge
+hypergraph's member and incidence masks (_edge_masks). A Graph builds
+both sets of masks once, in its constructor's pass over the edges, so
+no query rebuilds them. Outside the incremental counts of the enumerator
 and the general-extension sweep, every privacy test reads _hit_counts: a
 member x of a vertex set hits inc[x] & ~twice alone.
 """
@@ -329,8 +332,10 @@ class Correspondence(_Frozen):
     def validate(self, h: Hypergraph) -> None:
         if len(self.mapping) != h.n_vertices:
             raise InputError("correspondence length differs from universe size")
+        members = h.edge_members
+        m = len(members)
         for x, i in enumerate(self.mapping):
-            if not 0 <= i < h.n_edges or not (h.edge_members[i] >> x) & 1:
+            if not 0 <= i < m or not (members[i] >> x) & 1:
                 raise InputError(
                     f"vertex {h.vertex_tokens[x]!r} not contained in its "
                     f"assigned edge"
@@ -617,17 +622,22 @@ def _require_nonempty_edges(h: Hypergraph) -> None:
 class Graph(_Frozen):
     """Undirected simple graph with token-named vertices.
 
-    ``edges`` stores id pairs (u < v) in declaration order; adjacency masks
-    are precomputed, and like the token lookup take no part in equality,
-    hash or repr. Self-loops and duplicate edges are rejected.
+    ``edges`` stores id pairs (u < v) in declaration order; a pair given
+    as (v, u) is stored as (u, v). Self-loops and duplicate edges are
+    rejected. The one pass over the edges also builds the masks the
+    queries read: the closed neighborhoods, as the cores' three sequences
+    (_closed_masks), and the edge hypergraph's member and incidence masks
+    (_edge_masks). They and the token lookup take no part in equality,
+    hash, repr or pickling, which rebuilds them through the constructor.
     """
 
     _fields = ("vertex_tokens", "edges")
-    __slots__ = _fields + ("_vertex_ids", "_adjacency")
+    __slots__ = _fields + ("_vertex_ids", "_closed", "_edge")
     vertex_tokens: tuple[str, ...]
     edges: tuple[tuple[VertexId, VertexId], ...]
     _vertex_ids: Mapping[str, int]
-    _adjacency: tuple[int, ...]
+    _closed: tuple[tuple[int, ...], tuple[int, ...], range]
+    _edge: tuple[tuple[int, ...], tuple[int, ...]]
 
     def __init__(
         self,
@@ -638,23 +648,34 @@ class Graph(_Frozen):
         if len(vids) != len(vertex_tokens):
             raise InputError("duplicate vertex token")
         n = len(vertex_tokens)
-        adj = [0] * n
-        seen = set()
+        closed = [1 << v for v in range(n)]
+        inc = [0] * n
+        members = []
+        pairs = []
+        bit = 1  # 1 << i for edge i
         for u, v in edges:
-            if u == v:
+            if u > v:
+                u, v = v, u
+            elif u == v:
                 raise InputError("self-loop")
-            if not (0 <= u < n and 0 <= v < n):
+            if not (0 <= u and v < n):
                 raise InputError("edge endpoint out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            bu, bv = 1 << u, 1 << v
+            if closed[u] & bv:
                 raise InputError("duplicate edge")
-            seen.add(key)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            closed[u] |= bv
+            closed[v] |= bu
+            members.append(bu | bv)
+            inc[u] |= bit
+            inc[v] |= bit
+            bit <<= 1
+            pairs.append((u, v))
+        closed_t = tuple(closed)
         object.__setattr__(self, "vertex_tokens", vertex_tokens)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(pairs))
         object.__setattr__(self, "_vertex_ids", vids)
-        object.__setattr__(self, "_adjacency", tuple(adj))
+        object.__setattr__(self, "_closed", (closed_t, closed_t, range(n)))
+        object.__setattr__(self, "_edge", (tuple(members), tuple(inc)))
 
     @classmethod
     def build(
@@ -665,8 +686,7 @@ class Graph(_Frozen):
         for a, b in edges:
             if a not in vids or b not in vids:
                 raise InputError(f"edge ({a!r}, {b!r}) uses unknown vertex")
-            u, v = vids[a], vids[b]
-            pairs.append((min(u, v), max(u, v)))
+            pairs.append((vids[a], vids[b]))
         return cls(tuple(vertices), tuple(pairs))
 
     @property
@@ -680,7 +700,7 @@ class Graph(_Frozen):
             raise InputError(f"unknown vertex token {token!r}") from None
 
     def neighbors_mask(self, v: VertexId) -> int:
-        return self._adjacency[v]
+        return self._closed[0][v] & ~(1 << v)
 
 
 class BoundedRdInstance(_Frozen):
@@ -719,11 +739,11 @@ def is_rdf(g: Graph, f: Sequence[int]) -> bool:
 
 
 def _closed_masks(g: Graph) -> tuple[Masks, Masks, Masks]:
-    """closed_neighborhood_hypergraph(g) as the cores' three sequences:
-    N[v] is vertex v's edge and, since N[u] holds v exactly when N[v]
-    holds u, also its incidence; the correspondence is the identity."""
-    closed = tuple([a | 1 << v for v, a in enumerate(g._adjacency)])
-    return closed, closed, range(len(closed))
+    """closed_neighborhood_hypergraph(g) as the cores' three sequences,
+    stored on the graph: N[v] is vertex v's edge and, since N[u] holds v
+    exactly when N[v] holds u, also its incidence; the correspondence is
+    the identity."""
+    return g._closed
 
 
 def _prebuilt(*slots: object) -> Hypergraph:
@@ -744,8 +764,8 @@ def closed_neighborhood_hypergraph(g: Graph) -> tuple[Hypergraph, Correspondence
     (f^-1(1), f^-1(2)) read as a pair is an rhs exactly when f is an rhf.
 
     The graph is already checked, and every vertex's incidence is its own
-    edge, so the hypergraph is built in one pass over the adjacency
-    (_closed_masks).
+    edge, so the hypergraph takes the closed neighborhoods the graph
+    stores (_closed_masks) as both.
     """
     closed = _closed_masks(g)[0]
     vids = g._vertex_ids
@@ -754,15 +774,9 @@ def closed_neighborhood_hypergraph(g: Graph) -> tuple[Hypergraph, Correspondence
 
 
 def _edge_masks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The edge hypergraph as masks, in one pass over the graph's edges:
-    edge i holds u and v, and the incidences of u and v gain edge i."""
-    members = []
-    inc = [0] * g.n_vertices
-    for i, (u, v) in enumerate(g.edges):
-        members.append(1 << u | 1 << v)
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-    return tuple(members), tuple(inc)
+    """The edge hypergraph as masks, stored on the graph: edge i holds u
+    and v, and the incidences of u and v hold edge i."""
+    return g._edge
 
 
 def _edge_token_ids(g: Graph) -> dict[str, int]:
@@ -782,9 +796,10 @@ def edge_hypergraph(g: Graph) -> Hypergraph:
 
     Minimal Roman vertex covers of the graph are exactly the minimal
     pairs of this hypergraph. Edge tokens join the endpoint tokens with
-    a tilde, in declaration order, so edge indices carry over. The
-    searches run on _edge_masks alone; only what prints or reads edge
-    tokens needs this.
+    a tilde, in declaration order, so edge indices carry over. Its member
+    and incidence masks are the ones the graph stores (_edge_masks), on
+    which the searches run alone; only what prints or reads edge tokens
+    needs this.
     """
     ids = _edge_token_ids(g)
     members, inc = _edge_masks(g)

@@ -148,8 +148,14 @@ def _load_order(members: Sequence[int], inc: Sequence[int]) -> list[int]:
     Lightly loaded edges share few vertices with others, so packing them
     first leaves room for more packed edges.
     """
-    degree = [m.bit_count() for m in inc]
-    load = [sum(degree[x] for x in bits(m)) for m in members]
+    load = [0] * len(members)
+    for m in inc:
+        # each vertex adds its degree to every edge it lies in
+        d = m.bit_count()
+        while m:
+            low = m & -m
+            load[low.bit_length() - 1] += d
+            m ^= low
     return sorted(range(len(members)), key=load.__getitem__)
 
 

@@ -28,11 +28,13 @@ import romanhs
 from romanhs.core import (
     Correspondence,
     Graph,
+    GraphFile,
     Hypergraph,
     HypergraphFile,
     RhsPair,
     _level_masks,
     assignment_to_json,
+    _closed_masks,
     _edge_masks,
     closed_neighborhood_hypergraph,
     edge_hypergraph,
@@ -229,6 +231,74 @@ class TestClosedNeighborhoodHypergraph:
                 assert is_rdf(g, f) == is_rhf(h, tau, f)
 
 
+def _gnp_pairs(rng, n, p):
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def _graph_corpus():
+    """Seeded G(n, p) with n <= 40, some given with reversed or shuffled
+    pairs, plus the empty graph and graphs with isolated vertices."""
+    yield Graph((), ())
+    yield Graph(("a",), ())
+    yield Graph(("a", "b", "c", "d"), ((2, 1),))
+    rng = random.Random(30)
+    for _ in range(60):
+        n = rng.randint(0, 40)
+        pairs = _gnp_pairs(rng, n, rng.choice((0.0, 0.05, 0.2, 0.5)))
+        rng.shuffle(pairs)
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        yield Graph(tuple(f"v{i}" for i in range(n)), tuple(pairs))
+
+
+class TestGraphMasks:
+    def test_stored_masks_equal_a_rebuild(self):
+        for g in _graph_corpus():
+            n = g.n_vertices
+            closed = [1 << v for v in range(n)]
+            inc = [0] * n
+            for i, (u, v) in enumerate(g.edges):
+                assert u < v
+                closed[u] |= 1 << v
+                closed[v] |= 1 << u
+                inc[u] |= 1 << i
+                inc[v] |= 1 << i
+            members = tuple(1 << u | 1 << v for u, v in g.edges)
+            assert _closed_masks(g) == (tuple(closed), tuple(closed), range(n))
+            assert _edge_masks(g) == (members, tuple(inc))
+            assert [g.neighbors_mask(v) for v in range(n)] == [
+                c & ~(1 << v) for v, c in enumerate(closed)
+            ]
+            # every query reads the stored tuples, not copies
+            assert _closed_masks(g) is _closed_masks(g)
+            assert _edge_masks(g) is _edge_masks(g)
+
+    def test_identity_ignores_the_stored_masks(self):
+        for g in _graph_corpus():
+            twin = Graph(g.vertex_tokens, tuple(reversed(g.edges)))
+            fields = (g.vertex_tokens, g.edges)
+            assert hash(g) == hash(fields)
+            assert repr(g) == f"Graph(vertex_tokens={g.vertex_tokens!r}, edges={g.edges!r})"
+            # pickling sends the fields alone; the constructor rebuilds the masks
+            assert g.__reduce__() == (Graph, fields)
+            back = pickle.loads(pickle.dumps(g))
+            assert back == g and hash(back) == hash(g) and repr(back) == repr(g)
+            assert _closed_masks(back) == _closed_masks(g)
+            assert _edge_masks(back) == _edge_masks(g)
+            if len(g.edges) > 1:
+                # the same neighborhoods, other edge ids: unequal graphs
+                assert _closed_masks(twin) == _closed_masks(g)
+                assert twin != g
+
+    def test_reversed_pairs_are_stored_in_order(self):
+        g = Graph(("a", "b", "c"), ((1, 0), (2, 1)))
+        assert g.edges == ((0, 1), (1, 2))
+        built = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        assert g == built and hash(g) == hash(built)
+        text = serialize_graph_file(GraphFile(g, (0, 0, 0), (2, 2, 2)))
+        assert "gedge a b\ngedge b c" in text
+        assert edge_hypergraph(g).edge_tokens == ("a~b", "b~c")
+
+
 class TestConstruction:
     def test_duplicate_vertex_token(self):
         with pytest.raises(InputError, match="duplicate vertex token"):
@@ -253,6 +323,16 @@ class TestConstruction:
             Graph.build(["a"], [("a", "a")])
         with pytest.raises(InputError):
             Graph.build(["a", "b"], [("a", "b"), ("b", "a")])
+        # the constructor, on id pairs in either order
+        for pair in ((0, 0), (5, 5)):
+            with pytest.raises(InputError, match="self-loop"):
+                Graph(("a",), (pair,))
+        for pair in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+            with pytest.raises(InputError, match="out of range"):
+                Graph(("a", "b"), (pair,))
+        for pairs in (((0, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1))):
+            with pytest.raises(InputError, match="duplicate edge"):
+                Graph(("a", "b"), pairs)
 
     def test_correspondence_must_contain_vertex(self):
         h = build_ex1()

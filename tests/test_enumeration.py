@@ -116,6 +116,22 @@ def test_weight_cap_filters_and_agrees():
             assert len(capped) == len(set(capped))
 
 
+def test_load_order_is_its_definition():
+    # ascending sum of member degrees, ties by index; the seeded instances
+    # hold empty edges (load 0) and isolated vertices (degree 0)
+    rng = random.Random(30)
+    seen_empty = seen_isolated = False
+    for _ in range(200):
+        h = random_hypergraph(rng, max_v=9, max_e=12, density=rng.choice((0.1, 0.3, 0.6)))
+        members, inc = h.edge_members, h.incidence_masks
+        seen_empty |= 0 in members
+        seen_isolated |= 0 in inc
+        load = [sum(inc[x].bit_count() for x in range(h.n_vertices) if m >> x & 1) for m in members]
+        want = sorted(range(h.n_edges), key=lambda i: (load[i], i))
+        assert enumeration._load_order(members, inc) == want
+    assert seen_empty and seen_isolated
+
+
 def test_weight_cap_rejects_negative():
     with pytest.raises(InputError):
         enumerate_minimal_rhs(build_ex1(), weight_cap=-1)
