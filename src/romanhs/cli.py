@@ -521,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("ext-rhs", _cmd_ext_rhs, "minimal rhs extension of the preset", "file")
     p = command("ext-rhf", _cmd_ext_rhf, "minimal rhf extension of the assignment", "file")
     p.add_argument("--general", action="store_true")
-    p.add_argument("--strategy", choices=["sweep", "witness"], default="sweep")
+    p.add_argument("--strategy", choices=["sweep", "witness"], default="sweep",
+                   help="kept for compatibility; both values run the one search")
     command("ext-rd-bounded", _cmd_ext_rd_bounded,
             "minimal rdf between assign and upper", "file")
     command("ext-ds-split", _cmd_ext_ds_split,

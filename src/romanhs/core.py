@@ -32,7 +32,7 @@ builds no Hypergraph; the Roman vertex cover searches take its edge
 hypergraph's member and incidence masks (_edge_masks). A Graph builds
 both sets of masks once, in its constructor's pass over the edges, so
 no query rebuilds them. Outside the incremental counts of the enumerator
-and the general-extension sweep, every privacy test reads _hit_counts: a
+and the general extension search, every privacy test reads _hit_counts: a
 member x of a vertex set hits inc[x] & ~twice alone.
 """
 
@@ -113,16 +113,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """Iterate the submasks of a mask in ascending order, 0 first."""
-    sub = 0
-    while True:
-        yield sub
-        sub = (sub - mask) & mask
-        if not sub:
-            return
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -700,6 +690,9 @@ class Graph(_Frozen):
             raise InputError(f"unknown vertex token {token!r}") from None
 
     def neighbors_mask(self, v: VertexId) -> int:
+        """The neighbors of v as a mask; InputError for an id outside the graph."""
+        if not 0 <= v < len(self.vertex_tokens):
+            raise InputError(f"unknown vertex id {v}")
         return self._closed[0][v] & ~(1 << v)
 
 

@@ -6,14 +6,13 @@ exponential routine past its guard is a policy decision (GuardRefused).
 The command line maps them to exit codes 1 and 2 respectively.
 
 Every exponential routine (the brute enumerators, the general extension
-sweep and witness search, and the bounded Roman domination extension)
-spends its work from one WorkBudget, which refuses once the total passes
-WORK_LIMIT. The sweep and the witness search spend as they run, one unit
-per node, 2-set or private-edge map they try, so an input that needs little
-work runs whatever its size and a refusal comes after the limit's worth of
-work. The others know their count exactly before they start and spend it
-at once, so they refuse at once. Polynomial routines take no guard,
-whatever the instance size.
+search, and the bounded Roman domination extension) spends its work from
+one WorkBudget, which refuses once the total passes WORK_LIMIT. The general
+extension search spends as it runs, one unit per node it pops, so an input
+that needs little work runs whatever its size and a refusal comes after the
+limit's worth of work. The others know their count exactly before they
+start and spend it at once, so they refuse at once. Polynomial routines
+take no guard, whatever the instance size.
 """
 
 WORK_LIMIT = 1 << 20

@@ -1,37 +1,21 @@
 """Extension solvers: can a pre-solution grow into a minimal solution?
 
-ext_rhs settles the pair question outright in polynomial time. For
-assignments one core, the witness search, looks after the promotion
-closure for a planned 2-set plus a privately hit edge for each member
-(checked by check_extension_witness). Its first 2-set decides in
-polynomial time when the closure's 2s hit every edge without
-correspondence preimage, as ext_rhf_surjective requires; otherwise
-ext_rhf_general searches on, or by default sweeps the larger assignments
-depth first, dropping a prefix once it breaks a condition no completion
-repairs. Both searches spend a work budget (errors.WorkBudget) as they
-run, one unit per node, 2-set or private-edge map tried, and are refused
-once it passes the limit. Graph-side, bounded_ext_rd branches on
-dominators for the vertices capped at 0 and runs the witness search on
-each closure, and ext_ds_split answers minimal-dominating-set extension
-on split graphs by ext_rhs through reduce.ds_split_to_rhs.
-
-The public functions validate once; their loops call private cores on
-masks that validate nothing (_promote, _general_witness, _witness_cover,
-and core's _complete, _rhf_violation, _pair_violation and _minimal_r1),
-which take an instance as core's three sequences: a hypergraph's
-_instance_masks, or a graph's closed-neighborhood masks, so the graph
-solvers build no hypergraph. ext_rhs is one hit-count pass over R2's
-incidences (_minimal_r1). Outside the sweep, which carries its own hit
-counts from prefix to prefix, a 2's private edges are the edges it hits
-that are not hit twice. is_minimal_dominating_set is the pair check on
-the closed neighborhoods.
+ext_rhs settles the pair question in polynomial time, and ext_ds_split
+the split-graph dominating-set one through it. One core for assignments,
+the general extension search (_general_witness), answers
+ext_rhf_surjective (where it decides at its root), ext_rhf_general (an
+NP-complete question once tau is not surjective) and each dominator
+choice of bounded_ext_rd. The public functions validate and find the
+preimage-free edges once; their loops run private cores on core's three
+mask sequences (a hypergraph's _instance_masks or a graph's closed
+neighborhoods), which validate nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     BoundedRdInstance,
@@ -49,7 +33,6 @@ from .core import (
     _complete,
     _hit_counts,
     _id_mask,
-    _image,
     _instance_masks,
     _level_masks,
     _minimal_r1,
@@ -60,7 +43,6 @@ from .core import (
     bits,
     frozenset_of,
     mask_of,
-    submasks,
 )
 from .errors import InputError, WorkBudget
 
@@ -145,83 +127,21 @@ def ext_rhf_surjective(
 
     Requires every edge without correspondence preimage to contain a
     2-vertex of g already (always true for surjective correspondences),
-    so the witness search (ext_rhf_general's witness strategy) decides at
-    its first 2-set: it promotes forced 1s, then rejects when some 2 has
-    no private edge other than its corresponding one; otherwise edges
-    still unhit and unclaimed get a 1 on the smallest preimage member.
+    so the general extension search decides at its root: after the
+    promotion closure, no when some 2 has no private edge other than its
+    corresponding one; else every 1 stays, and edges unhit and unclaimed
+    get a 1 on the smallest preimage member.
     """
     tau.validate(h)
     ones, twos = _level_masks(g, h.n_vertices)
-    if h.all_edges_mask & ~tau.range_mask & ~h.incidence_set_mask(twos):
+    free = h.all_edges_mask & ~tau.range_mask
+    if free & ~h.incidence_set_mask(twos):
         raise InputError(
             "an edge without correspondence preimage is not pre-hit; "
             "use the general solver"
         )
     inst = _instance_masks(h, tau)
-    return _general_witness(*inst, *_promote(*inst, ones, twos))
-
-
-def _general_sweep(
-    h: Hypergraph, tau: Correspondence, f_ones: int, f_twos: int
-) -> ExtAnswer:
-    """Depth-first search over the assignments above f, vertex 0 first and
-    each vertex's values ascending, so complete candidates arrive in the
-    lexicographic order of itertools.product and the first minimal rhf
-    found is the same.
-
-    A prefix is dropped once it breaks a condition of a minimal rhf that
-    no completion repairs: two 1s share a corresponding edge, a 1's
-    corresponding edge holds a 2, a 2 has no private edge besides its
-    corresponding one, or an edge is neither hit nor claimed once its
-    highest member is decided. Later 2s only take privacy away, and only
-    from the 2s they share an edge with, so a new 2 rechecks itself and,
-    when it makes an edge of earlier 2s hit twice, the earlier 2s. So
-    every complete candidate is a minimal rhf (an empty edge, never hit,
-    answers no at once). Each node popped costs one unit of work.
-    """
-    n = h.n_vertices
-    spend = WorkBudget("general extension sweep").spend
-    members, incidence, mapping = inst = _instance_masks(h, tau)
-    if not all(members):
-        return ExtAnswer(False)
-    # the edges that can be private to x as a 2
-    own = [inc & ~(1 << i) for inc, i in zip(incidence, mapping)]
-    # the edges whose highest member is x
-    closes = [0] * n
-    for i, m in enumerate(members):
-        closes[m.bit_length() - 1] |= 1 << i
-    # a node: the next vertex, its 1s and 2s, the 1s' corresponding edges
-    # and the union of their members, and the edges its 2s hit at least
-    # once and at least twice; a 2 keeps its own edges that are hit once
-    stack = [(0, 0, 0, 0, 0, 0, 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        spend(1)
-        x, m1, m2, img, cover, hit, multi = pop()
-        if x == n:
-            assert _rhf_violation(*inst, m1, m2) is None
-            return ExtAnswer(True, _assignment(n, m1, m2))
-        bit = 1 << x
-        # the edges that x must hit or claim now; a 2 on x hits them all
-        unmet = closes[x] & ~(img | hit)
-        # push the largest value first, so the smallest is expanded first
-        if not cover & bit:
-            inc = incidence[x]
-            shared = hit & inc
-            twice = multi | shared
-            if own[x] & ~twice and (
-                not shared & ~multi or all(own[y] & ~twice for y in bits(m2))
-            ):
-                push((x + 1, m1, m2 | bit, img, cover, hit | inc, twice))
-        if not f_twos & bit:
-            i = mapping[x]
-            if not (img | hit) >> i & 1 and not unmet & ~(1 << i):
-                push(
-                    (x + 1, m1 | bit, m2, img | 1 << i, cover | members[i], hit, multi)
-                )
-            if not f_ones & bit and not unmet:
-                push((x + 1, m1, m2, img, cover, hit, multi))
-    return ExtAnswer(False)
+    return _general_witness(*inst, free, *_promote(*inst, ones, twos))
 
 
 class ExtensionWitness(_Frozen):
@@ -260,14 +180,13 @@ def check_extension_witness(
 ) -> bool:
     """Evaluate the witness constraints against an assignment.
 
-    The correspondence must be injective on the assignment's 1-set (apply
-    the promotion closure first when it is not); a malformed witness is an
-    input error. Constraints: every member's certificate edge differs from
-    its corresponding edge and meets the planned 2-set in that member only;
-    corresponding edges of the remaining 1s avoid the planned 2-set; and
-    every edge without correspondence preimage that is swallowed by the
-    certificate and remaining-1 edges must meet the planned 2-set (such an
-    edge could never gain a private hitter or a fresh 1 later).
+    tau must be injective on the 1-set (apply the promotion closure
+    first), and a malformed witness is an input error. Constraints: every
+    member's certificate edge differs from its corresponding edge and
+    meets the planned 2-set in that member only; corresponding edges of
+    the remaining 1s avoid it; and every edge without correspondence
+    preimage that the certificate and remaining-1 edges swallow must meet
+    it (such an edge could never gain a private hitter or a fresh 1).
     """
     tau.validate(h)
     ones, twos = _level_masks(f, h.n_vertices)
@@ -293,135 +212,222 @@ def check_extension_witness(
     rest = ones & ~r2m
     if any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
         return False
+    covered = _union(h.edge_members, tau.image_mask(rest) | mask_of(rho.values()))
     loose = h.all_edges_mask & ~tau.range_mask & ~h.incidence_set_mask(r2m)
-    inst = _instance_masks(h, tau)
-    return _witness_cover(*inst, rest, rho.values(), loose) is not None
+    return all(h.edge_members[i] & ~covered for i in bits(loose))
 
 
-def _witness_cover(
+def _general_witness(
+    members: Masks, inc: Masks, mapping: Masks, free: int, ones: int, twos: int
+) -> ExtAnswer:
+    """The one rhf-extension search, on a promotion closure's 1s and 2s
+    (each caller closes f first, _promote) and the preimage-free edges.
+
+    Depth first from an explicit stack, it settles each node (_settle)
+    and decides the closure's 1s, lowest first and keep before promote,
+    so the all-keep leaf comes first; then _carve maps each 2 to a private
+    edge, and fresh 2s hit what the loose edges (the preimage-free edges
+    the 2s miss) keep uncovered. Each node popped costs one unit.
+    """
+    n = len(inc)
+    zeros = (1 << n) - 1 & ~(ones | twos)
+    spend = WorkBudget("general extension search").spend
+    # a node: the undecided 1s, the planned 2s, the edges they hit at
+    # least once and at least twice, the vertices the kept 1s'
+    # corresponding edges cover
+    stack = [(ones, twos, *_hit_counts(inc, twos), 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        spend(1)
+        node = _settle(members, inc, mapping, free, zeros, *pop())
+        if node is None:
+            continue
+        todo, r2, once, twice, cover = node
+        loose = free & ~once
+        if loose and todo:
+            # later 2s only take candidates away, so the planned 2s must
+            # map now onto the loose edges that no undecided 1 can hit
+            fixed = sum(1 << i for i in bits(loose) if not members[i] & todo) if r2 else 0
+            if fixed and _carve(members, inc, mapping, r2, twice, cover, fixed, spend) is None:
+                continue
+            # keep the 1s lowest first, pushing each one's promote child;
+            # when keeping them all covers no loose edge whole, no node on
+            # the way dies or forces a 2, so walk to the all-keep leaf at
+            # once, paying its nodes; else keep the lowest and settle that
+            kept = cover
+            for x in bits(todo):
+                kept |= members[mapping[x]]
+            alive = all(members[i] & ~kept for i in bits(loose))
+            walk = todo if alive else todo & -todo
+            for x in bits(walk):
+                low = 1 << x
+                todo ^= low
+                if not low & cover:
+                    push((todo, r2 | low, once | inc[x], twice | once & inc[x], cover))
+                cover |= members[mapping[x]]
+            if not alive:
+                push((todo, r2, once, twice, cover))
+                continue
+            spend(walk.bit_count())
+        if loose and r2:
+            cover = _carve(members, inc, mapping, r2, twice, cover, loose, spend)
+            if cover is None:
+                continue
+        # fresh 2s: a minimal hitting set of what the loose edges keep
+        # uncovered
+        cut = [members[i] & ~cover for i in bits(loose)]
+        d = _union(members, loose) & ~cover
+        for x in bits(d):
+            if all(e & d & ~(1 << x) for e in cut):
+                d &= ~(1 << x)
+        g2 = r2 | d
+        g1 = _complete(members, inc, mapping, ones & ~r2, g2)
+        assert _rhf_violation(members, inc, mapping, g1, g2) is None
+        # the witness lies above the closure, so above f, pointwise
+        assert not twos & ~g2 and not ones & ~(g1 | g2)
+        return ExtAnswer(True, _assignment(n, g1, g2))
+    return ExtAnswer(False)
+
+
+def _settle(
+    members: Masks, inc: Masks, mapping: Masks, free: int, zeros: int,
+    todo: int, r2: int, once: int, twice: int, cover: int,
+) -> tuple[int, int, int, int, int] | None:
+    """The node with its forced 2s promoted, or None when no completion
+    passes. A 1 must become 2 when its corresponding edge holds a 2, and
+    so must the last uncovered 1 of a loose edge that no fresh 2 (an
+    uncovered 0) can hit. A node dies once a 2 has no candidate private
+    edge (one it hits alone, not its corresponding edge), _narrow fails
+    or a forced 1 is covered: the kept 1s' corresponding edges cover
+    their members, and no member of the cover may become 2."""
+    while True:
+        for x in bits(r2):
+            if not inc[x] & ~twice & ~(1 << mapping[x]):
+                return None
+        loose = free & ~once
+        if loose and r2:
+            cover = _narrow(members, inc, mapping, r2, twice, cover, loose)
+            if cover is None:
+                return None
+        forced = 0
+        for x in bits(todo):
+            if members[mapping[x]] & r2:
+                forced |= 1 << x
+        while loose:
+            low = loose & -loose
+            loose ^= low
+            left = members[low.bit_length() - 1] & ~cover
+            if not left & zeros and not left & (left - 1):
+                if not left:
+                    return None
+                forced |= left
+        if not forced:
+            return todo, r2, once, twice, cover
+        if forced & cover:
+            return None
+        todo ^= forced
+        r2 |= forced
+        for x in bits(forced):
+            twice |= once & inc[x]
+            once |= inc[x]
+
+
+def _narrow(
     members: Masks, inc: Masks, mapping: Masks,
-    rest: int, targets: Iterable[EdgeIndex], loose: int,
-) -> list[int] | None:
-    """The part of each loose edge (a preimage-free edge that misses the
-    planned 2-set) that neither the remaining 1s' corresponding edges nor
-    the certificate edges touch, or None when some part is empty."""
-    covered = 0
-    for i in itertools.chain(bits(_image(mapping, rest)), targets):
-        covered |= members[i]
-    cut = [members[i] & ~covered for i in bits(loose)]
-    return cut if all(cut) else None
+    twos: int, twice: int, cover: int, loose: int,
+) -> int | None:
+    """The cover grown by what the 2s of twos must cover, or None once no
+    completion passes: a loose edge inside the cover is never hit. A 2
+    with no viable candidate (one that, added to the cover, leaves each
+    loose edge a member outside) fails; the members all its viable
+    candidates share join the cover, to a fixpoint."""
+    edges = [members[i] for i in bits(loose)]
+    grew = True
+    while grew:
+        if not all(e & ~cover for e in edges):
+            return None
+        grew = False
+        for x in bits(twos):
+            shared = -1
+            for i in bits(inc[x] & ~twice & ~(1 << mapping[x])):
+                if all(e & ~(cover | members[i]) for e in edges):
+                    shared &= members[i]
+            if shared == -1:
+                return None
+            grew = grew or bool(shared & ~cover)
+            cover |= shared
+    return cover
 
 
 def _carve(
     members: Masks, inc: Masks, mapping: Masks,
-    rest: int, cands: list[int], loose: int, budget: WorkBudget,
+    r2: int, twice: int, cover: int, loose: int, spend: Callable[[int], None],
 ) -> int | None:
-    """Fresh 2s for the loose edges: a minimal hitting set of their parts
-    that the first private-edge map in product order leaves untouched, so
-    the remaining 1s keep their corresponding edges; None when every map
-    swallows a loose edge. Each map tried costs one unit of work."""
-    for combo in itertools.product(*(list(bits(c)) for c in cands)):
-        budget.spend(1)
-        cut = _witness_cover(members, inc, mapping, rest, combo, loose)
-        if cut is not None:
-            d = 0
-            for e in cut:
-                d |= e
-            for x in bits(d):
-                trimmed = d & ~(1 << x)
-                if all(e & trimmed for e in cut):
-                    d = trimmed
-            return d
-    return None
-
-
-def _general_witness(
-    members: Masks, inc: Masks, mapping: Masks, ones: int, twos: int
-) -> ExtAnswer:
-    """The witness search on a promotion closure's 1s and 2s, the one
-    rhf-extension core; each caller closes f first (_promote).
-
-    It tries the 2-sets the closure's 1s allow, its 2s alone first, and
-    for each the private-edge maps; the first that passes yields the
-    witness. The first 2-set decides without search when a closure 2 has
-    no candidate edge (none has at any larger 2-set) or when it hits every
-    preimage-free edge (every map passes). Each 2-set and each map tried
-    costs one unit of work.
-    """
-    inst = members, inc, mapping
-    budget = WorkBudget("witness extension search")
-    no_pre = (1 << len(members)) - 1 & ~mask_of(mapping)
-    for sub in submasks(ones):
-        budget.spend(1)
-        r2m = twos | sub
-        rest = ones & ~sub
-        # the closure's 1s keep their corresponding edges free of its 2s
-        if sub and any(members[mapping[x]] & r2m for x in bits(rest)):
+    """The cover once each 2 of r2 maps to a private edge whose members
+    join it, or None when every map covers a loose edge whole. The 2s
+    split into groups whose candidates reach disjoint loose edges, each
+    searched depth first on its own, lowest 2 and edge first, with
+    _narrow on each node; so the groups' first passing maps are together
+    the first of all the 2s, and a group that reaches none needs none."""
+    groups: list[tuple[int, int]] = []
+    for x in bits(r2):
+        reach = _union(members, inc[x] & ~twice & ~(1 << mapping[x])) & ~cover
+        twos, edges = 1 << x, sum(1 << i for i in bits(loose) if members[i] & reach)
+        for g in [g for g in groups if g[1] & edges]:
+            groups.remove(g)
+            twos, edges = twos | g[0], edges | g[1]
+        groups.append((twos, edges))
+    final = cover
+    for twos, edges in groups:
+        if not edges:
             continue
-        # every other witness constraint holds by construction of the
-        # candidate edges
-        once, twice = _hit_counts(inc, r2m)
-        cands = [inc[x] & ~twice & ~(1 << mapping[x]) for x in bits(r2m)]
-        if not all(cands):
-            if not sub:
+        stack = [(twos, cover)]
+        while stack:
+            spend(1)
+            todo, part = stack.pop()
+            part = _narrow(members, inc, mapping, todo, twice, part, edges)
+            if part is None:
+                continue
+            if not todo:
+                final |= part
                 break
-            continue
-        loose = no_pre & ~once
-        d = _carve(*inst, rest, cands, loose, budget) if loose else 0
-        if d is not None:
-            g2 = r2m | d
-            g1 = _complete(*inst, rest, g2)
-            assert _rhf_violation(*inst, g1, g2) is None
-            # the witness lies above the closure, so above f, pointwise
-            assert not twos & ~g2 and not ones & ~(g1 | g2)
-            return ExtAnswer(True, _assignment(len(inc), g1, g2))
-    return ExtAnswer(False)
+            x = (todo & -todo).bit_length() - 1
+            for i in reversed(list(bits(inc[x] & ~twice & ~(1 << mapping[x])))):
+                stack.append((todo & ~(1 << x), part | members[i]))
+        else:
+            return None
+    return final
 
 
 def ext_rhf_general(
-    h: Hypergraph,
-    tau: Correspondence,
-    f: Sequence[int],
-    strategy: str = "sweep",
+    h: Hypergraph, tau: Correspondence, f: Sequence[int], strategy: str = "sweep"
 ) -> ExtAnswer:
     """Is there a minimal rhf above f, for arbitrary correspondences?
 
-    Both strategies are exponential, so each spends a work budget
-    (errors.WorkBudget) as it runs and is refused once that passes the
-    shared limit; both return the same decision. The sweep strategy walks
-    the assignments above f depth first in lexicographic order, drops a
-    prefix once it breaks a condition of a minimal rhf that no completion
-    repairs, and returns the first minimal rhf it meets; each node costs
-    one unit. The witness strategy runs the promotion closure and searches
-    for a 2-set plus private-edge map whose constraints certify
-    extensibility, the core ext_rhf_surjective runs too; each 2-set over
-    the closure's 1s and each map costs one unit, and the 0s cost it
-    nothing exponential.
+    NP-complete once tau is not surjective: the general extension search
+    spends one unit of the work budget per node. strategy is kept for
+    compatibility: "sweep" and "witness" both run it, others are refused.
     """
     tau.validate(h)
     ones, twos = _level_masks(f, h.n_vertices)
-    if strategy == "sweep":
-        return _general_sweep(h, tau, ones, twos)
-    if strategy == "witness":
-        inst = _instance_masks(h, tau)
-        return _general_witness(*inst, *_promote(*inst, ones, twos))
-    raise InputError(f"unknown strategy {strategy!r}")
+    if strategy not in ("sweep", "witness"):
+        raise InputError(f"unknown strategy {strategy!r}")
+    inst = _instance_masks(h, tau)
+    free = h.all_edges_mask & ~tau.range_mask
+    return _general_witness(*inst, free, *_promote(*inst, ones, twos))
 
 
 def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
     """Is there a minimal rdf between the two assignments?
 
-    A 1 of the lower assignment next to one of its 2s must rise to 2 in
-    any candidate, so the cap rejects some instances outright. Every
-    vertex capped at 0 needs a dominator capped at 2 that is not adjacent
-    to a pinned 1; the solver branches over those choices, re-closes, and
-    finishes with the polynomial extension check on the closed
-    neighborhood hypergraph (the witness search, which decides at its
-    first 2-set there). The choices are exponential in the vertices
-    capped at 0, so their number is spent from the work budget before the
-    first is tried. Witnesses never exceed the cap: the final check adds
-    no 2s beyond the closure and fills 1s only next to chosen dominators'
-    undominated slack.
+    A 1 of the lower assignment next to one of its 2s must rise to 2, so
+    the cap rejects some instances outright. Every vertex capped at 0
+    needs a dominator capped at 2 that is not next to a pinned 1; the
+    solver branches over those choices (their number is spent from the
+    work budget before the first), re-closes, and runs the general
+    extension search on the closed neighborhoods, which decides at its
+    root (the identity leaves no preimage-free edge). Witnesses never
+    exceed the cap: no 2s are added beyond the closure.
     """
     g, f, up = inst.graph, inst.lower, inst.upper
     n = g.n_vertices
@@ -459,9 +465,9 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
         if key is None or key in seen:
             continue
         seen.add(key)
-        # the key is closed, and the identity is surjective, so the witness
-        # search decides at its first 2-set
-        ans = _general_witness(*nbhd, *key)
+        # the key is closed, and the identity is surjective (no edge is
+        # preimage-free), so the search decides at its root
+        ans = _general_witness(*nbhd, 0, *key)
         if ans.decision:
             assert all(a <= b <= c for a, b, c in zip(f, ans.witness, up))
             return ans

@@ -12,7 +12,17 @@ import itertools
 import random
 from typing import Iterator, Mapping
 
-from romanhs.core import Correspondence, Graph, Hypergraph, RhsPair
+from romanhs.core import (
+    Correspondence,
+    Graph,
+    Hypergraph,
+    RhsPair,
+    _assignment,
+    _instance_masks,
+    _level_masks,
+    _rhf_violation,
+    bits,
+)
 
 
 def build_ex1() -> Hypergraph:
@@ -277,3 +287,64 @@ def capped_paths_text(k: int) -> str:
         lines += [f"gedge u{j} v{j}", f"gedge v{j} w{j}", f"upper v{j} 0"]
     lines.append("assign z 2")
     return "\n".join(lines) + "\n"
+
+
+def general_sweep(
+    h: Hypergraph, tau: Correspondence, f: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """Reference for the general extension question: the first minimal rhf
+    above f in the lexicographic order of itertools.product, or None.
+
+    A depth-first search over the assignments above f, vertex 0 first and
+    each vertex's values ascending. A prefix is dropped once it breaks a
+    condition of a minimal rhf that no completion repairs: two 1s share a
+    corresponding edge, a 1's corresponding edge holds a 2, a 2 has no
+    private edge besides its corresponding one, or an edge is neither hit
+    nor claimed once its highest member is decided. Later 2s only take
+    privacy away, and only from the 2s they share an edge with, so a new 2
+    rechecks itself and, when it makes an edge of earlier 2s hit twice, the
+    earlier 2s. So every complete candidate is a minimal rhf (an empty
+    edge, never hit, answers no at once). It spends no work budget.
+    """
+    n = h.n_vertices
+    f_ones, f_twos = _level_masks(f, n)
+    members, incidence, mapping = inst = _instance_masks(h, tau)
+    if not all(members):
+        return None
+    # the edges that can be private to x as a 2
+    own = [inc & ~(1 << i) for inc, i in zip(incidence, mapping)]
+    # the edges whose highest member is x
+    closes = [0] * n
+    for i, m in enumerate(members):
+        closes[m.bit_length() - 1] |= 1 << i
+    # a node: the next vertex, its 1s and 2s, the 1s' corresponding edges
+    # and the union of their members, and the edges its 2s hit at least
+    # once and at least twice; a 2 keeps its own edges that are hit once
+    stack = [(0, 0, 0, 0, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, m1, m2, img, cover, hit, multi = pop()
+        if x == n:
+            assert _rhf_violation(*inst, m1, m2) is None
+            return _assignment(n, m1, m2)
+        bit = 1 << x
+        # the edges that x must hit or claim now; a 2 on x hits them all
+        unmet = closes[x] & ~(img | hit)
+        # push the largest value first, so the smallest is expanded first
+        if not cover & bit:
+            inc = incidence[x]
+            shared = hit & inc
+            twice = multi | shared
+            if own[x] & ~twice and (
+                not shared & ~multi or all(own[y] & ~twice for y in bits(m2))
+            ):
+                push((x + 1, m1, m2 | bit, img, cover, hit | inc, twice))
+        if not f_twos & bit:
+            i = mapping[x]
+            if not (img | hit) >> i & 1 and not unmet & ~(1 << i):
+                push(
+                    (x + 1, m1 | bit, m2, img | 1 << i, cover | members[i], hit, multi)
+                )
+            if not f_ones & bit and not unmet:
+                push((x + 1, m1, m2, img, cover, hit, multi))
+    return None

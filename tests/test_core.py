@@ -272,6 +272,14 @@ class TestGraphMasks:
             assert _closed_masks(g) is _closed_masks(g)
             assert _edge_masks(g) is _edge_masks(g)
 
+    @pytest.mark.parametrize("v", [-1, 3, 10**9])
+    def test_neighbors_mask_refuses_ids_outside_the_graph(self, v):
+        # as _vertex_mask does, rather than a negative shift or an index
+        # error from the stored tuple
+        g = Graph(("a", "b", "c"), ((0, 1), (1, 2)))
+        with pytest.raises(InputError, match=f"unknown vertex id {v}"):
+            g.neighbors_mask(v)
+
     def test_identity_ignores_the_stored_masks(self):
         for g in _graph_corpus():
             twin = Graph(g.vertex_tokens, tuple(reversed(g.edges)))

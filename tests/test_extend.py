@@ -15,6 +15,7 @@ from corpus import (
     connected_graphs_upto,
     ex1_tau,
     ex2_tau,
+    general_sweep,
     path_graph,
     random_assignment,
     random_hypergraph,
@@ -38,7 +39,7 @@ from romanhs.core import (
     closed_neighborhood_hypergraph,
     parse_graph_text,
 )
-from romanhs.enumeration import gen_random
+from romanhs.enumeration import brute_enumerate_minimal_rhf, gen_random
 from romanhs.errors import WORK_LIMIT, GuardRefused, InputError
 from romanhs.extend import (
     ExtensionWitness,
@@ -274,17 +275,15 @@ def test_general_strategies_agree_and_match_brute():
 def test_general_handles_preimage_free_edges_unlike_surjective():
     h = build_ex1()
     tau = ex1_tau(h)
-    for strategy in ("sweep", "witness"):
-        ans = ext_rhf_general(h, tau, (0, 0, 0, 0), strategy=strategy)
-        assert ans.decision
-        assert is_minimal_rhf_theorem(h, tau, ans.witness)
+    ans = ext_rhf_general(h, tau, (0, 0, 0, 0))
+    assert ans.decision
+    assert is_minimal_rhf_theorem(h, tau, ans.witness)
 
 
 def test_general_no_solution_over_empty_edge():
     h = Hypergraph.build(["x"], [("e1", ["x"]), ("e2", [])])
     tau = Correspondence((0,))
-    for strategy in ("sweep", "witness"):
-        assert not ext_rhf_general(h, tau, (0,), strategy=strategy).decision
+    assert not ext_rhf_general(h, tau, (0,)).decision
 
 
 def assert_extends(h, tau, f, ans):
@@ -298,8 +297,8 @@ def gap_instance(n):
     """n vertices at 1, each with a singleton corresponding edge and a second
     singleton edge, plus one preimage-free edge over all of them. A second
     edge can be hit only by a 2 on its vertex, so the one witness is all
-    2s: the sweep goes straight to it, the witness search meets it at the
-    last of the 2^n 2-sets."""
+    2s: the search forces every 1 to 2 at its root, where a search over the
+    2^n 2-sets meets it at the last."""
     names = [f"x{i}" for i in range(n)]
     edges = [(f"t{i}", [x]) for i, x in enumerate(names)]
     edges += [(f"p{i}", [x]) for i, x in enumerate(names)]
@@ -310,9 +309,9 @@ def gap_instance(n):
 def pairs_instance(k):
     """k pairs a_i, b_i sharing their corresponding edge {a_i, b_i}, then z
     pinned at 2, whose one edge is its corresponding one. z never earns a
-    private edge, so the answer is no. The witness search sees it at its
-    first 2-set; the sweep only at z, after the 2^k ways of putting one 1
-    on each pair, having popped 4 * 2^k - 3 nodes."""
+    private edge, so the answer is no. The search sees it at its root; a
+    sweep over the assignments in product order only at z, after the 2^k
+    ways of putting one 1 on each pair, having popped 4 * 2^k - 3 nodes."""
     names = [v for i in range(k) for v in (f"a{i}", f"b{i}")] + ["z"]
     edges = [(f"E{i}", [f"a{i}", f"b{i}"]) for i in range(k)] + [("T", ["z"])]
     h = Hypergraph.build(names, edges)
@@ -323,8 +322,9 @@ def pairs_instance(k):
 def swallowed_maps_instance(k, m):
     """k vertices pinned at 2, each with a singleton corresponding edge and
     m candidate edges {x_j, y}, and a preimage-free edge {y} that no 2
-    hits. Every private-edge map covers y, so the witness search tries all
-    m^k maps of its one 2-set and answers no."""
+    hits. Every private-edge map covers y, since every candidate holds
+    it, so the search answers no at its root, where a search of complete
+    maps tries all m^k."""
     names = [f"x{j}" for j in range(k)] + ["y"]
     edges = [(f"t{j}", [x]) for j, x in enumerate(names[:k])]
     edges += [(f"p{j}_{i}", [x, "y"]) for j, x in enumerate(names[:k]) for i in range(m)]
@@ -333,63 +333,135 @@ def swallowed_maps_instance(k, m):
     return h, tau, (2,) * k + (0,)
 
 
+def late_swallow_instance(k, m):
+    """k vertices pinned at 2, each with a singleton corresponding edge and
+    m singleton candidate edges, then z pinned at 2, whose one candidate
+    edge {z, y} covers y, and a preimage-free edge {y} that only a 2 on y
+    could hit. Every private-edge map covers y, but only at z, the last 2
+    to map: a search that maps the 2s in id order and checks only the
+    2s already mapped tries all m^k maps of the others. The answer is no,
+    at the root, since every candidate of z holds y."""
+    xs = [f"x{j}" for j in range(k)]
+    edges = [(f"t{j}", [x]) for j, x in enumerate(xs)]
+    edges += [(f"p{j}_{i}", [x]) for j, x in enumerate(xs) for i in range(m)]
+    edges += [("tz", ["z"]), ("q", ["z", "y"]), ("ty", ["y"]), ("loose", ["y"])]
+    h = Hypergraph.build(xs + ["z", "y"], edges)
+    tau = Correspondence(tuple(range(k)) + (h.edge_id("tz"), h.edge_id("ty")))
+    return h, tau, (2,) * (k + 1) + (0,)
+
+
+def triangle_instance(k, m):
+    """k 2s as in late_swallow_instance, then three 2s whose candidate
+    edges pair them with a, b or c (z1 with a or b, z2 with b or c, z3
+    with a or c), and preimage-free edges {a, b}, {b, c} and {a, c}. Any
+    map covers two of a, b and c, and so one of those edges whole: no.
+    Each z alone has a passing candidate, so the answer shows only when
+    the three are mapped together; the first k 2s reach no loose edge,
+    and the search maps the triangle on its own."""
+    xs = [f"x{j}" for j in range(k)]
+    zs, abc = ["z1", "z2", "z3"], ["a", "b", "c"]
+    edges = [(f"t{v}", [v]) for v in xs + zs + abc]
+    edges += [(f"p{j}_{i}", [x]) for j, x in enumerate(xs) for i in range(m)]
+    edges += [("q1a", ["z1", "a"]), ("q1b", ["z1", "b"]), ("q2b", ["z2", "b"])]
+    edges += [("q2c", ["z2", "c"]), ("q3a", ["z3", "a"]), ("q3c", ["z3", "c"])]
+    edges += [("ab", ["a", "b"]), ("bc", ["b", "c"]), ("ac", ["a", "c"])]
+    h = Hypergraph.build(xs + zs + abc, edges)
+    return h, Correspondence(tuple(range(k + 6))), (2,) * (k + 3) + (0,) * 3
+
+
+def triangle_ones_instance(k):
+    """triangle_instance(0, 0), then k vertices y_j at 1, each with a
+    singleton corresponding edge and a preimage-free edge {y_j, w_j} over
+    a 0-vertex w_j. Each y_j may stay 1 or rise to 2, but no choice
+    touches the triangle, whose loose edges hold no 1: the planned 2s
+    must map at the root already, and cannot."""
+    h, tau, f = triangle_instance(0, 0)
+    ys = [f"y{j}" for j in range(k)]
+    ws = [f"w{j}" for j in range(k)]
+    names = list(h.vertex_tokens) + ys + ws
+    edges = [(h.edge_tokens[i], [names[x] for x in bits(m)]) for i, m in enumerate(h.edge_members)]
+    edges += [(f"t{v}", [v]) for v in ys + ws]
+    edges += [(f"l{j}", [y, w]) for j, (y, w) in enumerate(zip(ys, ws))]
+    h = Hypergraph.build(names, edges)
+    tau = Correspondence(tau.mapping + tuple(h.edge_id(f"t{v}") for v in ys + ws))
+    return h, tau, f + (1,) * k + (0,) * k
+
+
+def sat_instance(n, m, seed):
+    """A random 3-CNF formula over n variables with m clauses as an
+    extension question: z_i, pinned at 2, takes P_i = {z_i, p_i} (true)
+    or Q_i = {z_i, q_i} (false) as its private edge, which covers p_i or
+    q_i; each clause is a preimage-free edge over the vertices its
+    literals cover when false, so it is covered whole exactly when the
+    clause fails. Yes exactly when the formula is satisfiable."""
+    rng = random.Random(seed)
+    zs, ps, qs = ([f"{c}{i}" for i in range(n)] for c in "zpq")
+    edges = [(f"t{v}", [v]) for v in zs + ps + qs]
+    edges += [(f"P{i}", [zs[i], ps[i]]) for i in range(n)]
+    edges += [(f"Q{i}", [zs[i], qs[i]]) for i in range(n)]
+    for j in range(m):
+        lits = rng.sample(range(n), 3)
+        edges.append((f"c{j}", [qs[i] if rng.random() < 0.5 else ps[i] for i in lits]))
+    h = Hypergraph.build(zs + ps + qs, edges)
+    return h, Correspondence(tuple(range(3 * n))), (2,) * n + (0,) * (2 * n)
+
+
 def test_general_guard_and_bad_strategy(monkeypatch):
-    # 21 vertices at 0 on one edge: the default sweep pops a node per
-    # vertex on its way to the first minimal rhf, whatever their number
+    # 21 vertices at 0 on one edge: the closure keeps no 1 and no 2, so
+    # the search answers at its root, whatever their number
     n = WORK_LIMIT.bit_length()
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [("e", names)])
     tau = Correspondence((0,) * n)
     assert_extends(h, tau, (0,) * n, ext_rhf_general(h, tau, (0,) * n))
-    # it refuses an instance whose 1,021 nodes pass a limit of 1,000
-    monkeypatch.setattr(errors, "WORK_LIMIT", 1000)
-    h, tau, f = pairs_instance(8)
+    # an unsatisfiable formula of 24 variables and 103 clauses: the search
+    # needs 144 units, so it refuses under a limit of 100, where a sweep
+    # over the assignments above f needs more than 2^17
+    h, tau, f = sat_instance(24, 103, 8)
+    assert not ext_rhf_general(h, tau, f).decision
+    monkeypatch.setattr(errors, "WORK_LIMIT", 100)
     with pytest.raises(
-        GuardRefused, match="general extension sweep needs more than the work limit of 1000"
+        GuardRefused, match="general extension search needs more than the work limit of 100"
     ):
         ext_rhf_general(h, tau, f)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown strategy 'fast'"):
         ext_rhf_general(build_ex1(), ex1_tau(build_ex1()), (0, 0, 0, 0), strategy="fast")
 
 
 def test_general_guard_ignores_twos():
-    # 21 vertices, but the closure keeps no 1, so the witness search tries
-    # a single 2-set
+    # 21 vertices, but the closure keeps no 1, so the search decides no
+    # 1 and answers at its root
     n = WORK_LIMIT.bit_length()
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [("e", names)])
     tau = Correspondence((0,) * n)
     f = (2,) + (0,) * (n - 1)
-    ans = ext_rhf_general(h, tau, f, strategy="witness")
+    ans = ext_rhf_general(h, tau, f)
     # the lone 2 can never earn a private edge besides its corresponding one
     assert not ans.decision
 
 
 def test_sweep_guard_counts_assignments(monkeypatch):
-    # the sweep spends one unit per node it pops, not one per assignment
-    # above f: 3^13 of them on one edge of 13 vertices at 0, but a few dozen
-    # nodes lead to the first minimal rhf
+    # the search spends one unit per node it pops, not one per assignment
+    # above f: 3^13 of them on one edge of 13 vertices at 0, but a single
+    # node answers
     def one_edge(n):
         names = [f"x{i}" for i in range(n)]
         return Hypergraph.build(names, [("e", names)]), Correspondence((0,) * n)
 
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1)
     for h, tau, f in (
         (*one_edge(12), (0,) * 12),
         (*one_edge(13), (0,) * 13),
         (*one_edge(13), (1,) + (0,) * 12),
     ):
-        for strategy in ("sweep", "witness"):
-            assert_extends(h, tau, f, ext_rhf_general(h, tau, f, strategy=strategy))
-    # a no that the sweep sees only after 4 * 2^k - 3 nodes: it answers at a
-    # limit of exactly that many and refuses at one less
+        assert_extends(h, tau, f, ext_rhf_general(h, tau, f))
+    # k pairs that share their corresponding edges, then a 2 that can earn
+    # no private edge: the root settles it, where a sweep over the
+    # assignments in product order pops 4 * 2^k - 3 nodes
     for k in (1, 3, 8):
         h, tau, f = pairs_instance(k)
-        monkeypatch.setattr(errors, "WORK_LIMIT", 4 * 2**k - 3)
-        assert not ext_rhf_general(h, tau, f, strategy="sweep").decision
-        monkeypatch.setattr(errors, "WORK_LIMIT", 4 * 2**k - 4)
-        with pytest.raises(GuardRefused):
-            ext_rhf_general(h, tau, f, strategy="sweep")
-        assert not ext_rhf_general(h, tau, f, strategy="witness").decision
+        assert not ext_rhf_general(h, tau, f).decision
 
 
 def first_minimal_rhf_above(h, tau, f):
@@ -432,17 +504,15 @@ def sweep_corpus():
 
 
 def test_sweep_returns_first_minimal_rhf_in_product_order():
-    # every property is checked here by the test itself: the library's own
-    # postcondition asserts are stripped under python -O
+    # the reference sweep (corpus.general_sweep) that the seeded corpora
+    # compare decisions against returns the first minimal rhf above f in
+    # product order; every property is checked here by the test itself,
+    # since asserts are stripped under python -O
     seen = {"yes": 0, "no": 0, "empty edge": 0, "preimage-free edge": 0, "clashing 1s": 0}
     for h, tau, f in sweep_corpus():
         expected = first_minimal_rhf_above(h, tau, f)
-        sweep = ext_rhf_general(h, tau, f, strategy="sweep")
-        wit = ext_rhf_general(h, tau, f, strategy="witness")
-        assert sweep.decision == (expected is not None), (h, tau, f)
-        assert sweep.witness == expected, (h, tau, f)
-        assert wit.decision == sweep.decision, (h, tau, f)
-        seen["yes" if sweep.decision else "no"] += 1
+        assert general_sweep(h, tau, f) == expected, (h, tau, f)
+        seen["yes" if expected is not None else "no"] += 1
         seen["empty edge"] += 0 in h.edge_members
         seen["preimage-free edge"] += bool(h.all_edges_mask & ~tau.range_mask)
         seen["clashing 1s"] += any(
@@ -453,12 +523,25 @@ def test_sweep_returns_first_minimal_rhf_in_product_order():
     assert min(seen.values()) >= 5, seen
 
 
-def test_sweep_prunes_prefixes_before_the_leaf_check(monkeypatch):
-    # every vertex corresponds to the one edge e and an empty edge is never
-    # hit, so the answer is no; two 1s clash on e and no 2 has a private
-    # edge besides e, so at most the all-0 candidate and the n with a
-    # single 1 could reach the leaf check, out of the 3^n that the guard
-    # counts (the empty edge stops the sweep before any)
+def test_search_matches_brute_on_the_sweep_corpus():
+    # the decision is whether some minimal rhf of the brute-force list lies
+    # above f, and a yes-witness is one of them
+    lists = {}
+    for h, tau, f in sweep_corpus():
+        key = (h, tau)
+        if key not in lists:
+            lists[key] = brute_enumerate_minimal_rhf(h, tau)
+        above = {g for g in lists[key] if all(a <= b for a, b in zip(f, g))}
+        ans = ext_rhf_general(h, tau, f)
+        assert ans.decision == bool(above), (h, tau, f)
+        assert ans.witness is None or ans.witness in above, (h, tau, f)
+
+
+def test_search_prunes_before_the_leaf_check(monkeypatch):
+    # every vertex corresponds to the one edge e, and the empty edge void
+    # is never hit, so the answer is no: the root sees that void is a
+    # preimage-free edge with nothing left to hit it, and the search stops
+    # after one unit, with no leaf check, out of the 3^n assignments
     n = 12
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [("e", names), ("void", [])])
@@ -472,102 +555,81 @@ def test_sweep_prunes_prefixes_before_the_leaf_check(monkeypatch):
         return leaf_check(*args)
 
     monkeypatch.setattr(extend, "_rhf_violation", counted)
-    ans = ext_rhf_general(h, tau, (0,) * n, strategy="sweep")
-    assert not ans.decision
-    assert calls <= n + 1 < 3**n
-
-
-def test_sweep_leaves_are_minimal_rhfs(monkeypatch):
-    # the prefix checks decide every condition, so the leaf check (an
-    # assert, stripped under python -O) runs once per yes answer
-    calls = yes = 0
-    leaf_check = extend._rhf_violation
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return leaf_check(*args)
-
-    monkeypatch.setattr(extend, "_rhf_violation", counted)
-    for h, tau, f in sweep_corpus():
-        yes += ext_rhf_general(h, tau, f, strategy="sweep").decision
-    assert yes > 0
-    assert calls == (yes if __debug__ else 0)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1)
+    assert not ext_rhf_general(h, tau, (0,) * n).decision
+    assert calls == 0
 
 
 def test_witness_guard_counts_closure_ones_not_zeros(monkeypatch):
-    # 30 vertices at 0: the closure keeps no 1, so the witness search tries
-    # a single 2-set, and answers under a limit of 64 units
+    # 30 vertices at 0: the closure keeps no 1, so the search decides no
+    # 1, and answers under a limit of 64 units
     monkeypatch.setattr(errors, "WORK_LIMIT", 64)
     hf = gen_random(30, 40, 0.15, seed=4, with_tau=True)
     h, tau, f = hf.hypergraph, hf.tau, (0,) * 30
-    for strategy in ("sweep", "witness"):
-        assert_extends(h, tau, f, ext_rhf_general(h, tau, f, strategy=strategy))
-    # 12 closure 1s whose witness is the last of their 2^12 2-sets pass it
-    h, tau, f = gap_instance(12)
-    with pytest.raises(
-        GuardRefused, match="witness extension search needs more than the work limit of 64"
-    ):
-        ext_rhf_general(h, tau, f, strategy="witness")
+    assert_extends(h, tau, f, ext_rhf_general(h, tau, f))
 
 
 def test_witness_guard_refuses_many_surviving_ones(monkeypatch):
     # one private edge per vertex: every 1 survives the closure, but no
-    # edge lies outside tau's range, so the first 2-set decides
+    # edge lies outside tau's range, so the all-keep leaf decides
     n = WORK_LIMIT.bit_length()
     names = [f"x{i}" for i in range(n)]
     h = Hypergraph.build(names, [(f"e{i}", [x]) for i, x in enumerate(names)])
     tau = Correspondence(tuple(range(n)))
     assert promote_closure(h, tau, (1,) * n) == (1,) * n
-    ans = ext_rhf_general(h, tau, (1,) * n, strategy="witness")
+    ans = ext_rhf_general(h, tau, (1,) * n)
     assert ans.decision and ans.witness == (1,) * n
-    # a preimage-free edge over all of them, which no closure 2 hits: the
-    # second 2-set, a 2 on x0, hits it and passes
+    # a preimage-free edge over all of them, which no closure 2 hits: keep
+    # x0 to x19 and the edge holds one undecided 1, which must become 2
     h = Hypergraph.build(
         names, [(f"e{i}", [x]) for i, x in enumerate(names)] + [("free", names)]
     )
     for f in ((1,) * n, (1,) * (n - 1) + (0,)):
-        assert_extends(h, tau, f, ext_rhf_general(h, tau, f, strategy="witness"))
-    # the gap instance's 12 ones need the last of their 2^12 2-sets, more
-    # than a limit of 2^12 units
-    monkeypatch.setattr(errors, "WORK_LIMIT", 1 << 12)
+        assert_extends(h, tau, f, ext_rhf_general(h, tau, f))
+    # the gap instance's 12 ones are all forced to 2 at the root, whose
+    # one unit answers, where the 2^12 2-sets of a search without forced
+    # 2s pass the limit
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1)
     h, tau, f = gap_instance(12)
-    with pytest.raises(GuardRefused):
-        ext_rhf_general(h, tau, f, strategy="witness")
+    assert_extends(h, tau, f, ext_rhf_general(h, tau, f))
 
 
 def test_witness_guard_refuses_many_private_edge_maps(monkeypatch):
     # five 2s with 17 candidate edges each; the preimage-free edges all hold
-    # a 2, so the first private-edge map passes
+    # a 2, so the search needs no map
     names = [f"x{j}" for j in range(5)]
     edges = [(f"t{j}", [x]) for j, x in enumerate(names)]
     edges += [(f"p{j}_{k}", [x]) for j, x in enumerate(names) for k in range(17)]
     edges.append(("free", names))
     h = Hypergraph.build(names, edges)
     tau = Correspondence(tuple(range(5)))
-    ans = ext_rhf_general(h, tau, (2,) * 5, strategy="witness")
+    ans = ext_rhf_general(h, tau, (2,) * 5)
     assert ans.decision and ans.witness == (2,) * 5
     # a 0-vertex y with a preimage-free edge of its own, which no 2 hits:
     # the first map leaves y uncovered, so a fresh 2 on y hits it
     h = Hypergraph.build(names + ["y"], edges + [("ty", ["y"]), ("loose", ["y"])])
     tau = Correspondence(tuple(range(5)) + (h.edge_id("ty"),))
     f = (2,) * 5 + (0,)
-    assert_extends(h, tau, f, ext_rhf_general(h, tau, f, strategy="witness"))
-    # when every map covers y, the search spends one unit on its 2-set and
-    # one on each of the 4^5 maps: it answers at a limit of exactly that
-    # many and refuses at one less
-    h, tau, f = swallowed_maps_instance(5, 4)
-    monkeypatch.setattr(errors, "WORK_LIMIT", 1 + 4**5)
-    assert not ext_rhf_general(h, tau, f, strategy="witness").decision
-    monkeypatch.setattr(errors, "WORK_LIMIT", 4**5)
-    with pytest.raises(GuardRefused):
-        ext_rhf_general(h, tau, f, strategy="witness")
+    assert_extends(h, tau, f, ext_rhf_general(h, tau, f))
+    # when every candidate of a 2 holds y, the first node of the map
+    # search answers, after the root, where a search of complete maps
+    # tries all 8^5, and one that maps the 2s in id order tries 4^5 maps
+    # before the last 2, the only one whose candidate holds y
+    monkeypatch.setattr(errors, "WORK_LIMIT", 2)
+    for h, tau, f in (swallowed_maps_instance(5, 8), late_swallow_instance(5, 4)):
+        assert not ext_rhf_general(h, tau, f).decision
+    # each of three 2s has a candidate that alone covers no loose edge,
+    # but any two of their choices cover one; the fillers reach no loose
+    # edge, so the search maps the three on their own, not once per map
+    # of the fillers
+    monkeypatch.setattr(errors, "WORK_LIMIT", 64)
+    assert not ext_rhf_general(*triangle_instance(8, 4)).decision
 
 
 def test_witness_stops_when_a_closure_two_has_no_candidate(monkeypatch):
     # z's edges are its own A and B, which w also hits, so z can never earn
-    # a private edge: the answer is no at the first 2-set, not after the
-    # 2^19 that the 1s on the y_i allow
+    # a private edge: the answer is no at the root, not after the 2^19
+    # 2-sets that the 1s on the y_i allow
     ys = [f"y{i}" for i in range(19)]
     h = Hypergraph.build(
         ["z", "w"] + ys,
@@ -577,7 +639,7 @@ def test_witness_stops_when_a_closure_two_has_no_candidate(monkeypatch):
     tau = Correspondence((0, 2) + tuple(range(3, 22)))
     f = (2, 2) + (1,) * 19
     assert not ext_rhf_surjective(h, tau, f).decision
-    assert not ext_rhf_general(h, tau, f, strategy="sweep").decision
+    assert not general_sweep(h, tau, f)
     calls = 0
     hit_counts = extend._hit_counts
 
@@ -587,39 +649,87 @@ def test_witness_stops_when_a_closure_two_has_no_candidate(monkeypatch):
         return hit_counts(inc, mask)
 
     monkeypatch.setattr(extend, "_hit_counts", counted)
-    assert not ext_rhf_general(h, tau, f, strategy="witness").decision
-    # each 2-set tried reads its hit counts once
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1)
+    assert not ext_rhf_general(h, tau, f).decision
+    # the search reads its hit counts once, at its root
     assert calls == 1
 
 
 def test_general_strategies_answer_the_seeded_corpus():
     # 16 to 24 vertices, f alternating 0 and 1 by vertex id: every
-    # assignment above f passes the limit, yet both searches answer each
-    # instance well inside it
+    # assignment above f passes the limit, yet the search answers each
+    # instance well inside it, as the reference sweep decides
     for i in range(200):
         nv = 16 + i % 9
         hf = gen_random(nv, nv + 4, 0.2, i, with_tau=True)
         h, tau, f = hf.hypergraph, hf.tau, tuple(x % 2 for x in range(nv))
-        sweep = ext_rhf_general(h, tau, f, strategy="sweep")
-        wit = ext_rhf_general(h, tau, f, strategy="witness")
-        assert sweep.decision == wit.decision, i
-        for ans in (sweep, wit):
-            if ans.decision:
-                assert_extends(h, tau, f, ans)
+        want = general_sweep(h, tau, f) is not None
+        ans = ext_rhf_general(h, tau, f)
+        assert ans.decision == want, i
+        if ans.decision:
+            assert_extends(h, tau, f, ans)
 
 
 def test_witness_answers_the_gap_instance():
-    # about 2^13 units of work, though 2-sets times private-edge maps bound
-    # it by 2^24
+    # every 1 is forced to 2 at the root, though 2-sets times private-edge
+    # maps bound the work by 2^24
     h, tau, f = gap_instance(12)
-    ans = ext_rhf_general(h, tau, f, strategy="witness")
+    ans = ext_rhf_general(h, tau, f)
     assert ans.decision and ans.witness == (2,) * 12
     assert is_minimal_rhf_theorem(h, tau, ans.witness)
 
 
+def _random_instance(nv, ne, density, seed, f):
+    """gen_random's instance with tau, and f given as a string of digits."""
+    hf = gen_random(nv, ne, density, seed=seed, with_tau=True)
+    return hf.hypergraph, hf.tau, tuple(int(c) for c in f)
+
+
+# instances on which one of two earlier searches spent more than 90 times
+# the other's work, up to a refusal past 2^20 units, and the one search's
+# answer: a sweep over the assignments above f in product order, and a
+# witness search over every 2-set of the closure's 1s times every
+# private-edge map; then three that the sweep answers in at most 24 units
+# and a search mapping the 2s in id order refuses
+HARD = {
+    "gap16": (lambda: gap_instance(16), True),
+    "gap40": (lambda: gap_instance(40), True),
+    "pairs19": (lambda: pairs_instance(19), False),
+    "swallowed5x8": (lambda: swallowed_maps_instance(5, 8), False),
+    # 1s on x4 x5 x7 x18 x23 x28 x31 x33 x34 x38
+    "random38": (
+        lambda: _random_instance(38, 26, 0.15, 470771, "00011010000000000100001000010010110001"),
+        False,
+    ),
+    "random37": (
+        lambda: _random_instance(37, 64, 0.1, 664457, "0200000000010000000100001021010001002"),
+        True,
+    ),
+    "random16": (
+        lambda: _random_instance(16, 32, 0.35, 740777, "1111010010101101"),
+        False,
+    ),
+    "late_swallow10x4": (lambda: late_swallow_instance(10, 4), False),
+    "triangle10x3": (lambda: triangle_instance(10, 3), False),
+    "triangle_ones20": (lambda: triangle_ones_instance(20), False),
+}
+
+
+@pytest.mark.parametrize("name", list(HARD))
+def test_search_answers_the_hard_instances(name, monkeypatch):
+    # within 2^14 units
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1 << 14)
+    build, want = HARD[name]
+    h, tau, f = build()
+    ans = ext_rhf_general(h, tau, f)
+    assert ans.decision == want
+    if want:
+        assert_extends(h, tau, f, ans)
+
+
 def test_surjective_is_the_witness_search():
-    # wherever ext_rhf_surjective's precondition holds, it answers as the
-    # witness strategy does, witness included
+    # wherever ext_rhf_surjective's precondition holds, it answers as
+    # the general search does, witness included
     rng = random.Random(2020)
     cases = []
     while len(cases) < 300:
@@ -641,7 +751,7 @@ def test_surjective_is_the_witness_search():
     seen = {"yes": 0, "no": 0}
     for h, tau, f in cases:
         sur = ext_rhf_surjective(h, tau, f)
-        wit = ext_rhf_general(h, tau, f, strategy="witness")
+        wit = ext_rhf_general(h, tau, f)
         assert (sur.decision, sur.witness) == (wit.decision, wit.witness), (h, tau, f)
         seen["yes" if sur.decision else "no"] += 1
     assert min(seen.values()) >= 50, seen
