@@ -21,15 +21,15 @@ _MODULES = {
     "core": (
         "BoundedRdInstance", "Correspondence", "Graph", "GraphFile",
         "Hypergraph", "HypergraphFile", "RhsPair", "RomanAssignment",
-        "closed_neighborhood_hypergraph", "edge_hypergraph", "incidence",
-        "is_rdf", "is_rhf", "is_rhs", "parse_graph_text",
+        "closed_neighborhood_hypergraph", "edge_hypergraph", "is_rdf",
+        "is_rhf", "is_rhs", "parse_graph_text",
         "parse_hypergraph_text", "serialize_graph_file",
         "serialize_hypergraph_file", "weight_assignment", "weight_pair",
     ),
     "enumeration": (
         "EnumerationStats", "brute_enumerate_minimal_rhf",
         "brute_enumerate_minimal_rhs", "enumerate_minimal_rhs", "gen_random",
-        "gen_tight", "iter_minimal_rhs", "minimal_pair_for_r2",
+        "gen_tight", "iter_minimal_rhs",
     ),
     "errors": ("GuardRefused", "InputError"),
     "extend": (
@@ -45,7 +45,7 @@ _MODULES = {
     "reduce": (
         "ReductionOutput", "ds_split_to_rhs", "hrd_to_rd_two_section",
         "is_hypergraph_rdf", "rd_to_rhf", "rhf_to_rd_gadget", "rhf_to_rhs",
-        "rhs_to_rhf", "split_hypergraph", "two_section", "vc_to_rvc",
+        "rhs_to_rhf", "two_section", "vc_to_rvc",
     ),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

@@ -33,7 +33,6 @@ from .core import (
     Hypergraph,
     RhsPair,
     VertexId,
-    _Frozen,
     _closed_masks,
     _hit_counts,
     _instance_masks,
@@ -58,32 +57,6 @@ def private_neighborhood(
         raise InputError("vertex is not a member of the given set")
     closed = _closed_masks(g)[0]
     return frozenset_of(closed[v] & ~_hit_counts(closed, dm)[1])
-
-
-class PrivateNeighborReport(_Frozen):
-    """Private neighborhood of every member of one vertex set."""
-
-    __slots__ = _fields = ("members", "entries")
-    members: frozenset[VertexId]
-    entries: tuple[tuple[VertexId, frozenset[VertexId]], ...]
-
-    def __init__(
-        self,
-        members: frozenset[VertexId],
-        entries: tuple[tuple[VertexId, frozenset[VertexId]], ...],
-    ) -> None:
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "entries", entries)
-
-
-def private_neighborhood_report(g: Graph, d: Iterable[VertexId]) -> PrivateNeighborReport:
-    # on the closed neighborhoods v's edges are N[v], and v reaches alone
-    # those that the members do not hit twice
-    dm = _vertex_mask(g, d, "vertex set")
-    closed = _closed_masks(g)[0]
-    twice = _hit_counts(closed, dm)[1]
-    entries = tuple((v, frozenset_of(closed[v] & ~twice)) for v in bits(dm))
-    return PrivateNeighborReport(frozenset_of(dm), entries)
 
 
 # ---------------------------------------------------------------------------

@@ -289,11 +289,6 @@ def _hit_counts(inc: Masks, vertex_mask: int) -> tuple[int, int]:
     return once, twice
 
 
-def incidence(h: Hypergraph, x: VertexId) -> frozenset[EdgeIndex]:
-    """Indices of all edges containing vertex x."""
-    return frozenset_of(h.incidence_mask(x))
-
-
 class Correspondence(_Frozen):
     """Total map vertex -> edge index with the vertex inside its edge."""
 
@@ -1083,9 +1078,8 @@ def pair_to_json(h: Hypergraph, pair: RhsPair) -> str:
 
 def pair_from_json(h: Hypergraph, line: str) -> RhsPair:
     obj = _load_json_object(line)
-    pair = RhsPair.from_tokens(h, obj.get("r1", []), obj.get("r2", []))
-    if obj.get("w") != weight_pair(pair):
-        raise InputError("json pair carries the wrong weight")
+    pair = RhsPair.from_tokens(h, _json_tokens(obj, "r1"), _json_tokens(obj, "r2"))
+    _check_json_weight(obj, weight_pair(pair), "pair")
     return pair
 
 
@@ -1108,12 +1102,13 @@ def assignment_from_json(
     ids = {t: v for v, t in enumerate(tokens)}
     vals = [0] * len(tokens)
     for level, key in ((1, "ones"), (2, "twos")):
-        for t in obj.get(key, []):
+        for t in _json_tokens(obj, key):
             if t not in ids:
                 raise InputError(f"unknown token {t!r} in json solution")
+            if vals[ids[t]]:
+                raise InputError(f"token {t!r} sits at two levels in json solution")
             vals[ids[t]] = level
-    if obj.get("w") != sum(vals):
-        raise InputError("json assignment carries the wrong weight")
+    _check_json_weight(obj, sum(vals), "assignment")
     return tuple(vals)
 
 
@@ -1136,3 +1131,22 @@ def _load_json_object(line: str) -> dict:
     if not isinstance(obj, dict):
         raise InputError("json solution must be one object")
     return obj
+
+
+def _json_tokens(obj: dict, key: str) -> list[str]:
+    """obj[key], an empty list when absent: a list of distinct strings."""
+    tokens = obj.get(key, [])
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise InputError(f"json field {key!r} must be a list of tokens")
+    if len(set(tokens)) != len(tokens):
+        raise InputError(f"json field {key!r} repeats a token")
+    return tokens
+
+
+def _check_json_weight(obj: dict, weight: int, what: str) -> None:
+    w = obj.get("w")
+    # a bool is an int to isinstance; true must not read as the weight 1
+    if type(w) is not int:
+        raise InputError("json field 'w' must be an integer")
+    if w != weight:
+        raise InputError(f"json {what} carries the wrong weight")

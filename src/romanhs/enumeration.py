@@ -96,23 +96,26 @@ class EnumerationStats(_Record):
         self.rule_counts = {} if rule_counts is None else rule_counts
 
 
-def _degree_prunes(inc: Sequence[int], d3: int, live_e: int, need: int) -> bool:
-    """Does the covering bound ceil(2d / max(2, maxdeg)) over the d live
-    edges pass need?
+def _degree_prunes(
+    inc: Sequence[int], top: int, floor: int, live_e: int, need: int
+) -> bool:
+    """Does the covering bound ceil(2d / max(floor, maxdeg)) over the d
+    live edges pass need?
 
     An R2 vertex hits at most maxdeg live edges at cost 2 and an R1 edge
-    costs 1, so every live edge costs at least 2 / max(2, maxdeg). d3
-    holds the vertices of live degree 3 or more. The bound falls as
-    maxdeg grows, so the walk over d3 stops at the first vertex whose
-    degree brings it to need or below, and is skipped when ceil(2d / 3)
-    already is.
+    costs 1, so every live edge costs at least 2 / maxdeg. top holds the
+    live vertices of live degree above floor (the enumerator's d3 with
+    floor 2, the exact search's d4 with floor 3). The bound falls as
+    maxdeg grows, so the walk over top stops at the first vertex whose
+    degree brings it to need or below, and is skipped when
+    ceil(2d / (floor + 1)) already is.
     """
     d = live_e.bit_count()
-    if not d3:
-        return d > need
-    if -(-2 * d // 3) <= need:
+    if not top:
+        return -(-2 * d // floor) > need
+    if -(-2 * d // (floor + 1)) <= need:
         return False
-    rest = d3
+    rest = top
     while rest:
         low = rest & -rest
         rest ^= low
@@ -282,7 +285,7 @@ def _search(
             # the packing is computed only where the degree bound passes
             w = r1m.bit_count() + 2 * r2m.bit_count()
             if w + live_e.bit_count() > cap and (
-                _degree_prunes(inc, d3, live_e, cap - w)
+                _degree_prunes(inc, d3, 2, live_e, cap - w)
                 or w + _packing_bound(members, order, livev, live_e) > cap
             ):
                 continue
@@ -473,29 +476,20 @@ def _enumerate(
     return stats
 
 
-def minimal_pair_for_r2(h: Hypergraph, r2_mask: int) -> RhsPair | None:
-    """The unique minimal rhs with 2-set r2_mask, or None.
-
-    Fixing the 2-set forces the 1-part to be exactly the unhit edges, so
-    a minimal pair exists for the mask exactly when every chosen vertex
-    hits some edge alone.
-    """
-    r1m = _minimal_r1(h.edge_members, h.incidence_masks, 0, r2_mask)
-    return None if r1m is None else RhsPair.from_masks(r1m, r2_mask)
-
-
 def brute_enumerate_minimal_rhs(h: Hypergraph) -> list[RhsPair]:
     """All minimal rhs by scanning the 2-sets; small instances only.
 
     The scan visits the 2^|X| vertex masks in ascending order, all spent
-    from the work budget before it starts.
+    from the work budget before it starts. Fixing the 2-set forces the
+    1-part to be exactly the unhit edges, so a mask has a minimal pair
+    exactly when each of its vertices hits some edge alone.
     """
     WorkBudget("brute rhs enumeration").spend(1 << h.n_vertices)
     out = []
     for r2m in range(1 << h.n_vertices):
-        pair = minimal_pair_for_r2(h, r2m)
-        if pair is not None:
-            out.append(pair)
+        r1m = _minimal_r1(h.edge_members, h.incidence_masks, 0, r2m)
+        if r1m is not None:
+            out.append(RhsPair.from_masks(r1m, r2m))
     return out
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     BoundedRdInstance,
     Correspondence,
-    EdgeIndex,
     Graph,
     Hypergraph,
     Masks,
@@ -32,7 +31,6 @@ from .core import (
     _closed_masks,
     _complete,
     _hit_counts,
-    _id_mask,
     _instance_masks,
     _level_masks,
     _minimal_r1,
@@ -142,79 +140,6 @@ def ext_rhf_surjective(
         )
     inst = _instance_masks(h, tau)
     return _general_witness(*inst, free, *_promote(*inst, ones, twos))
-
-
-class ExtensionWitness(_Frozen):
-    """Certificate that an assignment can grow into a minimal rhf.
-
-    r2 is the planned 2-set; it must contain the current 2s and stay inside
-    the current 1s and 2s. rho assigns every member an edge it hits alone,
-    different from its corresponding edge.
-    """
-
-    __slots__ = _fields = ("r2", "rho")
-    r2: frozenset[VertexId]
-    rho: tuple[tuple[VertexId, EdgeIndex], ...]
-
-    def __init__(
-        self, r2: frozenset[VertexId], rho: tuple[tuple[VertexId, EdgeIndex], ...]
-    ) -> None:
-        object.__setattr__(self, "r2", r2)
-        object.__setattr__(self, "rho", rho)
-
-    @classmethod
-    def build(
-        cls, r2: Iterable[VertexId], rho: Mapping[VertexId, EdgeIndex]
-    ) -> "ExtensionWitness":
-        return cls(frozenset(r2), tuple(sorted(rho.items())))
-
-    def rho_map(self) -> dict[VertexId, EdgeIndex]:
-        return dict(self.rho)
-
-
-def check_extension_witness(
-    h: Hypergraph,
-    tau: Correspondence,
-    f: Sequence[int],
-    w: ExtensionWitness,
-) -> bool:
-    """Evaluate the witness constraints against an assignment.
-
-    tau must be injective on the 1-set (apply the promotion closure
-    first), and a malformed witness is an input error. Constraints: every
-    member's certificate edge differs from its corresponding edge and
-    meets the planned 2-set in that member only; corresponding edges of
-    the remaining 1s avoid it; and every edge without correspondence
-    preimage that the certificate and remaining-1 edges swallow must meet
-    it (such an edge could never gain a private hitter or a fresh 1).
-    """
-    tau.validate(h)
-    ones, twos = _level_masks(f, h.n_vertices)
-    if tau.image_mask(ones).bit_count() != ones.bit_count():
-        raise InputError(
-            "correspondence collides on 1-vertices; apply the promotion "
-            "closure before checking witnesses"
-        )
-    r2m = _id_mask(w.r2, "witness 2-set contains an unknown vertex", h.n_vertices - 1)
-    if twos & ~r2m or r2m & ~(ones | twos):
-        raise InputError("witness 2-set must contain the 2s and avoid the 0s")
-    rho = w.rho_map()
-    if set(rho) != set(w.r2) or len(w.rho) != len(w.r2):
-        raise InputError("witness map must cover exactly the witness 2-set")
-    if any(not 0 <= i < h.n_edges for i in rho.values()):
-        raise InputError("witness map targets an unknown edge index")
-
-    if any(
-        i == tau.mapping[x] or h.edge_members[i] & r2m != 1 << x
-        for x, i in rho.items()
-    ):
-        return False
-    rest = ones & ~r2m
-    if any(h.edge_members[tau.mapping[x]] & r2m for x in bits(rest)):
-        return False
-    covered = _union(h.edge_members, tau.image_mask(rest) | mask_of(rho.values()))
-    loose = h.all_edges_mask & ~tau.range_mask & ~h.incidence_set_mask(r2m)
-    return all(h.edge_members[i] & ~covered for i in bits(loose))
 
 
 def _general_witness(

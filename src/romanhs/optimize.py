@@ -15,9 +15,10 @@ members of its live edges. Two lower bounds prune against the best
 weight so far: the covering bound ceil(2d / max(2, maxdeg)), whose
 maxdeg the summary narrows to the d4 vertices, and a maximal packing of
 live edges in which no vertex lies in more than two of them. The
-covering test stops once its answer is known: the bound falls as maxdeg
-grows, so the d4 walk stops at the first vertex that takes it below what
-the node still needs, and is skipped when ceil(2d / 4) already is. The
+covering test, the capped enumerator's _degree_prunes, stops once its
+answer is known: the d4 walk stops at the first vertex that takes the
+bound below what the node still needs, and is skipped when ceil(2d / 4)
+already is. The
 packing is carried on the stack like the summary: a node drops what left
 of the last packing on its path and tops it up only around the vertices
 that freed. Because the tree does not depend on the incumbent, the
@@ -54,7 +55,7 @@ from .core import (
     mask_of,
     weight_pair,
 )
-from .enumeration import EnumerationStats, _enumerate
+from .enumeration import EnumerationStats, _degree_prunes, _enumerate
 from .errors import InputError
 
 
@@ -332,24 +333,10 @@ def _min_rhs_search(
         # every live vertex has live degree 3 or more
         assert livev == d3
         if best_w >= 0:
-            # the covering bound ceil(2d / maxdeg) falls as maxdeg grows and
-            # only d4 vertices have degree above 3: it cannot prune when
-            # ceil(2d / 4) is below need, else it prunes unless a d4 vertex
-            # brings it below need
-            need = best_w - w
-            d = live_e.bit_count()
-            if not d4:
-                if -(-2 * d // 3) >= need:
-                    continue
-            elif -(-2 * d // 4) >= need:
-                rest = d4
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    if -(-2 * d // (inc[low.bit_length() - 1] & live_e).bit_count()) < need:
-                        break
-                else:
-                    continue
+            # the covering bound prunes once w plus it reaches best_w; only
+            # d4 vertices have live degree above 3
+            if _degree_prunes(inc, d4, 3, live_e, best_w - w - 1):
+                continue
             pack = _repack(members, inc, livev, live_e, pack)
             if w + pack[0].bit_count() >= best_w:
                 continue

@@ -327,7 +327,7 @@ def split_partition(g: Graph) -> tuple[list[int], list[int]]:
 
     The m vertices of largest degree form a clique exactly when the graph
     is split, for m the last position i with degree >= i-1; the
-    validation in split_hypergraph rejects every other graph.
+    validation in _split_hypergraph rejects every other graph.
     """
     deg = [g.neighbors_mask(v).bit_count() for v in range(g.n_vertices)]
     order = sorted(range(g.n_vertices), key=lambda v: (-deg[v], v))
@@ -350,7 +350,7 @@ def _validate_split(g: Graph, clique: set[int], indep: set[int]) -> None:
             raise InputError("independent part is not independent")
 
 
-def split_hypergraph(
+def _split_hypergraph(
     g: Graph, split: tuple[Iterable[VertexId], Iterable[VertexId]]
 ) -> tuple[Hypergraph, list[VertexId], list[VertexId]]:
     """Hypergraph view of a split graph, after the clique-side move.
@@ -402,7 +402,7 @@ def ds_split_to_rhs(
     preserves solutions, not weights; the offset is nominal. The backward
     mapper refuses a pair that is not an rhs of the target.
     """
-    h, c_list, i_list = split_hypergraph(g, split)
+    h, c_list, i_list = _split_hypergraph(g, split)
     c_pos = {v: k for k, v in enumerate(c_list)}
     i_pos = {v: k for k, v in enumerate(i_list)}
 

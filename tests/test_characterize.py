@@ -13,7 +13,6 @@ from corpus import (
     build_ex2,
     complete_graph,
     connected_graphs_upto,
-    ex1_tau,
     ex2_tau,
     path_graph,
     random_hypergraph,
@@ -36,7 +35,6 @@ from romanhs.characterize import (
     minimal_rhs_violation,
     po_minimal_rdf_violation,
     private_neighborhood,
-    private_neighborhood_report,
 )
 from romanhs.core import (
     BoundedRdInstance,
@@ -50,9 +48,7 @@ from romanhs.core import (
 from romanhs.enumeration import gen_random, iter_minimal_rhs
 from romanhs.errors import InputError
 from romanhs.extend import (
-    ExtensionWitness,
     bounded_ext_rd,
-    check_extension_witness,
     is_minimal_dominating_set,
 )
 
@@ -131,17 +127,9 @@ class TestPrivateNeighborhood:
             lambda: private_neighborhood(g, [1, 7], 1),
             lambda: private_neighborhood(g, [-1, 1], 1),
             lambda: private_neighborhood(g, [1], -1),
-            lambda: private_neighborhood_report(g, [3]),
-            lambda: private_neighborhood_report(g, [-1]),
         ):
             with pytest.raises(InputError):
                 call()
-
-    def test_report(self):
-        g = path_graph(3)
-        rep = private_neighborhood_report(g, {0, 2})
-        assert rep.members == {0, 2}
-        assert dict(rep.entries) == {0: frozenset({0}), 2: frozenset({2})}
 
 
 class TestMinimalRdf:
@@ -296,67 +284,6 @@ class TestOracleAgreement:
             assert is_minimal_rhf_theorem(h, tau, f) == ref
 
 
-class TestWitness:
-    def test_ex1_witness_passes(self):
-        h = build_ex1()
-        tau = ex1_tau(h)
-        f = assignment_of(h, {"c": 2})
-        w = ExtensionWitness.build({h.vertex_id("c")}, {h.vertex_id("c"): h.edge_id("5")})
-        assert check_extension_witness(h, tau, f, w)
-
-    def test_rho_equal_tau_fails(self):
-        h = build_ex1()
-        tau = ex1_tau(h)
-        f = assignment_of(h, {"c": 2})
-        w = ExtensionWitness.build({h.vertex_id("c")}, {h.vertex_id("c"): h.edge_id("4")})
-        assert not check_extension_witness(h, tau, f, w)
-
-    def test_swallowed_tau_free_edge_fails(self):
-        # edge 2 = {a} has no tau preimage; once a's own edge and c's
-        # certificate cover it, it must meet the witness 2-set
-        h = build_ex1()
-        tau = ex1_tau(h)
-        f = assignment_of(h, {"a": 1, "c": 2})
-        w = ExtensionWitness.build({h.vertex_id("c")}, {h.vertex_id("c"): h.edge_id("5")})
-        assert not check_extension_witness(h, tau, f, w)
-
-    def test_surjective_tau_smoke(self):
-        g = path_graph(3)
-        h, tau = closed_neighborhood_hypergraph(g)
-        f = (0, 2, 0)
-        w = ExtensionWitness.build({1}, {1: 0})
-        assert check_extension_witness(h, tau, f, w)
-
-    def test_collision_is_input_error(self):
-        h = build_ex2()
-        tau = ex2_tau(h)
-        f = assignment_of(h, {"a": 1, "b": 1})
-        w = ExtensionWitness.build(set(), {})
-        with pytest.raises(InputError):
-            check_extension_witness(h, tau, f, w)
-
-    def test_malformed_witness_is_input_error(self):
-        h = build_ex1()
-        tau = ex1_tau(h)
-        f = assignment_of(h, {"c": 2})
-        with pytest.raises(InputError):
-            check_extension_witness(h, tau, f, ExtensionWitness.build(set(), {}))
-        with pytest.raises(InputError):
-            check_extension_witness(
-                h,
-                tau,
-                f,
-                ExtensionWitness.build(
-                    {h.vertex_id("c"), h.vertex_id("a")},
-                    {h.vertex_id("c"): 4, h.vertex_id("a"): 0},
-                ),
-            )
-        with pytest.raises(InputError):
-            check_extension_witness(
-                h, tau, f, ExtensionWitness.build({h.vertex_id("c")}, {})
-            )
-
-
 class TestGuards:
     # The definition-level oracles make polynomially many validity checks,
     # so they take no size guard: they answer at any size, and agree with
@@ -399,7 +326,6 @@ def _graph_answers(g):
         [brute_minimal_po_rdf(g, f) for f in fs],
         [is_minimal_dominating_set(g, d) for d in sets],
         [private_neighborhood(g, d, v) for d in sets for v in d],
-        [private_neighborhood_report(g, d) for d in sets],
     ]
     # every lower bound below a cap of 0 or 2 per vertex, or of 1 everywhere,
     # and one crossed pair

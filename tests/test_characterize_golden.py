@@ -6,9 +6,10 @@ the checked-in ``golden/characterize.txt`` holds one sha1 per instance
 over, in order:
 
 - graphs: ``minimal_rdf_violation`` and ``po_minimal_rdf_violation`` on
-  every assignment, ``is_minimal_dominating_set`` and
-  ``private_neighborhood_report`` on every vertex subset, then the two
-  hypergraph checkers below on the closed-neighborhood hypergraph;
+  every assignment, ``is_minimal_dominating_set`` on every vertex subset
+  and ``private_neighborhood`` of each of its members (recorded under the
+  label ``private_neighborhood_report``), then the two hypergraph
+  checkers below on the closed-neighborhood hypergraph;
 - hypergraphs: ``minimal_rhs_violation`` on every pair and
   ``minimal_rhf_violation`` on every assignment.
 
@@ -37,7 +38,7 @@ from romanhs.characterize import (
     minimal_rhf_violation,
     minimal_rhs_violation,
     po_minimal_rdf_violation,
-    private_neighborhood_report,
+    private_neighborhood,
 )
 from romanhs.core import Graph, RhsPair, bits, closed_neighborhood_hypergraph
 from romanhs.enumeration import gen_random
@@ -128,10 +129,11 @@ def run(k: int) -> tuple[str, frozenset]:
         for dm in range(1 << n):
             d = list(bits(dm))
             put("is_minimal_dominating_set", is_minimal_dominating_set(g, d))
-            rep = private_neighborhood_report(g, d)
+            # under the label of the report that once gave this tuple, so
+            # the digests stay those of the checked-in file
             put(
                 "private_neighborhood_report",
-                (sorted(rep.members), [(v, sorted(p)) for v, p in rep.entries]),
+                (d, [(v, sorted(private_neighborhood(g, d, v))) for v in d]),
             )
         _hypergraph_answers(*closed_neighborhood_hypergraph(g), put)
     else:

@@ -1,5 +1,6 @@
 """Command line behavior: grammar, exit codes, determinism, JSON."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from corpus import capped_paths_text
 import romanhs
 import romanhs.cli
-from romanhs.cli import format_assignment, format_pair, main
+from romanhs.cli import build_parser, format_assignment, format_pair, main
 from romanhs.core import (
     RhsPair,
     assignment_from_json,
@@ -463,6 +464,31 @@ def test_usage_and_input_errors(run, write):
     assert code == 1 and "line 2" in err
     assert run("min-rhf", write("notau.hg", EX1))[0] == 1
     assert run("gen", "tight", "0")[0] == 1
+
+
+def _command_paths(parser, prefix=()):
+    """The argument prefix of every subcommand, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + (name,)
+                yield from _command_paths(sub, prefix + (name,))
+
+
+HELP_PATHS = [()] + list(_command_paths(build_parser()))
+
+
+def test_help_paths_reach_the_nested_generators():
+    assert {("gen", "tight"), ("gen", "random"), ("oracle",)} <= set(HELP_PATHS)
+
+
+# argparse formats choices and metavars only when it renders help
+@pytest.mark.parametrize("path", HELP_PATHS, ids=[" ".join(p) or "top" for p in HELP_PATHS])
+def test_help_exits_zero(path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*path, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(("usage: rhs-tool", *path)))
 
 
 def test_module_entrypoint():

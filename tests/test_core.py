@@ -33,15 +33,17 @@ from romanhs.core import (
     HypergraphFile,
     RhsPair,
     _level_masks,
+    assignment_from_json,
     assignment_to_json,
     _closed_masks,
     _edge_masks,
     closed_neighborhood_hypergraph,
     edge_hypergraph,
-    incidence,
     is_rdf,
     is_rhf,
     is_rhs,
+    mask_of,
+    pair_from_json,
     pair_to_json,
     parse_graph_text,
     parse_hypergraph_text,
@@ -68,15 +70,15 @@ def vids(h, tokens):
 class TestIncidence:
     def test_ex1_a(self):
         h = build_ex1()
-        assert incidence(h, h.vertex_id("a")) == eids(h, ["1", "2", "4"])
+        assert h.incidence_mask(h.vertex_id("a")) == mask_of(eids(h, ["1", "2", "4"]))
 
     def test_ex1_d(self):
         h = build_ex1()
-        assert incidence(h, h.vertex_id("d")) == eids(h, ["5"])
+        assert h.incidence_mask(h.vertex_id("d")) == mask_of(eids(h, ["5"]))
 
     def test_isolated_vertex(self):
         h = Hypergraph.build(["x", "y"], [("e", ["y"])])
-        assert incidence(h, h.vertex_id("x")) == frozenset()
+        assert h.incidence_mask(h.vertex_id("x")) == 0
 
 
 class TestWeights:
@@ -571,6 +573,55 @@ def test_json_lines_equal_sorted_key_dumps():
     ]
     for line in lines:
         assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+# the readers refuse what no writer emits; universe a b, edges e = {a}, f = {b}
+JSON_H = Hypergraph.build(["a", "b"], [("e", ["a"]), ("f", ["b"])])
+
+
+def test_json_pair_field_that_is_no_list_is_input_error():
+    with pytest.raises(InputError, match="'r1' must be a list"):
+        pair_from_json(JSON_H, '{"r1": 5, "r2": [], "w": 5}')
+
+
+def test_json_pair_string_field_is_not_read_as_its_characters():
+    with pytest.raises(InputError, match="'r1' must be a list"):
+        pair_from_json(JSON_H, '{"r1": "ef", "r2": [], "w": 2}')
+
+
+def test_json_pair_repeated_token_is_input_error():
+    with pytest.raises(InputError, match="'r1' repeats a token"):
+        pair_from_json(JSON_H, '{"r1": ["e", "e"], "r2": [], "w": 1}')
+
+
+def test_json_assignment_nested_token_is_input_error():
+    with pytest.raises(InputError, match="'ones' must be a list of tokens"):
+        assignment_from_json(JSON_H.vertex_tokens, '{"ones": [["a"]], "twos": [], "w": 1}')
+
+
+def test_json_assignment_string_field_is_not_read_as_its_characters():
+    with pytest.raises(InputError, match="'twos' must be a list"):
+        assignment_from_json(JSON_H.vertex_tokens, '{"twos": "ab", "w": 4}')
+
+
+def test_json_assignment_token_at_two_levels_is_input_error():
+    with pytest.raises(InputError, match="two levels"):
+        assignment_from_json(JSON_H.vertex_tokens, '{"ones": ["a"], "twos": ["a"], "w": 2}')
+
+
+def test_json_weight_true_is_not_the_weight_one():
+    with pytest.raises(InputError, match="'w' must be an integer"):
+        pair_from_json(JSON_H, '{"r1": ["e"], "r2": [], "w": true}')
+    with pytest.raises(InputError, match="'w' must be an integer"):
+        assignment_from_json(JSON_H.vertex_tokens, '{"ones": ["a"], "twos": [], "w": true}')
+
+
+def test_json_readers_read_back_every_written_line():
+    h = build_ex1()
+    for pair in all_pairs(h):
+        assert pair_from_json(h, pair_to_json(h, pair)) == pair
+    for f in all_assignments(h.n_vertices):
+        assert assignment_from_json(h.vertex_tokens, assignment_to_json(h.vertex_tokens, f)) == f
 
 
 REIMPORT = """

@@ -1,8 +1,8 @@
 """Golden decisions and witnesses of the extension solvers.
 
 For seeded corpora of every public extension routine (ext_rhs,
-ext_rhf_surjective, ext_rhf_general with both strategies, bounded_ext_rd,
-ext_ds_split and check_extension_witness) the checked-in
+ext_rhf_surjective, ext_rhf_general with both strategies, bounded_ext_rd
+and ext_ds_split) the checked-in
 ``golden/extend.txt`` holds the decision and the exact witness, or the
 class and message of the error raised (InputError for malformed input or
 a violated precondition, GuardRefused past the work limit). The witness
@@ -28,7 +28,6 @@ from corpus import (
     random_assignment,
     random_split_graph,
 )
-from romanhs.extend import ExtensionWitness, check_extension_witness
 from romanhs.core import (
     BoundedRdInstance,
     Correspondence,
@@ -46,7 +45,6 @@ from romanhs.extend import (
     ext_rhf_general,
     ext_rhf_surjective,
     ext_rhs,
-    promote_closure,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "extend.txt"
@@ -76,33 +74,6 @@ def _random_graph(draw: random.Random, max_n: int) -> Graph:
 def _one_edge(n: int) -> tuple[Hypergraph, Correspondence]:
     names = [f"x{i}" for i in range(n)]
     return Hypergraph.build(names, [("e", names)]), Correspondence((0,) * n)
-
-
-def _random_witness(draw: random.Random, h: Hypergraph, tau, f):
-    """A witness to check: mostly well formed, sometimes malformed."""
-    ones = [x for x, v in enumerate(f) if v == 1]
-    twos = [x for x, v in enumerate(f) if v == 2]
-    r2 = set(twos) | {x for x in ones if draw.random() < 0.3}
-    roll = draw.random()
-    if roll < 0.05 and twos:
-        r2.discard(twos[0])
-    elif roll < 0.1 and len(f) > len(ones) + len(twos):
-        r2.add(next(x for x, v in enumerate(f) if v == 0))
-    r2m = sum(1 << x for x in r2)
-    rho = {}
-    for x in sorted(r2):
-        alone = [
-            i
-            for i in range(h.n_edges)
-            if h.edge_members[i] & r2m == 1 << x and i != tau.mapping[x]
-        ]
-        rho[x] = draw.choice(alone) if alone and draw.random() < 0.9 else draw.randrange(h.n_edges)
-    roll = draw.random()
-    if roll < 0.04:
-        rho[next(iter(rho), 0)] = h.n_edges
-    elif roll < 0.08 and rho:
-        del rho[next(iter(rho))]
-    return ExtensionWitness.build(r2, rho)
 
 
 def _below(draw: random.Random, h: Hypergraph, tau, zeros: float):
@@ -204,15 +175,6 @@ def corpus():
     split = ({gs.vertex_id(t) for t in clique}, {gs.vertex_id(t) for t in indep})
     runs.append(("unknown-vertex", "ext_ds_split", lambda: ext_ds_split(gs, split, {gs.n_vertices})))
     runs.append(("not-a-partition", "ext_ds_split", lambda: ext_ds_split(gs, (split[0], set()), set())))
-
-    for seed in range(500, 560):
-        label, h, tau = _tau_instance(draw, seed, 9, 11)
-        for k in range(3):
-            f = _below(draw, h, tau, 0.2) if k else random_assignment(draw, h.n_vertices)
-            if draw.random() < 0.9:
-                f = promote_closure(h, tau, f)
-            w = _random_witness(draw, h, tau, f)
-            runs.append((f"{label}/{k}", "check_extension_witness", lambda h=h, t=tau, f=f, w=w: check_extension_witness(h, t, f, w)))
 
     # the two guard instances above with a preimage-free edge that no
     # closure 2 hits, so the witness search goes on past its first 2-set

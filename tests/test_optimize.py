@@ -253,10 +253,13 @@ def test_lower_bounds_are_sound():
 
 
 def test_degree_prunes_matches_the_full_bound():
-    """The enumerator's short-circuit predicate answers as the full
-    covering bound compared against need, for every need from -1 to one
-    past the live edge count, so on both sides of each ceil(2d / k), on
-    seeded live vertex and edge sets with and without degree-3 vertices."""
+    """The short-circuit covering test answers as the full covering bound
+    compared against need, for every need from -1 to one past the live
+    edge count, so on both sides of each ceil(2d / k), on seeded live
+    vertex and edge sets with and without vertices above the floor: the
+    enumerator's call (its d3 vertices, floor 2) on every node, and the
+    exact search's (its d4 vertices, floor 3) on the nodes with live
+    vertices, all of live degree 3 or more, as its nodes have."""
     rng = random.Random(2828)
     kinds = set()
     for _ in range(400):
@@ -265,12 +268,19 @@ def test_degree_prunes_matches_the_full_bound():
         inc = [mask_of(i for i, m in enumerate(members) if m >> v & 1) for v in range(nv)]
         livev = mask_of(v for v in range(nv) if rng.random() < 0.8)
         live_e = mask_of(i for i in range(ne) if rng.random() < 0.8)
-        d3 = mask_of(v for v in core.bits(livev) if (inc[v] & live_e).bit_count() >= 3)
-        kinds.add(bool(d3))
+        degree = {v: (inc[v] & live_e).bit_count() for v in core.bits(livev)}
+        d3 = mask_of(v for v, k in degree.items() if k >= 3)
+        d4 = mask_of(v for v, k in degree.items() if k >= 4)
+        calls = [(d3, 2)]
+        if livev and livev == d3:
+            calls.append((d4, 3))
+            kinds.add(("floor 3", bool(d4)))
+        kinds.add(("floor 2", bool(d3)))
         bound = _degree_bound(inc, livev, live_e)
-        for need in range(-1, live_e.bit_count() + 2):
-            assert _degree_prunes(inc, d3, live_e, need) == (bound > need), (members, livev, live_e, need)
-    assert kinds == {False, True}
+        for top, floor in calls:
+            for need in range(-1, live_e.bit_count() + 2):
+                assert _degree_prunes(inc, top, floor, live_e, need) == (bound > need), (members, livev, live_e, floor, need)
+    assert kinds == {(f, b) for f in ("floor 2", "floor 3") for b in (False, True)}
 
 
 def test_packing_bound_beats_degree_bound():

@@ -14,7 +14,6 @@ import pickle
 
 import pytest
 
-from romanhs.characterize import PrivateNeighborReport
 from romanhs.core import (
     BoundedRdInstance,
     Correspondence,
@@ -26,7 +25,7 @@ from romanhs.core import (
     SolutionLines,
 )
 from romanhs.enumeration import EnumerationStats
-from romanhs.extend import ExtAnswer, ExtensionWitness
+from romanhs.extend import ExtAnswer
 from romanhs.optimize import OptResult
 from romanhs.reduce import ReductionOutput
 
@@ -58,16 +57,6 @@ FROZEN = [
         GraphFile,
         dict(graph=G, assignment=(0, 1, 0), upper=(2, 2, 2)),
         f"GraphFile(graph={G_REPR}, assignment=(0, 1, 0), upper=(2, 2, 2))",
-    ),
-    (
-        PrivateNeighborReport,
-        dict(members=frozenset({1}), entries=((1, frozenset({0, 1, 2})),)),
-        "PrivateNeighborReport(members=frozenset({1}), entries=((1, frozenset({0, 1, 2})),))",
-    ),
-    (
-        ExtensionWitness,
-        dict(r2=frozenset({1}), rho=((1, 0),)),
-        "ExtensionWitness(r2=frozenset({1}), rho=((1, 0),))",
     ),
     (ExtAnswer, dict(decision=True, witness=PAIR), f"ExtAnswer(decision=True, witness={PAIR_REPR})"),
     (OptResult, dict(weight=2, witness=(0, 2), nodes=5), "OptResult(weight=2, witness=(0, 2), nodes=5)"),
@@ -102,8 +91,6 @@ CHANGED = {
     BoundedRdInstance: (2, 2, 2),
     HypergraphFile: RhsPair((), ()),
     GraphFile: (2, 2, 1),
-    PrivateNeighborReport: (),
-    ExtensionWitness: (),
     ExtAnswer: None,
     OptResult: 6,
     ReductionOutput: 4,
