@@ -5,13 +5,13 @@ precondition is the caller's problem (InputError), while a refusal to run an
 exponential routine past its guard is a policy decision (GuardRefused).
 The command line maps them to exit codes 1 and 2 respectively.
 
-Every exponential routine (the brute enumerators, the general extension
-search, and the bounded Roman domination extension) spends its work from
-one WorkBudget, which refuses once the total passes WORK_LIMIT. The general
-extension search spends as it runs, one unit per node it pops, so an input
-that needs little work runs whatever its size and a refusal comes after the
-limit's worth of work. The others know their count exactly before they
-start and spend it at once, so they refuse at once. Polynomial routines
+Every exponential routine (the brute enumerators and the general extension
+search, which bounded Roman domination extension runs too) spends its work
+from one WorkBudget, which refuses once the total passes WORK_LIMIT. The
+general extension search spends as it runs, one unit per node it pops, so
+an input that needs little work runs whatever its size and a refusal comes
+after the limit's worth of work. The brute enumerators know their count
+exactly before they start and spend it at once, so they refuse at once. Polynomial routines
 take no guard, whatever the instance size.
 """
 

@@ -4,17 +4,15 @@ ext_rhs settles the pair question in polynomial time, and ext_ds_split
 the split-graph dominating-set one through it. One core for assignments,
 the general extension search (_general_witness), answers
 ext_rhf_surjective (where it decides at its root), ext_rhf_general (an
-NP-complete question once tau is not surjective) and each dominator
-choice of bounded_ext_rd. The public functions validate and find the
-preimage-free edges once; their loops run private cores on core's three
-mask sequences (a hypergraph's _instance_masks or a graph's closed
-neighborhoods), which validate nothing.
+NP-complete question once tau is not surjective) and bounded_ext_rd (the
+caps become preimage-free edges and a starting cover). The public
+functions validate and find the preimage-free edges, then run private
+cores on core's three mask sequences (a hypergraph's _instance_masks or
+a graph's closed neighborhoods), which validate nothing.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -40,7 +38,6 @@ from .core import (
     _vertex_mask,
     bits,
     frozenset_of,
-    mask_of,
 )
 from .errors import InputError, WorkBudget
 
@@ -139,14 +136,17 @@ def ext_rhf_surjective(
             "use the general solver"
         )
     inst = _instance_masks(h, tau)
-    return _general_witness(*inst, free, *_promote(*inst, ones, twos))
+    return _general_witness(*inst, free, *_promote(*inst, ones, twos), 0)
 
 
 def _general_witness(
-    members: Masks, inc: Masks, mapping: Masks, free: int, ones: int, twos: int
+    members: Masks, inc: Masks, mapping: Masks,
+    free: int, ones: int, twos: int, cover: int,
 ) -> ExtAnswer:
     """The one rhf-extension search, on a promotion closure's 1s and 2s
-    (each caller closes f first, _promote) and the preimage-free edges.
+    (each caller closes f first, _promote), the preimage-free edges and
+    the starting cover: vertices that may never become 2 (0 for an rhf
+    question; bounded_ext_rd's vertices capped below 2).
 
     Depth first from an explicit stack, it settles each node (_settle)
     and decides the closure's 1s, lowest first and keep before promote,
@@ -158,9 +158,9 @@ def _general_witness(
     zeros = (1 << n) - 1 & ~(ones | twos)
     spend = WorkBudget("general extension search").spend
     # a node: the undecided 1s, the planned 2s, the edges they hit at
-    # least once and at least twice, the vertices the kept 1s'
-    # corresponding edges cover
-    stack = [(ones, twos, *_hit_counts(inc, twos), 0)]
+    # least once and at least twice, the cover: the starting cover and
+    # the vertices the kept 1s' corresponding edges cover
+    stack = [(ones, twos, *_hit_counts(inc, twos), cover)]
     pop, push = stack.pop, stack.append
     while stack:
         spend(1)
@@ -339,20 +339,17 @@ def ext_rhf_general(
         raise InputError(f"unknown strategy {strategy!r}")
     inst = _instance_masks(h, tau)
     free = h.all_edges_mask & ~tau.range_mask
-    return _general_witness(*inst, free, *_promote(*inst, ones, twos))
+    return _general_witness(*inst, free, *_promote(*inst, ones, twos), 0)
 
 
 def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
     """Is there a minimal rdf between the two assignments?
 
     A 1 of the lower assignment next to one of its 2s must rise to 2, so
-    the cap rejects some instances outright. Every vertex capped at 0
-    needs a dominator capped at 2 that is not next to a pinned 1; the
-    solver branches over those choices (their number is spent from the
-    work budget before the first), re-closes, and runs the general
-    extension search on the closed neighborhoods, which decides at its
-    root (the identity leaves no preimage-free edge). Witnesses never
-    exceed the cap: no 2s are added beyond the closure.
+    the cap rejects some instances outright. Else one general extension
+    search on the closed neighborhoods decides, the caps its input: N[v]
+    for v capped at 0 is a preimage-free edge, which only a 2 can hit,
+    and the vertices capped below 2 start in the cover, which no 2 enters.
     """
     g, f, up = inst.graph, inst.lower, inst.upper
     n = g.n_vertices
@@ -363,40 +360,14 @@ def bounded_ext_rd(inst: BoundedRdInstance) -> ExtAnswer:
     if f2 & ~cap2 or f1 & cap0:
         return ExtAnswer(False)
     nbhd = _closed_masks(g)
-
-    def close(m1: int, m2: int) -> tuple[int, int] | None:
-        # on N[.] with the identity correspondence the promotion closure
-        # raises exactly the 1s next to a 2
-        m1, m2 = _promote(*nbhd, m1, m2)
-        return None if m2 & ~cap2 else (m1, m2)
-
-    base = close(f1, f2)
-    if base is None:
+    # on N[.] with the identity correspondence the promotion closure
+    # raises exactly the 1s next to a 2
+    m1, m2 = _promote(*nbhd, f1, f2)
+    if m2 & ~cap2:
         return ExtAnswer(False)
-    pinned = f1 & cap1
-    banned = _union(nbhd[1], pinned) & ~pinned  # N[pinned] - pinned
-    cands = []
-    for v in bits(cap0):
-        cs = list(bits(g.neighbors_mask(v) & cap2 & ~banned))
-        if not cs:
-            return ExtAnswer(False)
-        cands.append(cs)
-    WorkBudget("bounded extension dominator search").spend(
-        math.prod(len(cs) for cs in cands)
-    )
-    seen: set[tuple[int, int]] = set()
-    for combo in itertools.product(*cands):
-        key = close(base[0], base[1] | mask_of(combo))
-        if key is None or key in seen:
-            continue
-        seen.add(key)
-        # the key is closed, and the identity is surjective (no edge is
-        # preimage-free), so the search decides at its root
-        ans = _general_witness(*nbhd, 0, *key)
-        if ans.decision:
-            assert all(a <= b <= c for a, b, c in zip(f, ans.witness, up))
-            return ans
-    return ExtAnswer(False)
+    ans = _general_witness(*nbhd, cap0, m1, m2, cap0 | cap1)
+    assert not ans.decision or all(map(int.__le__, ans.witness, up))
+    return ans
 
 
 def is_minimal_dominating_set(g: Graph, d: Iterable[VertexId]) -> bool:

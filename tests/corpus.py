@@ -275,17 +275,19 @@ def minimal_dominating_sets(g: Graph) -> set[frozenset[int]]:
     return out
 
 
-def capped_paths_text(k: int) -> str:
-    """Graph file of a bounded rdf "no" instance with 2^k dominator choices.
+def capped_paths_text(k: int, z: bool = True) -> str:
+    """Graph file of k paths u-v-w, each with its middle vertex capped at 0.
 
-    The isolated z has lower = upper = 2, so no minimal rdf fits: lowering
-    z to 1 keeps any rdf valid. Each of the k paths u-v-w caps its middle
-    vertex at 0, and v needs u or w at 2, which bounded_ext_rd branches on.
+    A vertex capped at 0 needs a neighbor at 2, so u or w rises to 2, and
+    there are 2^k ways to choose. With z, an isolated vertex whose lower
+    and upper values are both 2, no minimal rdf fits, since lowering z to
+    1 keeps any rdf valid; without z, one does.
     """
-    lines = ["vertex z " + " ".join(f"u{j} v{j} w{j}" for j in range(k))]
+    lines = [("vertex z " if z else "vertex ") + " ".join(f"u{j} v{j} w{j}" for j in range(k))]
     for j in range(k):
         lines += [f"gedge u{j} v{j}", f"gedge v{j} w{j}", f"upper v{j} 0"]
-    lines.append("assign z 2")
+    if z:
+        lines.append("assign z 2")
     return "\n".join(lines) + "\n"
 
 

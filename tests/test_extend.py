@@ -25,6 +25,7 @@ from corpus import (
 )
 from romanhs import errors, extend
 from romanhs.characterize import (
+    brute_minimal_rdf,
     is_minimal_rdf_theorem,
     is_minimal_rhf_theorem,
     is_minimal_rhs_theorem,
@@ -32,6 +33,7 @@ from romanhs.characterize import (
 from romanhs.core import (
     BoundedRdInstance,
     Correspondence,
+    Graph,
     Hypergraph,
     RhsPair,
     bits,
@@ -811,21 +813,56 @@ def test_bounded_matches_brute_on_small_graphs():
                 )
 
 
-def test_bounded_guard_counts_dominator_choices():
-    # 2^21 dominator choices are refused before the first is tried; 2^8
-    # of them are all tried and the answer is no
-    big = parse_graph_text(capped_paths_text(21))
-    with pytest.raises(GuardRefused):
-        bounded_ext_rd(BoundedRdInstance.build(big.graph, big.assignment, big.upper))
-    small = parse_graph_text(capped_paths_text(8))
-    inst = BoundedRdInstance.build(small.graph, small.assignment, small.upper)
-    assert not bounded_ext_rd(inst).decision
+def test_bounded_matches_brute_on_boxes_of_5_to_8_vertices():
+    rng = random.Random(33)
+    seen = {False: 0, True: 0}
+    for _ in range(3000):
+        n = rng.randint(5, 8)
+        names = [f"v{i}" for i in range(n)]
+        p = rng.choice((0.25, 0.4, 0.6))
+        pairs = [e for e in itertools.combinations(names, 2) if rng.random() < p]
+        g = Graph.build(names, pairs)
+        lower = tuple(rng.choice((0, 0, 0, 0, 1, 2)) for _ in range(n))
+        upper = tuple(max(lo, rng.choice((0, 1, 2, 2, 2))) for lo in lower)
+        box = itertools.product(*(range(lo, up + 1) for lo, up in zip(lower, upper)))
+        want = any(brute_minimal_rdf(g, f) for f in box)
+        ans = bounded_ext_rd(BoundedRdInstance.build(g, lower, upper))
+        assert ans.decision == want, (pairs, lower, upper)
+        if want:
+            w = ans.witness
+            assert is_minimal_rdf_theorem(g, w)
+            assert all(lo <= wv <= up for lo, wv, up in zip(lower, w, upper))
+        seen[want] += 1
+    assert min(seen.values()) >= 1000, seen
 
 
-def test_bounded_closes_once_per_dominator_choice(monkeypatch):
-    # z, capped at 0, has five dominator choices; w and v, pinned at 2 and
-    # adjacent to each other and to z, keep no private neighbor, so every
-    # choice is tried and the answer is no. Choosing w or v gives one key.
+def _capped_paths(k, z=True):
+    gf = parse_graph_text(capped_paths_text(k, z))
+    return gf.graph, BoundedRdInstance.build(gf.graph, gf.assignment, gf.upper)
+
+
+def test_bounded_guard_spends_one_unit_on_capped_paths(monkeypatch):
+    # the isolated z, pinned at 2, has no private neighbor: the search's
+    # root answers no, however many paths' middles are capped at 0
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1)
+    for k in (8, 21, 200):
+        assert not bounded_ext_rd(_capped_paths(k)[1]).decision
+
+
+def test_bounded_capped_paths_without_z_answer_yes():
+    # each middle vertex, capped at 0, gets a 2 on one end of its path
+    g, inst = _capped_paths(200, z=False)
+    ans = bounded_ext_rd(inst)
+    assert ans.decision
+    assert is_minimal_rdf_theorem(g, ans.witness)
+    assert all(map(int.__le__, inst.lower, ans.witness))
+    assert all(map(int.__le__, ans.witness, inst.upper))
+
+
+def test_bounded_closes_once(monkeypatch):
+    # z, capped at 0, needs one of its five neighbors at 2; w and v,
+    # pinned at 2 and adjacent to each other and to z, keep no private
+    # neighbor, so the answer is no after one promotion closure
     text = (
         "vertex z a b c w v\ngedge z a\ngedge z b\ngedge z c\n"
         "gedge z w\ngedge z v\ngedge w v\nassign w 2\nassign v 2\nupper z 0\n"
@@ -842,8 +879,7 @@ def test_bounded_closes_once_per_dominator_choice(monkeypatch):
 
     monkeypatch.setattr(extend, "_promote", counted)
     assert not bounded_ext_rd(inst).decision
-    # the lower assignment's closure, then one per choice
-    assert calls == 1 + 5
+    assert calls == 1
 
 
 def test_bounded_unbounded_top_equals_surjective_extension():
