@@ -11,8 +11,8 @@ from one WorkBudget, which refuses once the total passes WORK_LIMIT. The
 general extension search spends as it runs, one unit per node it pops, so
 an input that needs little work runs whatever its size and a refusal comes
 after the limit's worth of work. The brute enumerators know their count
-exactly before they start and spend it at once, so they refuse at once. Polynomial routines
-take no guard, whatever the instance size.
+exactly before they start and spend it at once, so they refuse at once.
+Polynomial routines take no guard, whatever the instance size.
 """
 
 WORK_LIMIT = 1 << 20

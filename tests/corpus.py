@@ -283,7 +283,8 @@ def capped_paths_text(k: int, z: bool = True) -> str:
     and upper values are both 2, no minimal rdf fits, since lowering z to
     1 keeps any rdf valid; without z, one does.
     """
-    lines = [("vertex z " if z else "vertex ") + " ".join(f"u{j} v{j} w{j}" for j in range(k))]
+    head = "vertex z" if z else "vertex"
+    lines = [head + "".join(f" u{j} v{j} w{j}" for j in range(k))]
     for j in range(k):
         lines += [f"gedge u{j} v{j}", f"gedge v{j} w{j}", f"upper v{j} 0"]
     if z:

@@ -838,7 +838,7 @@ def test_bounded_matches_brute_on_boxes_of_5_to_8_vertices():
 
 def _capped_paths(k, z=True):
     gf = parse_graph_text(capped_paths_text(k, z))
-    return gf.graph, BoundedRdInstance.build(gf.graph, gf.assignment, gf.upper)
+    return BoundedRdInstance.build(gf.graph, gf.assignment, gf.upper)
 
 
 def test_bounded_guard_spends_one_unit_on_capped_paths(monkeypatch):
@@ -846,15 +846,15 @@ def test_bounded_guard_spends_one_unit_on_capped_paths(monkeypatch):
     # root answers no, however many paths' middles are capped at 0
     monkeypatch.setattr(errors, "WORK_LIMIT", 1)
     for k in (8, 21, 200):
-        assert not bounded_ext_rd(_capped_paths(k)[1]).decision
+        assert not bounded_ext_rd(_capped_paths(k)).decision
 
 
 def test_bounded_capped_paths_without_z_answer_yes():
     # each middle vertex, capped at 0, gets a 2 on one end of its path
-    g, inst = _capped_paths(200, z=False)
+    inst = _capped_paths(200, z=False)
     ans = bounded_ext_rd(inst)
     assert ans.decision
-    assert is_minimal_rdf_theorem(g, ans.witness)
+    assert is_minimal_rdf_theorem(inst.graph, ans.witness)
     assert all(map(int.__le__, inst.lower, ans.witness))
     assert all(map(int.__le__, ans.witness, inst.upper))
 
